@@ -40,7 +40,6 @@ from .linalg import (
     columns_condition,
     in_span,
     parse_matrix_text,
-    rref,
     verify_certificate,
     zero_sum_subsets,
 )
@@ -82,7 +81,7 @@ __all__ = [
     "filter_single_variable_leading", "head_census", "hl_matrix",
     "in_span", "is_homogeneous", "linear_pr_verdict",
     "normalize_fermat_catalan", "parse", "parse_matrix_text", "pretty",
-    "profile_census", "rado_condition", "rref", "run_all_filters",
+    "profile_census", "rado_condition", "run_all_filters",
     "standard_head", "sturm_positive_root", "trivial_constant_solution",
     "verify_certificate", "verify_hl_choice", "witness_search",
     "zero_sum_subsets",

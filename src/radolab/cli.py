@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -90,15 +89,6 @@ def _base_report(eq: Equation, source: str, parameters: dict) -> dict:
     }
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("RADOLAB_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -106,7 +96,7 @@ def _threads(args) -> int:
 def cmd_analyze(args) -> int:
     eq = parse(args.equation)
     verdict = run_all_filters(eq)
-    report = _base_report(eq, args.equation, {"threads": _threads(args)})
+    report = _base_report(eq, args.equation, {})
     report["verdict"] = _verdict_json(verdict)
     if eq.poly.is_linear():
         report["filters"] = [_filter_json(r) for r in verdict.reasons]
@@ -138,8 +128,7 @@ def cmd_asymptotic(args) -> int:
         return EXIT_SCOPE
     coeffs = poly.linear_coefficients()
     n = len(coeffs)
-    report = _base_report(eq, args.equation,
-                          {"N": args.N, "threads": _threads(args)})
+    report = _base_report(eq, args.equation, {"N": args.N})
     entries = []
     for partition in candidates:
         entry: dict = {"classes": _partition_json(partition, eq)}
@@ -189,7 +178,6 @@ def cmd_search(args) -> int:
     params = {
         "bound": args.bound, "N": args.N, "base": args.base,
         "mode": args.mode, "colorings": [s.spec_string() for s in specs],
-        "threads": _threads(args),
     }
     if args.mode == "solutions":
         count = 0
@@ -289,9 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="radolab",
         description="Partition-regularity analysis of Diophantine equations",
     )
-    top.add_argument("--threads", type=int, default=None,
-                     help="worker hint (default: RADOLAB_THREADS or all cores); "
-                          "results are identical for any value")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="run the full PR decision pipeline")

@@ -16,13 +16,14 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from . import univariate
 from .model import Equation, Polynomial, ZeroPolynomialError
 from .results import OrderedPartition
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -108,19 +109,23 @@ class ColoringSpec:
         return int.from_bytes(digest, "little") % colors
 
     def color_array(self, bound: int) -> np.ndarray:
-        """Colors of 0..bound as uint16 (index 0 is padding)."""
+        """Colors of 0..bound in the smallest unsigned dtype that holds every
+        color (index 0 is padding)."""
+        import numpy as np
+
+        dtype = np.min_scalar_type(self.num_colors() - 1)
         if self.kind == "mod":
-            return (np.arange(bound + 1, dtype=np.int64) % self.params[0]).astype(np.uint16)
+            return (np.arange(bound + 1, dtype=np.int64) % self.params[0]).astype(dtype)
         if self.kind == "logband":
             p, r = self.params
-            out = np.zeros(bound + 1, dtype=np.uint16)
+            out = np.zeros(bound + 1, dtype=dtype)
             level, lo = 0, 1
             while lo <= bound:
                 hi = min(bound + 1, lo * p)
                 out[lo:hi] = level % r
                 level, lo = level + 1, lo * p
             return out
-        out = np.zeros(bound + 1, dtype=np.uint16)
+        out = np.zeros(bound + 1, dtype=dtype)
         for x in range(1, bound + 1):
             out[x] = self.color(x)
         return out
@@ -456,6 +461,8 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
     3-variable linear equations share that work across the family and only
     the color comparison runs per coloring.
     """
+    if N < 2:
+        raise ValueError("N must be at least 2")
     poly = eq.poly
     params = [{"bound": bound, "N": N, "coloring": s.spec_string()}
               for s in specs]
@@ -610,6 +617,8 @@ def _census3_linear(coeffs: list[int], specs: Sequence[ColoringSpec],
     ratio bound or separated by a factor N), profiles are classified once,
     and only then is each coloring compared on the small remainder.
     """
+    import numpy as np
+
     solve = max(range(3), key=lambda i: (abs(coeffs[i]) == 1, i))
     free = [i for i in range(3) if i != solve]
     cu, cv, cs = coeffs[free[0]], coeffs[free[1]], coeffs[solve]

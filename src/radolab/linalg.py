@@ -1,35 +1,49 @@
-"""Exact rational linear algebra and the columns-condition search.
+"""Exact integer linear algebra and the columns-condition search.
 
 A matrix satisfies the columns condition when its columns admit an ordered
 partition D_1, ..., D_r such that the columns of D_1 sum to zero and every
 later block's sum lies in the rational span of all earlier columns.  This is
 the classical criterion governing partition regularity of linear systems, and
 the search here is exhaustive and exact.
+
+Rows are scaled to integers once, on input.  Scaling a row changes neither
+which column sets sum to zero nor span membership, so everything after that
+is integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add
 from typing import Iterator, Optional, Sequence
 
 from .errors import CapExceededError
 
-Vector = tuple[Fraction, ...]
+Vector = tuple[int, ...]
 
 DEFAULT_COLUMN_CAP = 22
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _int_row(row: Sequence) -> Vector:
+    """The row scaled to integers by the lcm of its entries' denominators."""
+    if all(isinstance(x, int) for x in row):
+        # integer rows (every HL matrix) skip building Fractions
+        return tuple(row)
+    vals = [Fraction(x) for x in row]
+    scale = lcm(*(x.denominator for x in vals))
+    return tuple(x.numerator * (scale // x.denominator) for x in vals)
 
 
 @dataclass(frozen=True)
 class QMatrix:
+    """A rational matrix held as integer rows (each row scaled to clear its
+    denominators, which preserves the columns condition)."""
+
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]  # row-major
+    entries: tuple[int, ...]  # row-major
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -42,24 +56,20 @@ class QMatrix:
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        entries = tuple(_frac(x) for r in rows for x in r)
+        entries = tuple(x for r in rows for x in _int_row(r))
         return QMatrix(len(rows), ncols, entries)
 
-    def at(self, i: int, j: int) -> Fraction:
+    def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> Vector:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def column(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j::self.cols]
 
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.cols)]
-
-    def scaled(self, q) -> "QMatrix":
-        q = _frac(q)
-        return QMatrix(self.rows, self.cols, tuple(q * x for x in self.entries))
 
 
 @dataclass(frozen=True)
@@ -94,39 +104,14 @@ def parse_matrix_text(text: str) -> QMatrix:
 
 
 # ---------------------------------------------------------------------------
-# elimination
-
-
-def rref(matrix: QMatrix) -> tuple[QMatrix, int, tuple[int, ...]]:
-    """Exact reduced row-echelon form; returns (reduced, rank, pivot columns)."""
-    m = [list(matrix.row(i)) for i in range(matrix.rows)]
-    pivots = []
-    r = 0
-    for c in range(matrix.cols):
-        pivot_row = next((i for i in range(r, matrix.rows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(matrix.rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == matrix.rows:
-            break
-    flat = tuple(x for row in m for x in row)
-    return QMatrix(matrix.rows, matrix.cols, flat), r, tuple(pivots)
+# span
 
 
 class _Basis:
-    """Incremental row-reduced basis of rational vectors.
+    """Incremental fraction-free echelon basis of integer vectors.
 
-    Vectors are rescaled to integer entries, so the elimination is
-    fraction-free (v*pivot - row*v[pivot], then content reduction); zeroness
-    of residuals, which is all span membership needs, is scale-invariant.
+    Row t has pivot column pivots[t], a positive pivot entry, and zeros in
+    the pivot columns of every earlier row.
     """
 
     def __init__(self, dim: int):
@@ -140,37 +125,35 @@ class _Basis:
         b.pivots = self.pivots[:]
         return b
 
-    @staticmethod
-    def _to_int_vector(vec) -> list[int]:
-        scale = 1
-        for x in vec:
-            if isinstance(x, Fraction) and x.denominator != 1:
-                scale = scale * x.denominator // gcd(scale, x.denominator)
-        return [int(x * scale) for x in vec]
+    def reduce(self, v: Sequence[int]) -> list[int]:
+        """Apply v -> row[p]*v - v[p]*row for every basis row in order.
 
-    def _residual(self, v: list[int]) -> list[int]:
+        The step runs even where v[p] == 0 (there it is a plain scaling by
+        row[p]), so the whole map is linear; its kernel is exactly the span.  A sum of vectors therefore lies in the
+        span iff their reductions sum to zero.
+        """
         for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                a, b = row[p], v[p]
+            a, b = row[p], v[p]
+            if b:
                 v = [a * x - b * y for x, y in zip(v, row)]
-        return v
+            elif a != 1:
+                v = [a * x for x in v]
+        return list(v)
 
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self._residual(self._to_int_vector(vec)))
+    def contains(self, v: Sequence[int]) -> bool:
+        return not any(self.reduce(v))
 
-    def add(self, vec: Sequence) -> bool:
+    def add(self, vec: Sequence[int]) -> bool:
         """Insert vec if independent; returns True when the rank grew."""
-        v = self._residual(self._to_int_vector(vec))
+        v = self.reduce(vec)
         pivot = next((i for i, x in enumerate(v) if x != 0), None)
         if pivot is None:
             return False
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-        if g > 1:
-            v = [x // g for x in v]
+        g = gcd(*v)
         if v[pivot] < 0:
-            v = [-x for x in v]
+            g = -g
+        if g != 1:
+            v = [x // g for x in v]
         self.rows.append(v)
         self.pivots.append(pivot)
         return True
@@ -181,42 +164,53 @@ def in_span(generators: Sequence[Sequence], vector: Sequence) -> bool:
 
     The empty generator set spans only the zero vector.
     """
-    vec = tuple(_frac(x) for x in vector)
+    vec = _int_row(vector)
     basis = _Basis(len(vec))
     for g in generators:
-        g = tuple(_frac(x) for x in g)
         if len(g) != len(vec):
             raise ValueError(
                 f"dimension mismatch: generator has {len(g)} entries, vector {len(vec)}"
             )
-        basis.add(g)
+        basis.add(_int_row(g))
     return basis.contains(vec)
 
 
 # ---------------------------------------------------------------------------
-# subset enumeration
+# zero-sum subsets
 
 
-def _iter_subsets_ascending(indices: Sequence[int], values: Sequence,
-                            zero) -> Iterator[tuple[int, object]]:
-    """Yields (mask, sum) for every nonempty subset of indices, ordered by
-    ascending mask value (bit i of the mask = indices appear as given)."""
-    n = len(indices)
+def _subset_sums(vectors: Sequence[Sequence[int]], dim: int) -> list[Vector]:
+    """Sums of every subset of vectors, indexed by mask (bit i = vectors[i])."""
+    sums = [(0,) * dim]
+    for v in vectors:
+        sums += [tuple(map(add, s, v)) for s in sums]
+    return sums
 
-    def vadd(a, b):
-        if isinstance(a, tuple):
-            return tuple(x + y for x, y in zip(a, b))
-        return a + b
 
-    def rec(bit: int, mask: int, total):
-        if bit < 0:
-            if mask:
-                yield mask, total
-            return
-        yield from rec(bit - 1, mask, total)
-        yield from rec(bit - 1, mask | (1 << bit), vadd(total, values[bit]))
+def _zero_sum_masks(vectors: Sequence[Sequence[int]]) -> Iterator[int]:
+    """Masks of the nonempty zero-sum subsets of equal-length integer
+    vectors (bit i = vectors[i]), in ascending order.
 
-    yield from rec(n - 1, 0, zero)
+    Meet in the middle (Horowitz-Sahni): the subset sums of the low half are
+    tabled once, then the high-half masks are walked in ascending order and
+    each one looks up the low masks whose sums cancel its own.  A mask is
+    high << h | low, so this order is already ascending.
+    """
+    h = len(vectors) // 2
+    dim = len(vectors[0])
+    lows: dict[Vector, list[int]] = {}
+    for low, s in enumerate(_subset_sums(vectors[:h], dim)):
+        lows.setdefault(s, []).append(low)
+    negated = [[-x for x in v] for v in vectors[h:]]
+    for high, s in enumerate(_subset_sums(negated, dim)):
+        for low in lows.get(s, ()):
+            if high or low:
+                yield high << h | low
+
+
+def _pick(mask: int, items: Sequence[int]) -> tuple[int, ...]:
+    """The items whose positions are set in mask."""
+    return tuple(x for j, x in enumerate(items) if mask >> j & 1)
 
 
 def zero_sum_subsets(coeffs: Sequence, cap: int = DEFAULT_COLUMN_CAP) -> list[tuple[int, ...]]:
@@ -229,22 +223,9 @@ def zero_sum_subsets(coeffs: Sequence, cap: int = DEFAULT_COLUMN_CAP) -> list[tu
     n = len(coeffs)
     if n > cap:
         raise CapExceededError(cap)
-    vals = [_frac(c) for c in coeffs]
-    if n <= 18:
-        # table of subset sums, filled in ascending mask order
-        sums = [Fraction(0)] * (1 << n)
-        out = []
-        for mask in range(1, 1 << n):
-            low = (mask & -mask).bit_length() - 1
-            sums[mask] = sums[mask & (mask - 1)] + vals[low]
-            if sums[mask] == 0:
-                out.append(tuple(i for i in range(n) if mask >> i & 1))
-        return out
-    out = []
-    for mask, total in _iter_subsets_ascending(list(range(n)), vals, Fraction(0)):
-        if total == 0:
-            out.append(tuple(i for i in range(n) if mask >> i & 1))
-    return out
+    indices = range(n)
+    return [_pick(mask, indices)
+            for mask in _zero_sum_masks([(c,) for c in _int_row(coeffs)])]
 
 
 def first_zero_sum_subset(coeffs: Sequence,
@@ -255,11 +236,8 @@ def first_zero_sum_subset(coeffs: Sequence,
     n = len(coeffs)
     if n > cap:
         raise CapExceededError(cap)
-    vals = [_frac(c) for c in coeffs]
-    for mask, total in _iter_subsets_ascending(list(range(n)), vals, Fraction(0)):
-        if total == 0:
-            return tuple(i for i in range(n) if mask >> i & 1)
-    return None
+    mask = next(_zero_sum_masks([(c,) for c in _int_row(coeffs)]), None)
+    return None if mask is None else _pick(mask, range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +252,18 @@ def columns_condition(matrix: QMatrix,
     Candidate first blocks are nonempty zero-sum column subsets (ascending
     bitmask order); the search then recurses on the remaining columns, each
     next block's sum having to lie in the span of everything consumed so
-    far.  Dead ends are memoized by consumed-column bitmask, which is sound
-    because that span depends only on the consumed set.  Returns the first
-    certificate found, or None.
+    far, that is, the block's reduced columns (see _Basis.reduce) having to
+    sum to zero.  Dead ends are memoized by consumed-column bitmask, which
+    is sound because that span depends only on the consumed set.  Returns
+    the first certificate found, or None.
     """
     n = matrix.cols
     if n > cap:
         raise CapExceededError(cap)
     cols = matrix.columns()
-    zero = tuple(Fraction(0) for _ in range(matrix.rows))
     full = (1 << n) - 1
     failed: set[int] = set()
-    blocks: list[int] = []
+    blocks: list[tuple[int, ...]] = []
 
     def extend(consumed: int, basis: _Basis) -> bool:
         if consumed == full:
@@ -293,50 +271,41 @@ def columns_condition(matrix: QMatrix,
         if consumed in failed:
             return False
         rem = [i for i in range(n) if not consumed >> i & 1]
-        rem_cols = [cols[i] for i in rem]
-        for cmask, total in _iter_subsets_ascending(rem, rem_cols, zero):
-            # an empty basis contains only the zero vector, which is exactly
-            # the first-block condition
-            if not basis.contains(total):
-                continue
-            mask = 0
-            for j, i in enumerate(rem):
-                if cmask >> j & 1:
-                    mask |= 1 << i
+        # an empty basis reduces nothing, which makes the first block's
+        # condition a plain zero sum
+        for local in _zero_sum_masks([basis.reduce(cols[i]) for i in rem]):
+            block = _pick(local, rem)
             nxt = basis.copy()
-            for i in rem:
-                if mask >> i & 1:
-                    nxt.add(cols[i])
-            blocks.append(mask)
-            if extend(consumed | mask, nxt):
+            for i in block:
+                nxt.add(cols[i])
+            blocks.append(block)
+            if extend(consumed | sum(1 << i for i in block), nxt):
                 return True
             blocks.pop()
         failed.add(consumed)
         return False
 
     if extend(0, _Basis(matrix.rows)):
-        return ColumnsCertificate(
-            tuple(tuple(i for i in range(n) if b >> i & 1) for b in blocks)
-        )
+        return ColumnsCertificate(tuple(blocks))
     return None
 
 
 def verify_certificate(matrix: QMatrix, cert: ColumnsCertificate) -> bool:
-    """Independent exact re-check of a certificate against its matrix."""
+    """Independent exact re-check of a certificate against its matrix: each
+    block's column sum must lie in the span of the columns before it (the
+    first block's in the empty span, so it must be zero)."""
     n = matrix.cols
     covered = [i for block in cert.blocks for i in block]
     if sorted(covered) != list(range(n)):
         return False
     cols = matrix.columns()
-    seen: list[Vector] = []
-    for t, block in enumerate(cert.blocks):
-        total = tuple(
-            sum((cols[i][r] for i in block), Fraction(0)) for r in range(matrix.rows)
-        )
-        if t == 0:
-            if any(x != 0 for x in total):
-                return False
-        elif not in_span(seen, total):
+    basis = _Basis(matrix.rows)
+    previous: tuple[int, ...] = ()
+    for block in cert.blocks:
+        for i in previous:
+            basis.add(cols[i])
+        total = [sum(entries) for entries in zip(*(cols[i] for i in block))]
+        if not basis.contains(total):
             return False
-        seen.extend(cols[i] for i in block)
+        previous = block
     return True

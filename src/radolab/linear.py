@@ -15,15 +15,14 @@ separation row is certified here by exhibiting the certificate.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .linalg import (
     ColumnsCertificate,
     QMatrix,
-    _Basis,
     columns_condition,
     first_zero_sum_subset,
+    verify_certificate,
     zero_sum_subsets,
 )
 from .model import Equation, trivial_constant_solution
@@ -149,22 +148,23 @@ def hl_slack_pairs(k: int, n: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def default_hl_weights(k: int, n: int, N: int) -> dict[tuple[int, int], Fraction]:
+def default_hl_weights(k: int, n: int, N: int) -> dict[tuple[int, int], int]:
     """The certified weight choice: 1 on the separation slack, N-1 elsewhere."""
-    weights = {pair: Fraction(N - 1) for pair in hl_slack_pairs(k, n)}
-    weights[(1, k + 1)] = Fraction(1)
+    weights = {pair: N - 1 for pair in hl_slack_pairs(k, n)}
+    weights[(1, k + 1)] = 1
     return weights
 
 
 def hl_matrix(coeffs: Sequence[int], k: int, N: int,
-              weights: Mapping[tuple[int, int], Fraction]) -> QMatrix:
+              weights: Mapping[tuple[int, int], int]) -> QMatrix:
     """Augmented matrix for the two-class inequality system.
 
     Row 0 is the equation.  For each prefix variable i in 2..k a pair of
     ratio rows anchored at x_1 (N*x_1 - x_i - q*z and -x_1 + N*x_i - q*z'),
     the same for each suffix variable j in k+2..n anchored at x_{k+1}, and a
     final separation row x_1 - x_{k+1} - q*z''.  Every slack variable gets a
-    fresh column, appended in construction order.
+    fresh column, appended in construction order.  Rational weights are
+    accepted; QMatrix.from_rows scales their rows to integers.
     """
     n = len(coeffs)
     if any(c == 0 for c in coeffs):
@@ -241,20 +241,7 @@ def verify_hl_choice(coeffs: Sequence[int], k: int, N: int) -> Optional[ColumnsC
     if prefix_sum != 0:
         raise ValueError(f"prefix of length {k} sums to {prefix_sum}, not zero")
     matrix = hl_matrix(coeffs, k, N, default_hl_weights(k, n, N))
-    d1, d2 = _fast_path_blocks(k, n)
-    cols = matrix.columns()
-
-    def block_sum(block):
-        return tuple(
-            sum((cols[c][r] for c in block), Fraction(0)) for r in range(matrix.rows)
-        )
-
-    if all(x == 0 for x in block_sum(d1)):
-        basis = _Basis(matrix.rows)
-        for c in d1:
-            basis.add(cols[c])
-        if not d2:
-            return ColumnsCertificate((d1,))
-        if basis.contains(block_sum(d2)):
-            return ColumnsCertificate((d1, d2))
+    predicted = ColumnsCertificate(_fast_path_blocks(k, n))
+    if verify_certificate(matrix, predicted):
+        return predicted
     return columns_condition(matrix)

@@ -146,10 +146,22 @@ class TestSearch:
             assert x + y == z
             assert rec["profile"]["N"] == 5
 
+    def test_N_below_two_exit_2(self, capsys):
+        code, out, _ = run_cli(capsys, "search", "x + y = z", "--N", "1")
+        assert code == 2 and out == ""
+
     def test_bad_coloring_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "search", "x + y = z",
                              "--coloring", "digit:2")
         assert code == 2
+
+
+def test_parameters_carry_no_thread_count(capsys):
+    # a machine-dependent thread count would break byte-identical reports
+    for argv in (["analyze", "x + y = z"], ["asymptotic", "x + y = z"],
+                 ["search", "x + y = z", "--bound", "50"]):
+        _, report, _ = run_json(capsys, *argv)
+        assert "threads" not in report["parameters"], argv
 
 
 class TestColumnsCondition:

@@ -1,10 +1,14 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import radolab
 from _oracles import oracle_profile_valid, oracle_solution_grid
 from radolab.coloring import (
     ColoringSpec,
@@ -21,6 +25,14 @@ from radolab.coloring import (
 from radolab.model import ZeroPolynomialError, evaluate
 from radolab.parser import parse
 from radolab.results import OrderedPartition
+
+
+def test_import_does_not_load_numpy():
+    src = str(Path(radolab.__file__).resolve().parents[1])
+    code = "import sys, radolab; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestColoringSpec:
@@ -268,6 +280,33 @@ class TestProfileCensus:
         census = profile_census(parse("x = y + 1"),
                                 ColoringSpec.parse("mod:2"), 2000, 10)
         assert census.counts == {}
+
+    def test_colors_past_sixteen_bits(self):
+        # x = y = z (mod m) with x + y = z forces every coordinate to be a
+        # multiple of m, so the monochromatic solutions are (a*m, b*m,
+        # (a+b)*m) with a + b <= bound // m; colors 65536 and up must not
+        # wrap onto color 0
+        m, bound, N = 65537, 262148, 2
+        census = profile_census(parse("x + y = z"),
+                                ColoringSpec.parse(f"mod:{m}"), bound, N)
+        expected = {}
+        top = bound // m
+        for a in range(1, top):
+            for b in range(1, top - a + 1):
+                partition, valid = asymptotic_profile((a * m, b * m, (a + b) * m), N)
+                if valid:
+                    expected[partition] = expected.get(partition, 0) + 1
+        assert census.counts == expected
+        assert census.total_solutions == bound * (bound - 1) // 2
+
+    def test_N_below_two_rejected_on_both_paths(self):
+        # "x + y = z" takes the 3-variable closed-form path, the 4-variable
+        # equation the general one
+        spec = ColoringSpec.parse("mod:2")
+        for text in ["x + y = z", "x + y + z = w"]:
+            for N in (1, 0, -3):
+                with pytest.raises(ValueError):
+                    profile_census(parse(text), spec, 50, N)
 
     def test_many_is_consistent(self):
         eq = parse("x + y = z")

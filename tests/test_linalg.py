@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -7,44 +9,14 @@ from radolab.errors import CapExceededError
 from radolab.linalg import (
     ColumnsCertificate,
     QMatrix,
+    _zero_sum_masks,
     columns_condition,
     first_zero_sum_subset,
     in_span,
     parse_matrix_text,
-    rref,
     verify_certificate,
     zero_sum_subsets,
 )
-
-
-class TestRref:
-    def test_identity(self):
-        m = QMatrix.from_rows([[1, 0], [0, 1]])
-        reduced, rank, pivots = rref(m)
-        assert reduced == m and rank == 2 and pivots == (0, 1)
-
-    def test_single_row(self):
-        reduced, rank, pivots = rref(QMatrix.from_rows([[1, 1, -1]]))
-        assert rank == 1 and pivots == (0,)
-        assert reduced.row(0) == (Fraction(1), Fraction(1), Fraction(-1))
-
-    def test_dependent_rows(self):
-        _, rank, _ = rref(QMatrix.from_rows([[1, 2], [2, 4]]))
-        assert rank == 1
-
-    def test_rref_shape_and_leading_ones(self):
-        rng = random.Random(0)
-        for _ in range(50):
-            rows = rng.randint(1, 4)
-            cols = rng.randint(1, 5)
-            m = QMatrix.from_rows(
-                [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-            )
-            reduced, rank, pivots = rref(m)
-            assert len(pivots) == rank
-            for r, c in enumerate(pivots):
-                assert reduced.at(r, c) == 1
-                assert all(reduced.at(i, c) == 0 for i in range(rows) if i != r)
 
 
 class TestInSpan:
@@ -84,6 +56,10 @@ class TestZeroSumSubsets:
         with pytest.raises(ValueError):
             zero_sum_subsets([1, 0, -1])
 
+    def test_exact_count(self):
+        # every balanced choice of +1s and -1s, except the empty one
+        assert len(zero_sum_subsets([1] * 11 + [-1] * 11)) == comb(22, 11) - 1
+
     def test_first_matches_enumeration(self):
         rng = random.Random(1)
         for _ in range(300):
@@ -92,6 +68,35 @@ class TestZeroSumSubsets:
             all_subs = zero_sum_subsets(vals)
             first = first_zero_sum_subset(vals)
             assert first == (all_subs[0] if all_subs else None)
+
+
+class TestZeroSumMasks:
+    @staticmethod
+    def oracle(vectors):
+        n = len(vectors)
+        masks = []
+        for r in range(1, n + 1):
+            for combo in itertools.combinations(range(n), r):
+                if all(sum(vectors[i][d] for i in combo) == 0
+                       for d in range(len(vectors[0]))):
+                    masks.append(sum(1 << i for i in combo))
+        return sorted(masks)
+
+    def test_scalars_against_oracle(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            vectors = [(rng.randint(-4, 4),) for _ in range(n)]
+            assert list(_zero_sum_masks(vectors)) == self.oracle(vectors)
+
+    def test_vectors_against_oracle(self):
+        rng = random.Random(9)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            dim = rng.randint(2, 3)
+            vectors = [tuple(rng.randint(-2, 2) for _ in range(dim))
+                       for _ in range(n)]
+            assert list(_zero_sum_masks(vectors)) == self.oracle(vectors)
 
 
 class TestColumnsCondition:
@@ -136,12 +141,11 @@ class TestColumnsCondition:
         rng = random.Random(4)
         for _ in range(60):
             cols = rng.randint(1, 5)
-            m = QMatrix.from_rows(
-                [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(2)]
-            )
+            rows = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(2)]
             q = Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7]))
-            assert (columns_condition(m) is None) == (
-                columns_condition(m.scaled(q)) is None
+            scaled = QMatrix.from_rows([[q * x for x in row] for row in rows])
+            assert (columns_condition(QMatrix.from_rows(rows)) is None) == (
+                columns_condition(scaled) is None
             )
 
     def test_column_permutation_equivariance(self):
@@ -216,8 +220,9 @@ class TestMatrixText:
         assert (m.rows, m.cols) == (1, 3)
 
     def test_fractions(self):
+        # each row is scaled by the lcm of its denominators
         m = parse_matrix_text("1/2 -3/4\n5 6")
-        assert m.at(0, 1) == Fraction(-3, 4)
+        assert m.row(0) == (2, -3) and m.row(1) == (5, 6)
 
     def test_ragged(self):
         with pytest.raises(ValueError):
