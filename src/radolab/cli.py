@@ -22,7 +22,7 @@ from .coloring import (
     witness_search,
 )
 from .errors import CapExceededError
-from .filters import FILTER_CATALOGUE, filter_battery, run_all_filters
+from .filters import FILTER_CATALOGUE, decide
 from .linalg import columns_condition, parse_matrix_text
 from .linear import (
     NotLinearError,
@@ -95,13 +95,10 @@ def _base_report(eq: Equation, source: str, parameters: dict) -> dict:
 
 def cmd_analyze(args) -> int:
     eq = parse(args.equation)
-    verdict = run_all_filters(eq)
+    verdict, results = decide(eq)
     report = _base_report(eq, args.equation, {})
     report["verdict"] = _verdict_json(verdict)
-    if eq.poly.is_linear():
-        report["filters"] = [_filter_json(r) for r in verdict.reasons]
-    else:
-        report["filters"] = [_filter_json(r) for r in filter_battery(eq)]
+    report["filters"] = [_filter_json(r) for r in results]
     report["filter_catalogue"] = FILTER_CATALOGUE
     if (eq.poly.is_linear() and eq.poly.constant_term() == 0
             and verdict.status is Status.PR):

@@ -113,9 +113,12 @@ class ColoringSpec:
         color (index 0 is padding)."""
         import numpy as np
 
-        dtype = np.min_scalar_type(self.num_colors() - 1)
         if self.kind == "mod":
-            return (np.arange(bound + 1, dtype=np.int64) % self.params[0]).astype(dtype)
+            # x % m == x for x <= bound < m, and m may not fit in int64
+            m = min(self.params[0], bound + 1)
+            colors = np.arange(bound + 1, dtype=np.int64) % m
+            return colors.astype(np.min_scalar_type(m - 1))
+        dtype = np.min_scalar_type(self.num_colors() - 1)
         if self.kind == "logband":
             p, r = self.params
             out = np.zeros(bound + 1, dtype=dtype)
@@ -216,53 +219,33 @@ def _pick_isolated(poly: Polynomial) -> Optional[tuple[int, int, int]]:
     return best
 
 
-def _modular_first(alpha: int, beta: int, d: int) -> Optional[tuple[int, int]]:
-    """Smallest t >= 1 with alpha*t + beta == 0 (mod d), plus the step;
-    None when unsolvable."""
-    d = abs(d)
-    if d == 1:
-        return 1, 1
-    g = gcd(alpha, d)
+def _ceil_div(a: int, b: int) -> int:
+    return -((-a) // b)
+
+
+def _progression(alpha: int, beta: int, den: int, lo: int, hi: int,
+                 bound: int) -> range:
+    """The t in [1, bound] for which (alpha*t + beta)/den is an integer in
+    [lo, hi], exactly.  Consecutive t differ by the range's step, so their
+    quotients differ by alpha*step // den."""
+    if den < 0:
+        alpha, beta, den = -alpha, -beta, -den
+    # alpha*t + beta == 0 (mod den) fixes t modulo den/g
+    g = gcd(alpha, den)
     if beta % g:
-        return None
-    step = d // g
-    if step == 1:
-        return 1, 1
-    inv = pow((alpha // g) % step, -1, step)
-    r = (-(beta // g) * inv) % step
-    return (r if r >= 1 else step), step
-
-
-def _affine_candidates(alpha: int, beta: int, den: int, lo: int, hi: int,
-                       bound: int) -> Iterator[tuple[int, int]]:
-    """Yield (t, q) with q = (alpha*t + beta)/den an integer in [lo, hi] and
-    t in [1, bound], exactly."""
+        return range(0)
+    step = den // g
+    residue = -(beta // g) * pow(alpha // g, -1, step) % step
+    # den*lo <= alpha*t + beta <= den*hi
+    a, b = den * lo - beta, den * hi - beta
     if alpha == 0:
-        if beta % den == 0 and lo <= beta // den <= hi:
-            q = beta // den
-            for t in range(1, bound + 1):
-                yield t, q
-        return
-    # den*lo <= alpha*t + beta <= den*hi, orientation by sign of den
-    lo_n, hi_n = (den * lo, den * hi) if den > 0 else (den * hi, den * lo)
-    # solve lo_n - beta <= alpha*t <= hi_n - beta
-    if alpha > 0:
-        t_lo = -((-(lo_n - beta)) // alpha)        # ceil
-        t_hi = (hi_n - beta) // alpha              # floor
+        t_lo, t_hi = (1, bound) if a <= 0 <= b else (1, 0)
     else:
-        t_lo = -((-(hi_n - beta)) // alpha)
-        t_hi = (lo_n - beta) // alpha
-    t_lo, t_hi = max(t_lo, 1), min(t_hi, bound)
-    if t_lo > t_hi:
-        return
-    first_step = _modular_first(alpha, beta, den)
-    if first_step is None:
-        return
-    first, step = first_step
-    if first < t_lo:
-        first += ((t_lo - first + step - 1) // step) * step
-    for t in range(first, t_hi + 1, step):
-        yield t, (alpha * t + beta) // den
+        if alpha < 0:
+            a, b = b, a
+        t_lo, t_hi = max(_ceil_div(a, alpha), 1), min(b // alpha, bound)
+    first = t_lo + (residue - t_lo) % step
+    return range(first, t_hi + 1, step)
 
 
 def enumerate_solutions(eq: Equation, bound: int) -> Iterator[tuple[int, ...]]:
@@ -271,8 +254,9 @@ def enumerate_solutions(eq: Equation, bound: int) -> Iterator[tuple[int, ...]]:
 
     A variable occurring in exactly one monomial is solved for exactly
     (divisibility, range and integer-root table checks); the grid runs over
-    the remaining variables, with the innermost loop reduced to an exact
-    arithmetic-progression walk when the solved value is affine in it.
+    the remaining variables.  When the solved value is affine in the
+    innermost variable, that variable walks the exact arithmetic progression
+    of `_progression`, the engine the three-variable census shares.
     Without such a variable the full grid is scanned, pruning the innermost
     variable beyond its real-root bound.
     """
@@ -281,8 +265,7 @@ def enumerate_solutions(eq: Equation, bound: int) -> Iterator[tuple[int, ...]]:
         raise ZeroPolynomialError("the zero polynomial is satisfied everywhere")
     if bound < 1 or not poly.variables:
         return
-    names = poly.variables
-    n = len(names)
+    n = len(poly.variables)
     iso = _pick_isolated(poly)
 
     if iso is not None:
@@ -290,10 +273,9 @@ def enumerate_solutions(eq: Equation, bound: int) -> Iterator[tuple[int, ...]]:
         return
 
     # full grid, innermost variable scanned up to its root bound
-    outer = list(range(n - 1))
     inner = n - 1
-    for point in itertools.product(range(1, bound + 1), repeat=len(outer)):
-        inner_poly = _restrict_to_last(poly, point, inner)
+    for point in itertools.product(range(1, bound + 1), repeat=n - 1):
+        inner_poly = _restrict(poly.monomials, point, inner)
         if not inner_poly:
             for t in range(1, bound + 1):
                 yield (*point, t)
@@ -304,23 +286,22 @@ def enumerate_solutions(eq: Equation, bound: int) -> Iterator[tuple[int, ...]]:
                 yield (*point, t)
 
 
-def _restrict_to_last(poly: Polynomial, point: tuple[int, ...], inner: int) -> list[int]:
-    """Coefficients of poly as a univariate polynomial in variable `inner`,
-    the other variables fixed to `point` (by variable order)."""
+def _restrict(monomials, values, inner: int) -> list[int]:
+    """Coefficients of the sum of the monomials as a univariate polynomial in
+    variable `inner`, every other variable v fixed to values[v]."""
     coeffs: dict[int, int] = {}
-    for m in poly.monomials:
+    for m in monomials:
         value = m.coeff
         e_inner = 0
         for v, e in m.exponents:
             if v == inner:
                 e_inner = e
             else:
-                value *= point[v] ** e
+                value *= values[v] ** e
         coeffs[e_inner] = coeffs.get(e_inner, 0) + value
-    out = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
-    return univariate.normalize(out)
+    return univariate.normalize(
+        [coeffs.get(e, 0) for e in range(max(coeffs, default=-1) + 1)]
+    )
 
 
 def _enumerate_isolated(poly: Polynomial, bound: int,
@@ -354,37 +335,27 @@ def _enumerate_isolated(poly: Polynomial, bound: int,
     den_has_inner = any(v == inner for v, _ in mono_others)
     hi_q = bound if se == 1 else bound ** se
 
+    values = [0] * n
+
+    def build(t: int, v: int) -> tuple[int, ...]:
+        values[inner] = t
+        values[sv] = v
+        return tuple(values)
+
     for point in itertools.product(range(1, bound + 1), repeat=len(prefix_vars)):
-        values = {v: val for v, val in zip(prefix_vars, point)}
+        for v, val in zip(prefix_vars, point):
+            values[v] = val
         den_const = mono.coeff
         for v, e in mono_others:
             if v != inner:
                 den_const *= values[v] ** e
-        # -rest as a polynomial in the inner variable
-        num_coeffs: dict[int, int] = {}
-        for m in rest:
-            value = -m.coeff
-            e_inner = 0
-            for v, e in m.exponents:
-                if v == inner:
-                    e_inner = e
-                else:
-                    value *= values[v] ** e
-            num_coeffs[e_inner] = num_coeffs.get(e_inner, 0) + value
-        num = univariate.normalize(
-            [num_coeffs.get(i, 0) for i in range(max(num_coeffs, default=0) + 1)]
-        )
-
-        def build(t: int, v: int) -> tuple[int, ...]:
-            values[inner] = t
-            values[sv] = v
-            return tuple(values[i] for i in range(n))
+        num = [-c for c in _restrict(rest, values, inner)]
 
         if not den_has_inner and len(num) <= 2:
             alpha = num[1] if len(num) == 2 else 0
             beta = num[0] if num else 0
-            for t, q in _affine_candidates(alpha, beta, den_const, 1, hi_q, bound):
-                v = solved_value(q)
+            for t in _progression(alpha, beta, den_const, 1, hi_q, bound):
+                v = solved_value((alpha * t + beta) // den_const)
                 if v is not None:
                     yield build(t, v)
             continue
@@ -409,14 +380,20 @@ class SolutionRecord:
     assignment: tuple[int, ...]
     color: int
     profile: Optional[tuple[OrderedPartition, int, bool]] = None
-    heads: dict[int, Fraction] = field(default_factory=dict)
+    heads: dict[int, list[Fraction]] = field(default_factory=dict)
+
+
+def _common_color(spec: ColoringSpec, values: Sequence[int]) -> Optional[int]:
+    """The color every value shares under the coloring, or None."""
+    c = spec.color(values[0])
+    return c if all(spec.color(x) == c for x in values[1:]) else None
 
 
 def iter_monochromatic(eq: Equation, spec: ColoringSpec,
                        bound: int) -> Iterator[tuple[tuple[int, ...], int]]:
     for assignment in enumerate_solutions(eq, bound):
-        c = spec.color(assignment[0])
-        if all(spec.color(x) == c for x in assignment[1:]):
+        c = _common_color(spec, assignment)
+        if c is not None:
             yield assignment, c
 
 
@@ -432,8 +409,7 @@ def iter_records(eq: Equation, spec: ColoringSpec, bound: int,
         heads = {
             p: [standard_head(x, p) for x in assignment] for p in bases
         }
-        yield SolutionRecord(assignment, c, profile,
-                             {p: hs for p, hs in heads.items()})
+        yield SolutionRecord(assignment, c, profile, heads)
 
 
 @dataclass
@@ -455,48 +431,48 @@ def profile_census(eq: Equation, spec: ColoringSpec, bound: int,
 
 def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
                         bound: int, N: int) -> list[ProfileCensus]:
-    """Censuses for several colorings in one pass.
+    """Censuses for several colorings in one pass over the solutions.
 
     Solution candidates and their profiles do not depend on the coloring, so
-    3-variable linear equations share that work across the family and only
-    the color comparison runs per coloring.
+    they are found once for the whole family and only the color comparison
+    runs per coloring: 3-variable linear homogeneous equations walk each
+    inner progression in closed form, every other equation takes a single
+    pass over `enumerate_solutions`.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
+    if not specs:
+        return []
     poly = eq.poly
     params = [{"bound": bound, "N": N, "coloring": s.spec_string()}
               for s in specs]
     # the closed-form path needs one color array per coloring; past ~10^7
     # entries the memory cost stops being a clear win
     if (poly.is_linear() and poly.constant_term() == 0
-            and len(poly.variables) == 3 and bound <= 2 ** 25 and specs):
+            and len(poly.variables) == 3 and bound <= 2 ** 25):
         per_spec, total = _census3_linear(
             poly.linear_coefficients(), specs, bound, N
         )
         return [ProfileCensus(counts, total, p)
                 for counts, p in zip(per_spec, params)]
-    out = []
-    for spec, p in zip(specs, params):
-        counts: dict[OrderedPartition, int] = {}
-        total = 0
-        for assignment in enumerate_solutions(eq, bound):
-            total += 1
-            c = spec.color(assignment[0])
-            if any(spec.color(x) != c for x in assignment[1:]):
+    per_spec = [{} for _ in specs]
+    total = 0
+    for assignment in enumerate_solutions(eq, bound):
+        total += 1
+        profile = None
+        for spec, counts in zip(specs, per_spec):
+            if _common_color(spec, assignment) is None:
                 continue
-            partition, valid = asymptotic_profile(assignment, N)
+            if profile is None:
+                profile = asymptotic_profile(assignment, N)
+            partition, valid = profile
             if valid:
                 counts[partition] = counts.get(partition, 0) + 1
-        out.append(ProfileCensus(counts, total, p))
-    return out
+    return [ProfileCensus(counts, total, p)
+            for counts, p in zip(per_spec, params)]
 
 
 # vectorized census for 3-variable linear homogeneous equations -------------
-
-
-def _ceil_div(a: int, b: int) -> int:
-    # b > 0
-    return -((-a) // b)
 
 
 def _lt_zero(cond: tuple[int, int], lo: int, hi: int) -> tuple[int, int]:
@@ -552,13 +528,6 @@ def _valid_pieces(items: list[tuple[int, int, int]], count: int,
         sep_hm = (N * sm - sh, N * bm - bh)
         sep_ml = (N * sl - sm, N * bl - bm)
 
-        def clip(interval, cond, test):
-            lo_, hi_ = interval
-            if lo_ >= hi_:
-                return lo_, lo_
-            lo2, hi2 = test(cond, lo_, hi_)
-            return lo2, hi2
-
         def emit(interval, classes):
             lo_, hi_ = interval
             if lo_ < hi_:
@@ -567,20 +536,20 @@ def _valid_pieces(items: list[tuple[int, int, int]], count: int,
                 pieces.append((lo_, hi_, cls[0] * 9 + cls[1] * 3 + cls[2]))
 
         # one class: extremes within the ratio bound (forces the rest)
-        emit(clip((a, b), hi_lo, _lt_zero), (0, 0, 0))
+        emit(_lt_zero(hi_lo, a, b), (0, 0, 0))
         # two classes {hi, mid} >> {lo}
-        span = clip((a, b), hi_mid, _lt_zero)
-        span = clip(span, hi_lo, _ge_zero)
-        emit(clip(span, sep_ml, _lt_zero), (0, 0, 1))
+        span = _lt_zero(hi_mid, a, b)
+        span = _ge_zero(hi_lo, *span)
+        emit(_lt_zero(sep_ml, *span), (0, 0, 1))
         # two classes {hi} >> {mid, lo}
-        span = clip((a, b), hi_mid, _ge_zero)
-        span = clip(span, mid_lo, _lt_zero)
-        emit(clip(span, sep_hm, _lt_zero), (0, 1, 1))
+        span = _ge_zero(hi_mid, a, b)
+        span = _lt_zero(mid_lo, *span)
+        emit(_lt_zero(sep_hm, *span), (0, 1, 1))
         # three classes
-        span = clip((a, b), hi_mid, _ge_zero)
-        span = clip(span, mid_lo, _ge_zero)
-        span = clip(span, sep_hm, _lt_zero)
-        emit(clip(span, sep_ml, _lt_zero), (0, 1, 2))
+        span = _ge_zero(hi_mid, a, b)
+        span = _ge_zero(mid_lo, *span)
+        span = _lt_zero(sep_hm, *span)
+        emit(_lt_zero(sep_ml, *span), (0, 1, 2))
     return pieces
 
 
@@ -610,12 +579,14 @@ def _census3_linear(coeffs: list[int], specs: Sequence[ColoringSpec],
     solution list.
 
     For each value u of the first free variable, the second free variable
-    runs over an exact arithmetic progression (divisibility and the range of
-    the solved variable settled in closed form).  Candidates that could
-    never carry a valid profile are discarded by a sound value-only filter
-    (a valid profile needs the extremes of the triple either within the 1/N
-    ratio bound or separated by a factor N), profiles are classified once,
-    and only then is each coloring compared on the small remainder.
+    runs over the exact arithmetic progression of `_progression`
+    (divisibility and the range of the solved variable settled in closed
+    form), and the solved variable over the matching progression.
+    Candidates that could never carry a valid profile are discarded by a
+    sound value-only filter (a valid profile needs the extremes of the
+    triple either within the 1/N ratio bound or separated by a factor N),
+    profiles are classified once, and only then is each coloring compared
+    on the small remainder.
     """
     import numpy as np
 
@@ -626,15 +597,11 @@ def _census3_linear(coeffs: list[int], specs: Sequence[ColoringSpec],
     counts = np.zeros((len(specs), 27), dtype=np.int64)
     total = 0
     for u in range(1, bound + 1):
-        first_step = _modular_first(cv, cu * u, cs)
-        if first_step is None:
+        vs = _progression(-cv, -cu * u, cs, 1, bound, bound)
+        if not vs:
             continue
-        v0, vstep = first_step
-        span = _affine_candidates_range(-cv, -cu * u, cs, 1, bound, bound,
-                                        v0, vstep)
-        if not span:
-            continue
-        v_first, count, wstep = span
+        v_first, count, vstep = vs.start, len(vs), vs.step
+        wstep = -cv * vstep // cs
         total += count
         w_first = (-(cu * u) - cv * v_first) // cs
         items = [(0, u, free[0]), (vstep, v_first, free[1]),
@@ -659,33 +626,6 @@ def _census3_linear(coeffs: list[int], specs: Sequence[ColoringSpec],
             for code, n in enumerate(acc) if n
         })
     return per_spec, total
-
-
-def _affine_candidates_range(alpha: int, beta: int, den: int, lo: int, hi: int,
-                             bound: int, first: int, step: int):
-    """(first v, count, per-step increment of q) for q = (alpha*v + beta)/den
-    over v in the arithmetic progression, constrained to q in [lo, hi] and
-    v in [1, bound].  Empty tuple when no candidate exists."""
-    if alpha == 0:
-        if beta % den or not lo <= beta // den <= hi:
-            return ()
-        count = (bound - first) // step + 1 if first <= bound else 0
-        return (first, count, 0) if count > 0 else ()
-    lo_n, hi_n = (den * lo, den * hi) if den > 0 else (den * hi, den * lo)
-    if alpha > 0:
-        v_lo = -((-(lo_n - beta)) // alpha)
-        v_hi = (hi_n - beta) // alpha
-    else:
-        v_lo = -((-(hi_n - beta)) // alpha)
-        v_hi = (lo_n - beta) // alpha
-    v_lo, v_hi = max(v_lo, 1), min(v_hi, bound)
-    if first < v_lo:
-        first += ((v_lo - first + step - 1) // step) * step
-    if first > v_hi:
-        return ()
-    count = (v_hi - first) // step + 1
-    qstep = alpha * step // den
-    return (first, count, qstep)
 
 
 # ---------------------------------------------------------------------------
@@ -716,10 +656,11 @@ def head_census(eq: Equation, spec: ColoringSpec, bound: int, base: int,
     total = 0
     for assignment, _ in iter_monochromatic(eq, spec, bound):
         for x in assignment:
-            h = standard_head(x, base)
-            idx = int((h - 1) * bin_count / (base - 1))
-            bins[min(idx, bin_count - 1)] += 1
-            total += 1
+            # head h = x / scale in [1, base) goes to bin
+            # floor((h - 1) * bin_count / (base - 1)) < bin_count
+            scale = base ** _int_log(x, base)
+            bins[(x - scale) * bin_count // ((base - 1) * scale)] += 1
+        total += len(assignment)
     near_one = bins[0] / total if total else 0.0
     near_base = bins[-1] / total if total else 0.0
     return HeadCensus(base, bin_count, bins, total, near_one, near_base,
@@ -731,9 +672,16 @@ def witness_search(eq: Equation, family: Sequence[ColoringSpec],
                    bound: int) -> list[ColoringSpec]:
     """Colorings from the family with no monochromatic solution up to the
     bound.  A witness is empirical evidence against partition regularity,
-    never a proof."""
-    witnesses = []
-    for spec in family:
-        if next(iter_monochromatic(eq, spec, bound), None) is None:
-            witnesses.append(spec)
-    return witnesses
+    never a proof.
+
+    One pass over the solutions serves the whole family; it stops once
+    every coloring has a monochromatic solution.  Witnesses come back in
+    family order."""
+    pending = list(range(len(family)))
+    if pending:
+        for assignment in enumerate_solutions(eq, bound):
+            pending = [i for i in pending
+                       if _common_color(family[i], assignment) is None]
+            if not pending:
+                break
+    return [family[i] for i in pending]

@@ -16,7 +16,8 @@ reported in the verdict notes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cache
+from typing import Callable, Optional
 
 from . import univariate
 from .errors import CapExceededError
@@ -288,6 +289,17 @@ def _rest_as_univariate_groups(poly: Polynomial, rest: list[int],
 def filter_fermat_catalan(eq: Equation) -> list[FilterResult]:
     """The rule battery for two-pure-powers shapes; each rule reports
     independently (inapplicable when its shape is absent)."""
+    return _fermat_catalan(eq, _constant_once(eq))
+
+
+def _constant_once(eq: Equation) -> Callable[[], Optional[int]]:
+    """trivial_constant_solution of the equation, searched on the first call
+    only."""
+    return cache(lambda: trivial_constant_solution(eq.poly))
+
+
+def _fermat_catalan(eq: Equation,
+                    constant: Callable[[], Optional[int]]) -> list[FilterResult]:
     poly = eq.poly
     names = poly.variables
     results: dict[str, FilterResult] = {
@@ -317,15 +329,15 @@ def filter_fermat_catalan(eq: Equation) -> list[FilterResult]:
                     zname = names[zv]
                 else:
                     zname, k = None, 0
-                constant = trivial_constant_solution(poly)
-                if k not in (n, n - 1) and constant is None:
+                constant_value = constant()
+                if k not in (n, n - 1) and constant_value is None:
                     record("fc-degree", _fired(
                         "fc-degree", **shape_base, z=zname, rhs_degree=k,
                         constant_solution=None))
                 else:
                     record("fc-degree", _quiet(
                         "fc-degree", **shape_base, z=zname, rhs_degree=k,
-                        constant_solution=constant))
+                        constant_solution=constant_value))
 
         # R2: a*x^n - a*y^n = c*z^n, n > 3
         if len(rest) == 1:
@@ -469,12 +481,17 @@ def _open_family_note(eq: Equation) -> Optional[str]:
 
 def filter_battery(eq: Equation) -> list[FilterResult]:
     """Every nonlinear filter's outcome, fired or not."""
+    return _battery(eq, _constant_once(eq))
+
+
+def _battery(eq: Equation,
+             constant: Callable[[], Optional[int]]) -> list[FilterResult]:
     return [
         filter_homogeneous_rado(eq),
         filter_single_variable_leading(eq),
         filter_exponent_rado(eq),
         filter_maximal_root(eq),
-        *filter_fermat_catalan(eq),
+        *_fermat_catalan(eq, constant),
     ]
 
 
@@ -486,23 +503,36 @@ def run_all_filters(eq: Equation) -> Verdict:
     filter: any firing filter settles NOT_PR, otherwise the verdict is
     UNKNOWN, annotated from the known-results table.
     """
+    return decide(eq)[0]
+
+
+def decide(eq: Equation) -> tuple[Verdict, list[FilterResult]]:
+    """The `run_all_filters` verdict together with the filter results it was
+    decided from: the linear decision's reasons for a linear equation, the
+    whole nonlinear battery otherwise.  The constant-solution search runs
+    once."""
     poly = eq.poly
     if poly.is_zero():
         raise ZeroPolynomialError("the zero polynomial is trivially satisfied")
 
-    constant = trivial_constant_solution(poly)
     if poly.is_linear():
         verdict = linear_pr_verdict(eq)
-        if verdict.status is Status.PR and constant is not None:
-            notes = verdict.notes + [
-                f"constant solution: every variable equal to {constant}"
-            ]
-            return Verdict(Status.PR,
-                           certificate={"kind": "constant", "value": constant},
-                           notes=notes)
-        return verdict
+        if verdict.status is Status.PR:
+            # an inhomogeneous PR certificate already carries the constant
+            constant = (verdict.certificate["constant"] if poly.constant_term()
+                        else trivial_constant_solution(poly))
+            if constant is not None:
+                notes = verdict.notes + [
+                    f"constant solution: every variable equal to {constant}"
+                ]
+                verdict = Verdict(Status.PR,
+                                  certificate={"kind": "constant",
+                                               "value": constant},
+                                  notes=notes)
+        return verdict, verdict.reasons
 
-    results = filter_battery(eq)
+    constant = trivial_constant_solution(poly)
+    results = _battery(eq, lambda: constant)
     notes = []
     if constant is not None:
         notes.append(
@@ -515,7 +545,7 @@ def run_all_filters(eq: Equation) -> Verdict:
 
     fired = [r for r in results if r.fired]
     if fired:
-        return Verdict(Status.NOT_PR, reasons=fired, notes=notes)
+        return Verdict(Status.NOT_PR, reasons=fired, notes=notes), results
 
     annotation = _known_pr_annotation(eq)
     if annotation is None and reduced is not None:
@@ -525,7 +555,7 @@ def run_all_filters(eq: Equation) -> Verdict:
     open_note = _open_family_note(eq)
     if open_note:
         notes.append(open_note)
-    return Verdict(Status.UNKNOWN, notes=notes)
+    return Verdict(Status.UNKNOWN, notes=notes), results
 
 
 # machine-readable catalogue backing the CLI reports

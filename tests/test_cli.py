@@ -1,5 +1,6 @@
 import json
 
+from radolab import filters, linear, model
 from radolab.cli import main
 from radolab.filters import FILTER_CATALOGUE
 
@@ -36,6 +37,23 @@ class TestAnalyze:
     def test_unknown(self, capsys):
         code, report, _ = run_json(capsys, "analyze", "x^2 + y^2 = z^2")
         assert code == 0 and report["verdict"]["status"] == "UNKNOWN"
+
+    def test_one_constant_search_per_report(self, capsys, monkeypatch):
+        # inhomogeneous linear, and Fermat-Catalan shapes: x^2 + y^2 = z^2
+        # has three pure-power pairs, each matching the fc-degree rule
+        calls = []
+
+        def counted(poly):
+            calls.append(poly)
+            return model.trivial_constant_solution(poly)
+
+        monkeypatch.setattr(linear, "trivial_constant_solution", counted)
+        monkeypatch.setattr(filters, "trivial_constant_solution", counted)
+        for text in ["3x = 5y + 1000003", "x^2 + y^2 = z^2",
+                     "x^2 - y^2 = z^5"]:
+            calls.clear()
+            code, _, _ = run_json(capsys, "analyze", text)
+            assert code == 0 and len(calls) == 1, text
 
     def test_linear_report_carries_candidates(self, capsys):
         _, report, _ = run_json(capsys, "analyze", "x + 2y = z")
@@ -149,6 +167,13 @@ class TestSearch:
     def test_N_below_two_exit_2(self, capsys):
         code, out, _ = run_cli(capsys, "search", "x + y = z", "--N", "1")
         assert code == 2 and out == ""
+
+    def test_modulus_past_int64(self, capsys):
+        code, report, _ = run_json(
+            capsys, "search", "x + y = z", "--coloring",
+            "mod:18446744073709551617", "--bound", "10")
+        assert code == 0
+        assert report["census"]["total_solutions"] == 45
 
     def test_bad_coloring_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "search", "x + y = z",

@@ -201,6 +201,26 @@ class TestEnumerateSolutions:
                 assert evaluate(eq.poly, assignment) == 0
 
 
+def test_progression_matches_brute_force():
+    from radolab.coloring import _progression
+    rng = random.Random(11)
+    for trial in range(3000):
+        alpha = rng.choice([0, rng.randint(-40, 40)])
+        den = rng.choice([1, -1, rng.randint(-12, 12) or 7])
+        beta = rng.randint(-300, 300)
+        bound = rng.randint(0, 60)
+        lo = rng.randint(-50, 50)
+        hi = lo + rng.randint(-5, 80)  # hi < lo gives an empty window
+        expected = [t for t in range(1, bound + 1)
+                    if (alpha * t + beta) % den == 0
+                    and lo <= (alpha * t + beta) // den <= hi]
+        got = _progression(alpha, beta, den, lo, hi, bound)
+        assert list(got) == expected, (alpha, beta, den, lo, hi, bound)
+        quotients = [(alpha * t + beta) // den for t in got]
+        stride = alpha * got.step // den
+        assert all(b - a == stride for a, b in zip(quotients, quotients[1:]))
+
+
 def test_valid_piece_decomposition_matches_scalar_profiles():
     # the closed-form interval decomposition agrees index by index with the
     # greedy profile computation, including validity
@@ -235,25 +255,48 @@ def test_valid_piece_decomposition_matches_scalar_profiles():
                 assert i not in got, (vals, N)
 
 
+def _scan_census(eq, spec, bound, N):
+    """Profile counts and solution total, scanning the solutions per spec."""
+    counts, total = {}, 0
+    for sol in enumerate_solutions(eq, bound):
+        total += 1
+        c = spec.color(sol[0])
+        if all(spec.color(v) == c for v in sol[1:]):
+            partition, valid = asymptotic_profile(sol, N)
+            if valid:
+                counts[partition] = counts.get(partition, 0) + 1
+    return counts, total
+
+
 class TestProfileCensus:
     def test_fast_matches_general(self):
-        # includes a non-unit solved coefficient (2x+3y=5z) and a negative
-        # inner stride (x - 2y + 4z = 0 solves for x, decreasing in z)
+        # includes a non-unit solved coefficient (2x+3y=5z), a negative
+        # inner stride (x - 2y + 4z = 0 solves for x, decreasing in z) and a
+        # modulus past 2^64 (every color is the value itself)
         for eqtext in ["x + y = z", "x + 2y = z", "3x - 2y + z = 0",
                        "2x + 3y = 5z", "x - 2y + 4z = 0"]:
             eq = parse(eqtext)
-            for cname in ["mod:2", "mod:3", "random:5:3", "logband:2:2"]:
+            for cname in ["mod:2", "mod:3", "random:5:3", "logband:2:2",
+                          "mod:18446744073709551617"]:
                 spec = ColoringSpec.parse(cname)
                 census = profile_census(eq, spec, 240, 6)
-                counts, total = {}, 0
-                for sol in enumerate_solutions(eq, 240):
-                    total += 1
-                    c = spec.color(sol[0])
-                    if all(spec.color(v) == c for v in sol[1:]):
-                        partition, valid = asymptotic_profile(sol, 6)
-                        if valid:
-                            counts[partition] = counts.get(partition, 0) + 1
+                counts, total = _scan_census(eq, spec, 240, 6)
                 assert census.counts == counts, (eqtext, cname)
+                assert census.total_solutions == total
+
+    def test_general_path_many_matches_per_spec_scans(self):
+        # one solution pass serves the whole family, duplicates included
+        names = ["mod:2", "mod:3", "random:5:3", "logband:2:2", "digit:3",
+                 "mod:2"]
+        specs = [ColoringSpec.parse(s) for s in names]
+        for eqtext, bound in [("x + y + z = w", 24), ("x*y = z", 120),
+                              ("x + y = z + 1", 80)]:
+            eq = parse(eqtext)
+            many = profile_census_many(eq, specs, bound, 3)
+            assert [c.params["coloring"] for c in many] == names
+            for spec, census in zip(specs, many):
+                counts, total = _scan_census(eq, spec, bound, 3)
+                assert census.counts == counts, (eqtext, spec)
                 assert census.total_solutions == total
 
     def test_schur_profiles_at_ten_thousand(self):
@@ -336,6 +379,24 @@ class TestHeadCensus:
                              500, 10)
         assert census.bins == [0] * 16 and census.total_coordinates == 0
 
+    def test_bins_match_fraction_formula(self):
+        # logband:2:1 is a single color, so every solution counts; x*y = z
+        # puts many exact powers of the base among the coordinates
+        spec = ColoringSpec.parse("logband:2:1")
+        for eqtext, bound in [("x*y = z", 300), ("x + y = z", 120)]:
+            eq = parse(eqtext)
+            sols = list(enumerate_solutions(eq, bound))
+            for base in (2, 3, 10):
+                for bin_count in (1, 3, 7, 16):
+                    expected = [0] * bin_count
+                    for sol in sols:
+                        for x in sol:
+                            h = standard_head(x, base)
+                            idx = int((h - 1) * bin_count / (base - 1))
+                            expected[min(idx, bin_count - 1)] += 1
+                    census = head_census(eq, spec, bound, base, bin_count)
+                    assert census.bins == expected, (eqtext, base, bin_count)
+
     def test_diagnostic_run(self):
         census = head_census(parse("x + y = z"), ColoringSpec.parse("mod:2"),
                              1000, 10)
@@ -356,6 +417,25 @@ class TestWitnessSearch:
 
     def test_empty_family(self):
         assert witness_search(parse("x + y = z"), [], 100) == []
+        # nothing is enumerated: the zero polynomial would raise
+        assert witness_search(parse("x = x"), [], 100) == []
+
+    def test_matches_per_spec_scan(self):
+        # x = y + 1: mod:2 and mod:3 never give a monochromatic pair,
+        # logband:2:1 (one color) is hit by the first solution (2, 1),
+        # logband:2:2 only by (3, 2); duplicates are kept in family order
+        names = ["mod:2", "logband:2:1", "mod:2", "logband:2:2",
+                 "logband:2:1", "mod:3", "random:3:2"]
+        family = [ColoringSpec.parse(s) for s in names]
+        eq = parse("x = y + 1")
+        sols = list(enumerate_solutions(eq, 50))
+        assert sols[0] == (2, 1)
+        expected = [s for s in family
+                    if not any(len({s.color(x) for x in sol}) == 1
+                               for sol in sols)]
+        assert witness_search(eq, family, 50) == expected
+        assert [s.spec_string() for s in expected] == ["mod:2", "mod:2",
+                                                       "mod:3"]
 
 
 class TestRecords:
