@@ -16,13 +16,15 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from . import univariate
 from .model import Equation, Polynomial, ZeroPolynomialError
 from .results import OrderedPartition
 
 if TYPE_CHECKING:
+    from array import array
+
     import numpy as np
 
 
@@ -108,30 +110,65 @@ class ColoringSpec:
         ).digest()
         return int.from_bytes(digest, "little") % colors
 
+    def _table(self, bound: int) -> array:
+        """Colors of 0..bound (index 0 is padding) in the smallest unsigned
+        typecode that holds every color: the one per-kind builder."""
+        from array import array  # not loaded by import radolab
+
+        kind, p = self.kind, self.params
+        # mod, digit and logband colors never exceed x; a random color is
+        # reduced from an 8-byte digest
+        top = p[0] - 1 if kind == "digit" else self.num_colors() - 1
+        top = min(top, 2 ** 64 - 1 if kind == "random" else bound)
+        code = next(c for c in "BHIQ" if top < 1 << 8 * array(c).itemsize)
+        if kind == "mod":
+            # x % m == x for x <= bound < m, and m may not fit in 64 bits
+            m = min(p[0], bound + 1)
+            return (array(code, range(m)) * _ceil_div(bound + 1, m))[:bound + 1]
+        out = array(code, [0])
+        if kind == "random":
+            return out + array(code, map(self.color, range(1, bound + 1)))
+        # level L of base p covers [p^L, p^(L+1)): one logband color, or
+        # leading digit d on [d*p^L, (d+1)*p^L)
+        base, level, scale = p[0], 0, 1
+        while scale <= bound:
+            if kind == "logband":
+                runs = [((base - 1) * scale, level % p[1])]
+            else:
+                runs = [(scale, d)
+                        for d in range(1, min(base, bound // scale + 1))]
+            for width, c in runs:
+                out += array(code, [c]) * min(width, bound + 1 - len(out))
+            level, scale = level + 1, scale * base
+        return out
+
     def color_array(self, bound: int) -> np.ndarray:
-        """Colors of 0..bound in the smallest unsigned dtype that holds every
-        color (index 0 is padding)."""
+        """Colors of 0..bound (index 0 is padding), a numpy view of the
+        color table."""
         import numpy as np
 
-        if self.kind == "mod":
-            # x % m == x for x <= bound < m, and m may not fit in int64
-            m = min(self.params[0], bound + 1)
-            colors = np.arange(bound + 1, dtype=np.int64) % m
-            return colors.astype(np.min_scalar_type(m - 1))
-        dtype = np.min_scalar_type(self.num_colors() - 1)
-        if self.kind == "logband":
-            p, r = self.params
-            out = np.zeros(bound + 1, dtype=dtype)
-            level, lo = 0, 1
-            while lo <= bound:
-                hi = min(bound + 1, lo * p)
-                out[lo:hi] = level % r
-                level, lo = level + 1, lo * p
-            return out
-        out = np.zeros(bound + 1, dtype=dtype)
-        for x in range(1, bound + 1):
-            out[x] = self.color(x)
-        return out
+        table = self._table(bound)
+        return np.frombuffer(table, dtype=table.typecode)
+
+
+class _HashedColors(dict):
+    """A random coloring's table, each color hashed on first lookup, so a
+    search that stops early pays only for the values it reached."""
+
+    def __init__(self, spec: ColoringSpec):
+        super().__init__()
+        self._color = spec.color
+
+    def __missing__(self, x: int) -> int:
+        c = self[x] = self._color(x)
+        return c
+
+
+def _color_lookup(spec: ColoringSpec, bound: int):
+    """One search's color table, indexed by value in [1, bound]."""
+    if spec.kind == "random":
+        return _HashedColors(spec)
+    return spec._table(bound).tolist()
 
 
 def _int_log(x: int, p: int) -> int:
@@ -256,9 +293,12 @@ def enumerate_solutions(eq: Equation, bound: int) -> Iterator[tuple[int, ...]]:
     (divisibility, range and integer-root table checks); the grid runs over
     the remaining variables.  When the solved value is affine in the
     innermost variable, that variable walks the exact arithmetic progression
-    of `_progression`, the engine the three-variable census shares.
-    Without such a variable the full grid is scanned, pruning the innermost
-    variable beyond its real-root bound.
+    of `_progression`, the engine the three-variable census shares;
+    otherwise it walks only the exact integer windows on which the solved
+    value lies in its range.  Without such a variable the full grid runs
+    over all but the innermost variable, which walks the exact integer
+    roots of its restriction.  Solutions come out in lexicographic order of
+    the grid point, then of the innermost variable.
     """
     poly = eq.poly
     if poly.is_zero():
@@ -272,8 +312,10 @@ def enumerate_solutions(eq: Equation, bound: int) -> Iterator[tuple[int, ...]]:
         yield from _enumerate_isolated(poly, bound, iso)
         return
 
-    # full grid, innermost variable scanned up to its root bound
+    # full grid; the innermost variable walks the roots of its restriction,
+    # where p >= 0 and -p >= 0
     inner = n - 1
+    budget = _window_budget(poly.monomials, inner, bound)
     for point in itertools.product(range(1, bound + 1), repeat=n - 1):
         inner_poly = _restrict(poly.monomials, point, inner)
         if not inner_poly:
@@ -281,9 +323,40 @@ def enumerate_solutions(eq: Equation, bound: int) -> Iterator[tuple[int, ...]]:
                 yield (*point, t)
             continue
         cap = min(bound, univariate.cauchy_bound(inner_poly))
-        for t in range(1, cap + 1):
+        walk = range(1, cap + 1)
+        if cap > budget:
+            walk = _windows_walk([inner_poly, [-c for c in inner_poly]],
+                                 cap, budget)
+        for t in walk:
             if univariate.evaluate(inner_poly, t) == 0:
                 yield (*point, t)
+
+
+def _window_budget(monomials, inner: int, bound: int) -> int:
+    """Span length below which scanning beats exact windows.
+
+    The windows of a degree-d restriction to `inner` cost about
+    (d + 1)^2 * log2(bound) evaluations, each dearer than a scan step; the
+    factor 2 keeps an equation whose windows prune nothing (such as
+    x^2 + y^2 = z^4, where the solved range [1, bound^4] is loose) from
+    paying more than about a sixth extra.
+    """
+    d = max((e for m in monomials for v, e in m.exponents if v == inner),
+            default=0)
+    return 2 * (d + 1) ** 2 * bound.bit_length()
+
+
+def _windows_walk(polys: list[list[int]], hi: int,
+                  budget: int) -> Iterable[int]:
+    """The t in [1, hi], ascending, at which every polynomial is >= 0,
+    narrowed one polynomial at a time to its exact windows.  A span no
+    longer than the budget is walked whole, so callers check every t."""
+    spans = [(1, hi)]
+    for p in polys:
+        spans = [w for a, b in spans
+                 for w in ([(a, b)] if b - a < budget
+                           else univariate._nonneg_windows(p, a, b))]
+    return itertools.chain.from_iterable(range(a, b + 1) for a, b in spans)
 
 
 def _restrict(monomials, values, inner: int) -> list[int]:
@@ -302,6 +375,13 @@ def _restrict(monomials, values, inner: int) -> list[int]:
     return univariate.normalize(
         [coeffs.get(e, 0) for e in range(max(coeffs, default=-1) + 1)]
     )
+
+
+def _plus_term(p: list[int], k: int, c: int) -> list[int]:
+    """p(t) + c*t^k."""
+    out = p + [0] * (k + 1 - len(p))
+    out[k] += c
+    return univariate.normalize(out)
 
 
 def _enumerate_isolated(poly: Polynomial, bound: int,
@@ -333,7 +413,9 @@ def _enumerate_isolated(poly: Polynomial, bound: int,
     inner = others[-1]
     prefix_vars = others[:-1]
     den_has_inner = any(v == inner for v, _ in mono_others)
+    inner_exp = next((e for w, e in mono_others if w == inner), 0)
     hi_q = bound if se == 1 else bound ** se
+    budget = _window_budget(poly.monomials, inner, bound)
 
     values = [0] * n
 
@@ -360,8 +442,17 @@ def _enumerate_isolated(poly: Polynomial, bound: int,
                     yield build(t, v)
             continue
 
-        inner_exp = next((e for w, e in mono_others if w == inner), 0)
-        for t in range(1, bound + 1):
+        walk = range(1, bound + 1)
+        if bound > budget:
+            # 1 <= num(t) / (den_const * t^k) <= hi_q, both sides scaled by
+            # |den_const| * t^k > 0
+            d = abs(den_const)
+            scaled = num if den_const > 0 else [-c for c in num]
+            walk = _windows_walk(
+                [_plus_term(scaled, inner_exp, -d),
+                 _plus_term([-c for c in scaled], inner_exp, hi_q * d)],
+                bound, budget)
+        for t in walk:
             den = den_const * t ** inner_exp if den_has_inner else den_const
             q_num = univariate.evaluate(num, t)
             if q_num % den:
@@ -383,16 +474,21 @@ class SolutionRecord:
     heads: dict[int, list[Fraction]] = field(default_factory=dict)
 
 
-def _common_color(spec: ColoringSpec, values: Sequence[int]) -> Optional[int]:
-    """The color every value shares under the coloring, or None."""
-    c = spec.color(values[0])
-    return c if all(spec.color(x) == c for x in values[1:]) else None
+def _common_color(table, values: Sequence[int]) -> Optional[int]:
+    """The color every value shares, or None; `table` is the search's
+    color table from `_color_lookup`."""
+    c = table[values[0]]
+    for x in values:
+        if table[x] != c:
+            return None
+    return c
 
 
 def iter_monochromatic(eq: Equation, spec: ColoringSpec,
                        bound: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    table = _color_lookup(spec, bound)
     for assignment in enumerate_solutions(eq, bound):
-        c = _common_color(spec, assignment)
+        c = _common_color(table, assignment)
         if c is not None:
             yield assignment, c
 
@@ -456,12 +552,13 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
         return [ProfileCensus(counts, total, p)
                 for counts, p in zip(per_spec, params)]
     per_spec = [{} for _ in specs]
+    tables = [_color_lookup(s, bound) for s in specs]
     total = 0
     for assignment in enumerate_solutions(eq, bound):
         total += 1
         profile = None
-        for spec, counts in zip(specs, per_spec):
-            if _common_color(spec, assignment) is None:
+        for table, counts in zip(tables, per_spec):
+            if _common_color(table, assignment) is None:
                 continue
             if profile is None:
                 profile = asymptotic_profile(assignment, N)
@@ -653,13 +750,17 @@ def head_census(eq: Equation, spec: ColoringSpec, bound: int, base: int,
     if bin_count < 1:
         raise ValueError("bin count must be positive")
     bins = [0] * bin_count
+    bin_of: dict[int, int] = {}  # per value, filled on first sight
     total = 0
     for assignment, _ in iter_monochromatic(eq, spec, bound):
         for x in assignment:
-            # head h = x / scale in [1, base) goes to bin
-            # floor((h - 1) * bin_count / (base - 1)) < bin_count
-            scale = base ** _int_log(x, base)
-            bins[(x - scale) * bin_count // ((base - 1) * scale)] += 1
+            b = bin_of.get(x)
+            if b is None:
+                # head h = x / scale in [1, base) goes to bin
+                # floor((h - 1) * bin_count / (base - 1)) < bin_count
+                scale = base ** _int_log(x, base)
+                b = bin_of[x] = (x - scale) * bin_count // ((base - 1) * scale)
+            bins[b] += 1
         total += len(assignment)
     near_one = bins[0] / total if total else 0.0
     near_base = bins[-1] / total if total else 0.0
@@ -679,9 +780,10 @@ def witness_search(eq: Equation, family: Sequence[ColoringSpec],
     family order."""
     pending = list(range(len(family)))
     if pending:
+        tables = [_color_lookup(s, bound) for s in family]
         for assignment in enumerate_solutions(eq, bound):
             pending = [i for i in pending
-                       if _common_color(family[i], assignment) is None]
+                       if _common_color(tables[i], assignment) is None]
             if not pending:
                 break
     return [family[i] for i in pending]

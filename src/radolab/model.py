@@ -224,10 +224,11 @@ def collapse_to_univariate(poly: Polynomial, subset: Iterable[int]) -> list[int]
 def trivial_constant_solution(poly: Polynomial) -> Optional[int]:
     """Smallest positive integer k with P(k, ..., k) = 0, if any.
 
-    The constant diagonal values are exactly the univariate collapse over all
-    monomials, so the search reduces to positive integer roots: these divide
-    the trailing coefficient, and each candidate is confirmed by exact
-    evaluation.
+    The constant diagonal values are exactly the univariate collapse q over
+    all monomials, so the search reduces to the smallest positive integer
+    root of q.  Every root lies below the Cauchy bound, and the roots are
+    where the exact integer windows of q >= 0 and -q >= 0 meet, so the cost
+    grows with the bit length of the coefficients, not their size.
     """
     if poly.is_zero():
         raise ZeroPolynomialError("the zero polynomial is uninteresting here")
@@ -237,13 +238,9 @@ def trivial_constant_solution(poly: Polynomial) -> Optional[int]:
     q, _ = univariate.strip_zero_roots(q)
     if len(q) == 1:
         return None
-    c0 = abs(q[0])
-    best: Optional[int] = None
-    d = 1
-    while d * d <= c0:
-        if c0 % d == 0:
-            for k in (d, c0 // d):
-                if univariate.evaluate(q, k) == 0 and (best is None or k < best):
-                    best = k
-        d += 1
-    return best
+    negated = [-c for c in q]
+    for a, b in univariate._nonneg_windows(q, 1, univariate.cauchy_bound(q)):
+        roots = univariate._nonneg_windows(negated, a, b)
+        if roots:
+            return roots[0][0]
+    return None

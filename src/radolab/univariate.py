@@ -1,5 +1,6 @@
 """Univariate integer polynomials as coefficient lists, plus an exact
-positive-real-root decision via Sturm chains.
+positive-real-root decision via Sturm chains and the exact integer windows
+on which a polynomial is nonnegative.
 
 A polynomial is a list of ints, lowest power first, with no trailing zeros;
 the zero polynomial is the empty list.  All arithmetic is integer-exact, so
@@ -8,7 +9,7 @@ the root decision never sees a rounding error.
 
 from __future__ import annotations
 
-from math import gcd
+from math import comb, gcd
 
 
 def normalize(coeffs: list[int]) -> list[int]:
@@ -107,6 +108,86 @@ def count_roots_in(p: list[int], a: int, b: int) -> int:
     va = _sign_variations([evaluate(q, a) for q in chain])
     vb = _sign_variations([evaluate(q, b) for q in chain])
     return va - vb
+
+
+def _forward_difference(p: list[int]) -> list[int]:
+    """Coefficients of p(t + 1) - p(t), one degree lower than p."""
+    out = [0] * len(p)
+    for i, c in enumerate(p):
+        for j in range(i):
+            out[j] += c * comb(i, j)
+    return normalize(out[:-1])
+
+
+def _nonneg_windows(p: list[int], lo: int, hi: int) -> list[tuple[int, int]]:
+    """Maximal integer intervals (a, b), ascending, of [lo, hi] on which
+    p(t) >= 0, exactly.
+
+    Linear p is solved in closed form.  Otherwise the windows of the
+    forward difference (one degree lower) split [lo, hi] into runs on which
+    p is monotone on the integers, and each run is bisected for the end of
+    its nonnegative part, so the cost is about deg(p)^2 * log2(hi - lo)
+    evaluations.
+    """
+    if lo > hi:
+        return []
+    if len(p) <= 1:
+        return [(lo, hi)] if not p or p[0] >= 0 else []
+    if len(p) == 2:
+        b, a = p
+        if a > 0:
+            lo = max(lo, -(b // a))
+        else:
+            hi = min(hi, b // -a)
+        return [(lo, hi)] if lo <= hi else []
+    if lo == hi:
+        return [(lo, lo)] if evaluate(p, lo) >= 0 else []
+    # p is nondecreasing on [a, b + 1] for each window (a, b) of the
+    # difference, and strictly decreasing on [s, a] across each gap [s, a)
+    runs = []
+    start = lo
+    for a, b in _nonneg_windows(_forward_difference(p), lo, hi - 1):
+        if a > start:
+            runs.append((start, a, False))
+        runs.append((a, b + 1, True))
+        start = b + 1
+    if start < hi:
+        runs.append((start, hi, False))
+    out: list[tuple[int, int]] = []
+    for a, b, rising in runs:
+        if rising:
+            # the nonnegative part is a suffix: bisect for its first point
+            if evaluate(p, b) < 0:
+                continue
+            x, y = a, b
+            if evaluate(p, a) >= 0:
+                y = a
+            while x < y:
+                mid = (x + y) // 2
+                if evaluate(p, mid) >= 0:
+                    y = mid
+                else:
+                    x = mid + 1
+            window = (x, b)
+        else:
+            # the nonnegative part is a prefix: bisect for its last point
+            if evaluate(p, a) < 0:
+                continue
+            x, y = a, b
+            if evaluate(p, b) >= 0:
+                x = b
+            while x < y:
+                mid = (x + y + 1) // 2
+                if evaluate(p, mid) >= 0:
+                    x = mid
+                else:
+                    y = mid - 1
+            window = (a, x)
+        if out and window[0] <= out[-1][1] + 1:
+            out[-1] = (out[-1][0], max(out[-1][1], window[1]))
+        else:
+            out.append(window)
+    return out
 
 
 def has_positive_root(p: list[int]) -> bool:

@@ -1,4 +1,5 @@
 import json
+import time
 
 from radolab import filters, linear, model
 from radolab.cli import main
@@ -54,6 +55,23 @@ class TestAnalyze:
             calls.clear()
             code, _, _ = run_json(capsys, "analyze", text)
             assert code == 0 and len(calls) == 1, text
+
+    def test_constant_past_trial_division(self, capsys):
+        # trial division up to the square root of 10^24 never finished; the
+        # verdict matches the one for a small constant
+        small = run_json(capsys, "analyze", "2x = y + 1000003")[1]["verdict"]
+        start = time.perf_counter()
+        code, report, _ = run_json(capsys, "analyze",
+                                   "2x = y + 1000000000000000000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        verdict = report["verdict"]
+        assert verdict["status"] == small["status"] == "NOT_PR"
+        assert ([r["name"] for r in verdict["reasons"]]
+                == [r["name"] for r in small["reasons"]])
+        assert verdict["reasons"][0]["evidence"]["has_constant_solution"]
+        assert any("k=1000000000000000000000000" in note
+                   for note in verdict["notes"])
 
     def test_linear_report_carries_candidates(self, capsys):
         _, report, _ = run_json(capsys, "analyze", "x + 2y = z")

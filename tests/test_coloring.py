@@ -4,14 +4,17 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radolab
 from _oracles import oracle_profile_valid, oracle_solution_grid
+from radolab import univariate
 from radolab.coloring import (
     ColoringSpec,
+    _color_lookup,
     asymptotic_profile,
     color,
     enumerate_solutions,
@@ -73,10 +76,61 @@ class TestColoringSpec:
                 ColoringSpec.parse(bad)
 
     def test_color_array_matches_scalar(self):
-        for name in ["mod:3", "digit:10", "logband:2:3", "random:9:5"]:
+        # the search tables and color_array against the scalar coloring, at
+        # bounds 0, 1 and p^k - 1, p^k, p^k + 1 around each level edge of the
+        # kind's base (the modulus for mod); digit:257 has a color, 256, past
+        # 8 bits, and mod:2^64+1 a modulus past 64 bits
+        for name in ["mod:3", "mod:7", "digit:3", "digit:10", "digit:257",
+                     "logband:2:3", "logband:3:2", "random:9:5",
+                     "mod:18446744073709551617"]:
             spec = ColoringSpec.parse(name)
-            arr = spec.color_array(200)
-            assert all(arr[x] == spec.color(x) for x in range(1, 201))
+            p = min(spec.params[0], 300) if spec.kind != "random" else 5
+            bounds = {0, 1, 200}
+            for k in range(1, 6):
+                if p ** k <= 1000:
+                    bounds |= {p ** k - 1, p ** k, p ** k + 1}
+            for bound in sorted(bounds):
+                expected = [spec.color(x) for x in range(1, bound + 1)]
+                table = _color_lookup(spec, bound)
+                assert [table[x] for x in range(1, bound + 1)] == expected, \
+                    (name, bound)
+                arr = spec.color_array(bound)
+                assert len(arr) == bound + 1
+                assert arr[1:].tolist() == expected, (name, bound)
+
+    def test_random_table_hashes_on_demand(self, monkeypatch):
+        # a witness search that stops at the first solutions must not hash
+        # every value up to the bound
+        calls = []
+        scalar = ColoringSpec.color
+
+        def counted(self, x):
+            calls.append(x)
+            return scalar(self, x)
+
+        monkeypatch.setattr(ColoringSpec, "color", counted)
+        spec = ColoringSpec.parse("random:7:3")
+        assert witness_search(parse("x + y = z"), [spec], 10 ** 6) == []
+        assert 0 < len(calls) < 1000
+
+    def test_searches_do_not_load_numpy(self):
+        src = str(Path(radolab.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "from radolab.coloring import *\n"
+            "from radolab.parser import parse\n"
+            "specs = [ColoringSpec.parse(s) for s in "
+            "('mod:3', 'digit:10', 'logband:2:3', 'random:9:5')]\n"
+            "list(iter_records(parse('x + y = z'), specs[0], 30, N=3, "
+            "bases=(2,)))\n"
+            "head_census(parse('x*y = z'), specs[1], 60, 3)\n"
+            "profile_census_many(parse('x + y + z = w'), specs, 12, 3)\n"
+            "witness_search(parse('x = y + 1'), specs, 50)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                             check=True, capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
     def test_spec_string_round_trip(self):
         for name in ["mod:3", "digit:10", "logband:2:3", "random:9:5"]:
@@ -199,6 +253,70 @@ class TestEnumerateSolutions:
             for sol in enumerate_solutions(eq, 25):
                 assignment = dict(zip(eq.poly.variables, sol))
                 assert evaluate(eq.poly, assignment) == 0
+
+
+def _walk_order_scan(eq, bound, solved):
+    """Every solution by a full-grid scan, in the order the walk yields
+    them: lexicographic in the other variables, then in the solved one."""
+    poly = eq.poly
+    n = len(poly.variables)
+    s = poly.variables.index(solved)
+    order = [i for i in range(n) if i != s] + [s]
+    axes = np.meshgrid(*[np.arange(1, bound + 1, dtype=np.int64)] * (n - 1),
+                       indexing="ij", sparse=True)
+    out = []
+    for first in range(1, bound + 1):
+        at = {order[0]: first, **dict(zip(order[1:], axes))}
+        total = np.zeros((bound,) * (n - 1), dtype=np.int64)
+        for m in poly.monomials:
+            term = m.coeff
+            for v, e in m.exponents:
+                term = term * at[v] ** e
+            total = total + term
+        for hit in np.argwhere(total == 0):
+            values = [0] * n
+            values[order[0]] = first
+            for v, i in zip(order[1:], hit):
+                values[v] = int(i) + 1
+            out.append(tuple(values))
+    return out
+
+
+class TestWindowedWalk:
+    # at bound 150 each case walks the exact windows of its innermost
+    # variable rather than scanning it (150 > 2 * 3^2 * 8 for degree 2)
+    CASES = [
+        ("x^2 - y^2 = z", "z"),          # solved value not affine in y
+        ("y*z = x^2 + 1", "z"),          # y in the solved monomial
+        ("x^2 - y^2 = 3z", "z"),         # solved coefficient -3 once canonical
+        ("x^2 - y^2 = -3z", "z"),
+        ("x^2 + y^2 = z^2", "z"),        # solved exponent 2
+        ("x^2 - 2x*y + y^2 = x + y", "y"),          # full grid
+        ("x^2*y + y^2 = x*y*z + z^2", "z"),         # full grid, 3 variables
+    ]
+
+    def test_order_matches_scan(self):
+        for text, solved in self.CASES:
+            eq = parse(text)
+            for bound in (1, 2, 150):
+                expected = _walk_order_scan(eq, bound, solved)
+                assert list(enumerate_solutions(eq, bound)) == expected, \
+                    (text, bound)
+
+    def test_work_is_per_window_not_per_point(self, monkeypatch):
+        # the walk evaluates polynomials only through univariate.evaluate;
+        # scanning every inner point would take 2000 * 2000 evaluations
+        calls = [0]
+        evaluate = univariate.evaluate
+
+        def counted(p, x):
+            calls[0] += 1
+            return evaluate(p, x)
+
+        monkeypatch.setattr(univariate, "evaluate", counted)
+        sols = list(enumerate_solutions(parse("x^2 - y^2 = z"), 2000))
+        assert len(sols) == 3858
+        assert calls[0] < 200_000
 
 
 def test_progression_matches_brute_force():

@@ -98,17 +98,34 @@ class TestTrivialConstantSolution:
         assert trivial_constant_solution(XY_2Z) == 2
 
     def test_agrees_with_scan(self):
+        # after the first 25 inputs, each gets a root k <= 60 planted through
+        # its constant term, so the scan stops early
         rng = random.Random(5)
-        for _ in range(25):
+        for i in range(400):
             poly = _random_poly(rng, max_vars=3, max_monomials=3, max_exp=3)
             if poly.is_zero():
                 continue
+            if i >= 25:
+                k = rng.randint(1, 60)
+                terms = poly.terms_by_name()
+                terms[()] = (terms.get((), 0)
+                             - evaluate(poly, {v: k for v in poly.variables}))
+                poly = P(terms)
+                if poly.is_zero():
+                    continue
             expected = next(
                 (k for k in range(1, 10 ** 4 + 1)
                  if evaluate(poly, {v: k for v in poly.variables}) == 0),
                 None,
             )
             assert trivial_constant_solution(poly) == expected
+
+    def test_constant_past_trial_division(self):
+        # 2k = k + 10^24: trial division would run to 10^12
+        poly = P({(("x", 1),): 2, (("y", 1),): -1, (): -10 ** 24})
+        assert trivial_constant_solution(poly) == 10 ** 24
+        poly = P({(("x", 3),): 1, (("y", 1),): -1, (): -(10 ** 18 - 10 ** 6)})
+        assert trivial_constant_solution(poly) == 10 ** 6
 
 
 def _random_poly(rng, max_vars=4, max_monomials=4, max_exp=4, coeff=9):

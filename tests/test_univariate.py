@@ -1,0 +1,48 @@
+import random
+
+from radolab.univariate import _nonneg_windows, evaluate, normalize
+
+
+def _scan_windows(p, lo, hi):
+    """Maximal runs of consecutive t in [lo, hi] with p(t) >= 0."""
+    out = []
+    for t in range(lo, hi + 1):
+        if evaluate(p, t) >= 0:
+            if out and out[-1][1] == t - 1:
+                out[-1] = (out[-1][0], t)
+            else:
+                out.append((t, t))
+    return out
+
+
+def test_nonneg_windows_match_scan():
+    # random coefficients, and products of integer linear factors, which put
+    # sign changes (and double roots) at integers inside the range; the
+    # ranges include empty and one-point ones
+    rng = random.Random(17)
+    for _ in range(4000):
+        deg = rng.randint(0, 6)
+        if rng.random() < 0.5:
+            p = [rng.choice([-3, -2, -1, 1, 2, 3])]
+            for _ in range(deg):
+                r = rng.randint(-20, 70)
+                p = [a - r * b for a, b in zip([0] + p, p + [0])]
+        else:
+            p = [rng.randint(-60, 60) for _ in range(deg + 1)]
+        p = normalize(p)
+        lo = rng.randint(-30, 60)
+        hi = lo + rng.choice([-3, -1, 0, 1, rng.randint(2, 120)])
+        assert _nonneg_windows(p, lo, hi) == _scan_windows(p, lo, hi), \
+            (p, lo, hi)
+
+
+def test_nonneg_windows_long_range():
+    # (t - 10^6)(t - 10^6 - 5)(t - 3*10^9) changes sign three times; the
+    # windows come from a few dozen evaluations, not a scan
+    p = [1]
+    for r in (10 ** 6, 10 ** 6 + 5, 3 * 10 ** 9):
+        p = [a - r * b for a, b in zip([0] + p, p + [0])]
+    assert _nonneg_windows(p, 1, 10 ** 10) == [(10 ** 6, 10 ** 6 + 5),
+                                               (3 * 10 ** 9, 10 ** 10)]
+    assert _nonneg_windows([-c for c in p], 1, 10 ** 10) == [
+        (1, 10 ** 6), (10 ** 6 + 5, 3 * 10 ** 9)]
