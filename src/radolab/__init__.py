@@ -14,7 +14,6 @@ from .coloring import (
     ProfileCensus,
     SolutionRecord,
     asymptotic_profile,
-    color,
     enumerate_solutions,
     head_census,
     profile_census,
@@ -74,7 +73,7 @@ __all__ = [
     "OrderedPartition", "ParseError", "Polynomial", "ProfileCensus",
     "QMatrix", "SolutionRecord", "Status", "Verdict", "ZeroPolynomialError",
     "asymptotic_candidates_linear", "asymptotic_profile",
-    "collapse_to_univariate", "color", "columns_condition",
+    "collapse_to_univariate", "columns_condition",
     "default_hl_weights", "enumerate_solutions", "evaluate",
     "filter_exponent_rado", "filter_fermat_catalan",
     "filter_homogeneous_rado", "filter_maximal_root",

@@ -2,7 +2,7 @@
 
 JSON goes to stdout, human-readable prose to stderr, so reports compose in
 pipelines.  Exit codes: 0 = analysis completed (whatever the verdict),
-2 = malformed input, 3 = an enumeration cap was exceeded, 4 = the asymptotic
+2 = malformed input, 3 = a size cap was exceeded, 4 = the asymptotic
 command was given an equation outside its scope.
 """
 
@@ -155,14 +155,16 @@ def cmd_asymptotic(args) -> int:
 
 
 def _record_json(record) -> dict:
-    out = {"assignment": list(record.assignment), "color": record.color}
-    if record.profile is not None:
-        partition, N, valid = record.profile
-        out["profile"] = {
+    partition, N, valid = record.profile
+    out = {
+        "assignment": list(record.assignment),
+        "color": record.color,
+        "profile": {
             "classes": [sorted(c) for c in partition.classes],
             "N": N,
             "valid": valid,
-        }
+        },
+    }
     if record.heads:
         out["heads"] = {str(p): [str(h) for h in hs]
                         for p, hs in record.heads.items()}
@@ -218,7 +220,7 @@ def cmd_search(args) -> int:
         }
         summary = (f"head histogram over [1, {census.base}) with "
                    f"{census.total_coordinates} coordinates")
-    elif args.mode == "witness":
+    else:  # witness
         witnesses = witness_search(eq, specs, args.bound)
         report["witnesses"] = {
             "found": [s.spec_string() for s in witnesses],
@@ -227,9 +229,6 @@ def cmd_search(args) -> int:
                            "partition regularity, not a proof"),
         }
         summary = f"{len(witnesses)} witness coloring(s) of {len(specs)}"
-    else:
-        print(f"error: unknown mode {args.mode!r}", file=sys.stderr)
-        return EXIT_PARSE
     _emit(report)
     print(f"{pretty(eq)}: {summary}", file=sys.stderr)
     return EXIT_OK

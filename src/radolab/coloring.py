@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
@@ -177,10 +177,6 @@ def _int_log(x: int, p: int) -> int:
         x //= p
         count += 1
     return count
-
-
-def color(spec: ColoringSpec, x: int) -> int:
-    return spec.color(x)
 
 
 def standard_head(x: int, p: int) -> Fraction:
@@ -392,22 +388,15 @@ def _enumerate_isolated(poly: Polynomial, bound: int,
     rest = [m for i, m in enumerate(poly.monomials) if i != smono]
     mono = poly.monomials[smono]
     mono_others = [(v, e) for v, e in mono.exponents if v != sv]
-    power_table: dict[int, int] = {}
-    if se > 1:
-        power_table = {t ** se: t for t in range(1, bound + 1)}
-
-    def solved_value(q: int) -> Optional[int]:
-        if se == 1:
-            return q if 1 <= q <= bound else None
-        return power_table.get(q) if q >= 1 else None
+    # the solved variable takes the value v where its power q = v^se lies in
+    # `powers`: v = q when se == 1, else v = powers[q]
+    powers = (range(1, bound + 1) if se == 1
+              else {t ** se: t for t in range(1, bound + 1)})
 
     if not others:
-        num = -sum(m.coeff for m in rest) if rest else 0
-        den = mono.coeff
-        if num % den == 0:
-            v = solved_value(num // den)
-            if v is not None:
-                yield (v,)
+        q, r = divmod(-sum(m.coeff for m in rest), mono.coeff)
+        if not r and q in powers:
+            yield (q if se == 1 else powers[q],)
         return
 
     inner = others[-1]
@@ -418,12 +407,6 @@ def _enumerate_isolated(poly: Polynomial, bound: int,
     budget = _window_budget(poly.monomials, inner, bound)
 
     values = [0] * n
-
-    def build(t: int, v: int) -> tuple[int, ...]:
-        values[inner] = t
-        values[sv] = v
-        return tuple(values)
-
     for point in itertools.product(range(1, bound + 1), repeat=len(prefix_vars)):
         for v, val in zip(prefix_vars, point):
             values[v] = val
@@ -436,10 +419,16 @@ def _enumerate_isolated(poly: Polynomial, bound: int,
         if not den_has_inner and len(num) <= 2:
             alpha = num[1] if len(num) == 2 else 0
             beta = num[0] if num else 0
-            for t in _progression(alpha, beta, den_const, 1, hi_q, bound):
-                v = solved_value((alpha * t + beta) // den_const)
-                if v is not None:
-                    yield build(t, v)
+            ts = _progression(alpha, beta, den_const, 1, hi_q, bound)
+            # along ts the power (alpha*t + beta)/den_const is an integer in
+            # [1, hi_q] that steps by alpha*step/den_const, exactly
+            qs = itertools.count((alpha * ts.start + beta) // den_const,
+                                 alpha * ts.step // den_const)
+            for t, q in zip(ts, qs):
+                if se == 1 or q in powers:
+                    values[inner] = t
+                    values[sv] = q if se == 1 else powers[q]
+                    yield tuple(values)
             continue
 
         walk = range(1, bound + 1)
@@ -454,12 +443,11 @@ def _enumerate_isolated(poly: Polynomial, bound: int,
                 bound, budget)
         for t in walk:
             den = den_const * t ** inner_exp if den_has_inner else den_const
-            q_num = univariate.evaluate(num, t)
-            if q_num % den:
-                continue
-            v = solved_value(q_num // den)
-            if v is not None:
-                yield build(t, v)
+            q, r = divmod(univariate.evaluate(num, t), den)
+            if not r and q in powers:
+                values[inner] = t
+                values[sv] = q if se == 1 else powers[q]
+                yield tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +458,8 @@ def _enumerate_isolated(poly: Polynomial, bound: int,
 class SolutionRecord:
     assignment: tuple[int, ...]
     color: int
-    profile: Optional[tuple[OrderedPartition, int, bool]] = None
-    heads: dict[int, list[Fraction]] = field(default_factory=dict)
+    profile: tuple[OrderedPartition, int, bool]
+    heads: dict[int, list[Fraction]]
 
 
 def _common_color(table, values: Sequence[int]) -> Optional[int]:
@@ -493,19 +481,15 @@ def iter_monochromatic(eq: Equation, spec: ColoringSpec,
             yield assignment, c
 
 
-def iter_records(eq: Equation, spec: ColoringSpec, bound: int,
-                 N: Optional[int] = None,
+def iter_records(eq: Equation, spec: ColoringSpec, bound: int, N: int,
                  bases: Sequence[int] = ()) -> Iterator[SolutionRecord]:
     """Monochromatic solutions annotated with profiles and standard heads."""
     for assignment, c in iter_monochromatic(eq, spec, bound):
-        profile = None
-        if N is not None:
-            partition, valid = asymptotic_profile(assignment, N)
-            profile = (partition, N, valid)
+        partition, valid = asymptotic_profile(assignment, N)
         heads = {
             p: [standard_head(x, p) for x in assignment] for p in bases
         }
-        yield SolutionRecord(assignment, c, profile, heads)
+        yield SolutionRecord(assignment, c, (partition, N, valid), heads)
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 
 class CapExceededError(ValueError):
-    """An exhaustive enumeration would exceed its configured cap."""
+    """An input exceeds a size cap (columns, monomials or total degree)."""
 
     def __init__(self, cap: int, message: str = ""):
         self.cap = cap

@@ -16,8 +16,7 @@ reported in the verdict notes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from typing import Callable, Optional
+from typing import Optional
 
 from . import univariate
 from .errors import CapExceededError
@@ -33,7 +32,10 @@ from .model import (
 from .parser import pretty
 from .results import FilterResult, Status, Verdict
 
-DEFAULT_MONOMIAL_CAP = 20
+MONOMIAL_CAP = 20
+# with a large constant term, the constant search spends about d^3/6
+# binomial coefficients at total degree d: about 0.3 s at 128, 6 s at 256
+DEGREE_CAP = 128
 
 CITATIONS = {
     "homogeneous-rado": (
@@ -90,10 +92,8 @@ class FermatCatalanShape:
     n: int
     x: str
     y: str
-    rhs_kind: str  # single_poly | poly_sum | power_product | mixed_powers
-    c: int = 0
-    k: int = 0
-    m: int = 0
+    c: int
+    k: int
 
 
 def _inapplicable(name: str) -> FilterResult:
@@ -101,13 +101,8 @@ def _inapplicable(name: str) -> FilterResult:
                         citation=CITATIONS[name])
 
 
-def _quiet(name: str, **evidence) -> FilterResult:
-    return FilterResult(name, fired=False, applicable=True,
-                        evidence=evidence, citation=CITATIONS[name])
-
-
-def _fired(name: str, **evidence) -> FilterResult:
-    return FilterResult(name, fired=True, applicable=True,
+def _result(name: str, fired: bool, **evidence) -> FilterResult:
+    return FilterResult(name, fired=fired, applicable=True,
                         evidence=evidence, citation=CITATIONS[name])
 
 
@@ -123,8 +118,8 @@ def filter_homogeneous_rado(eq: Equation) -> FilterResult:
     coeffs = [m.coeff for m in poly.monomials]
     subset = rado_condition(coeffs)
     if subset is None:
-        return _fired("homogeneous-rado", coefficients=coeffs)
-    return _quiet("homogeneous-rado", zero_sum_subset=list(subset))
+        return _result("homogeneous-rado", True, coefficients=coeffs)
+    return _result("homogeneous-rado", False, zero_sum_subset=list(subset))
 
 
 def _leading_terms(poly: Polynomial) -> Optional[dict[int, tuple[int, int]]]:
@@ -184,9 +179,9 @@ def filter_single_variable_leading(eq: Equation) -> FilterResult:
         for i, (d, a) in sorted(leading.items())
     }
     if witness is None:
-        return _fired("single-variable-leading", leading_terms=info)
-    return _quiet("single-variable-leading", leading_terms=info,
-                  cancelling_degree=witness)
+        return _result("single-variable-leading", True, leading_terms=info)
+    return _result("single-variable-leading", False, leading_terms=info,
+                   cancelling_degree=witness)
 
 
 def _subset_sums(values: list[int]) -> set[int]:
@@ -206,12 +201,10 @@ def filter_exponent_rado(eq: Equation) -> FilterResult:
     for i in range(len(monos)):
         for j in range(i + 1, len(monos)):
             if sums[i] & sums[j]:
-                return _quiet("exponent-rado", matching_pair=[i, j],
-                              common_sums=sorted(sums[i] & sums[j]))
-    return _fired(
-        "exponent-rado",
-        exponent_sums=[sorted(s) for s in sums],
-    )
+                return _result("exponent-rado", False, matching_pair=[i, j],
+                               common_sums=sorted(sums[i] & sums[j]))
+    return _result("exponent-rado", True,
+                   exponent_sums=[sorted(s) for s in sums])
 
 
 def sturm_positive_root(p: list[int]) -> bool:
@@ -220,15 +213,16 @@ def sturm_positive_root(p: list[int]) -> bool:
     return univariate.has_positive_root(p)
 
 
-def filter_maximal_root(eq: Equation, cap: int = DEFAULT_MONOMIAL_CAP) -> FilterResult:
+def filter_maximal_root(eq: Equation) -> FilterResult:
     """For a PR equation, the monomials of the dominating scale, collapsed
     to one variable, must vanish somewhere on the positive axis.  Every
     nonempty subset is tried since the dominating set is not known; an
     identically-zero collapse counts as vanishing."""
     poly = eq.poly
     t = len(poly.monomials)
-    if t > cap:
-        raise CapExceededError(cap, f"{t} monomials exceed the cap ({cap})")
+    if t > MONOMIAL_CAP:
+        raise CapExceededError(
+            MONOMIAL_CAP, f"{t} monomials exceed the cap ({MONOMIAL_CAP})")
     cache: dict[tuple[int, ...], bool] = {}
     for mask in range(1, 1 << t):
         subset = [i for i in range(t) if mask >> i & 1]
@@ -236,10 +230,10 @@ def filter_maximal_root(eq: Equation, cap: int = DEFAULT_MONOMIAL_CAP) -> Filter
         if q not in cache:
             cache[q] = (not q) or sturm_positive_root(list(q))
         if cache[q]:
-            return _quiet("maximal-root", rootful_subset=subset,
-                          collapse=list(q))
-    return _fired("maximal-root", monomial_count=t,
-                  subsets_checked=(1 << t) - 1)
+            return _result("maximal-root", False, rootful_subset=subset,
+                           collapse=list(q))
+    return _result("maximal-root", True, monomial_count=t,
+                   subsets_checked=(1 << t) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -286,34 +280,27 @@ def _rest_as_univariate_groups(poly: Polynomial, rest: list[int],
     return degrees
 
 
+_FC_RULES = ("fc-degree", "fc-same-power", "fc-poly-sum", "fc-power-product",
+             "fc-mixed-linear")
+
+
 def filter_fermat_catalan(eq: Equation) -> list[FilterResult]:
     """The rule battery for two-pure-powers shapes; each rule reports
     independently (inapplicable when its shape is absent)."""
-    return _fermat_catalan(eq, _constant_once(eq))
+    return _fermat_catalan(eq, trivial_constant_solution(eq.poly))
 
 
-def _constant_once(eq: Equation) -> Callable[[], Optional[int]]:
-    """trivial_constant_solution of the equation, searched on the first call
-    only."""
-    return cache(lambda: trivial_constant_solution(eq.poly))
-
-
-def _fermat_catalan(eq: Equation,
-                    constant: Callable[[], Optional[int]]) -> list[FilterResult]:
+def _fermat_catalan(eq: Equation, constant: Optional[int]) -> list[FilterResult]:
+    """`filter_fermat_catalan`, given the equation's constant solution."""
     poly = eq.poly
     names = poly.variables
-    results: dict[str, FilterResult] = {
-        name: _inapplicable(name)
-        for name in ("fc-degree", "fc-same-power", "fc-poly-sum",
-                     "fc-power-product", "fc-mixed-linear")
-    }
+    results = {name: _inapplicable(name) for name in _FC_RULES}
 
-    def record(name: str, result: FilterResult):
+    def record(name: str, fired: bool, **evidence):
         # a fired rule wins over quiet, quiet over inapplicable
         current = results[name]
-        rank = lambda r: (r.fired, r.applicable)
-        if rank(result) > rank(current):
-            results[name] = result
+        if (fired, True) > (current.fired, current.applicable):
+            results[name] = _result(name, fired, **evidence)
 
     for (i, (xi, n), j, (yj, _n), ), rest in _power_pair_splits(poly):
         a, b = poly.monomials[i].coeff, poly.monomials[j].coeff
@@ -324,44 +311,27 @@ def _fermat_catalan(eq: Equation,
         if n >= 2 and rest:
             groups = _rest_as_univariate_groups(poly, rest, {xi, yj})
             if groups is not None and len(groups) <= 1:
-                if groups:
-                    (zv, k), = groups.items()
-                    zname = names[zv]
-                else:
-                    zname, k = None, 0
-                constant_value = constant()
-                if k not in (n, n - 1) and constant_value is None:
-                    record("fc-degree", _fired(
-                        "fc-degree", **shape_base, z=zname, rhs_degree=k,
-                        constant_solution=None))
-                else:
-                    record("fc-degree", _quiet(
-                        "fc-degree", **shape_base, z=zname, rhs_degree=k,
-                        constant_solution=constant_value))
+                zname, k = next(((names[v], d) for v, d in groups.items()),
+                                (None, 0))
+                record("fc-degree", k not in (n, n - 1) and constant is None,
+                       **shape_base, z=zname, rhs_degree=k,
+                       constant_solution=constant)
 
         # R2: a*x^n - a*y^n = c*z^n, n > 3
         if len(rest) == 1:
             pp = _pure_power(poly.monomials[rest[0]])
             if pp is not None and pp[0] not in (xi, yj) and pp[1] == n:
-                c = -poly.monomials[rest[0]].coeff
-                if a + b == 0 and n > 3:
-                    record("fc-same-power", _fired(
-                        "fc-same-power", **shape_base, c=c, z=names[pp[0]]))
-                else:
-                    record("fc-same-power", _quiet(
-                        "fc-same-power", **shape_base, c=c, z=names[pp[0]]))
+                record("fc-same-power", a + b == 0 and n > 3, **shape_base,
+                       c=-poly.monomials[rest[0]].coeff, z=names[pp[0]])
 
         # R3: a*x^n - a*y^n = sum of P_i(z_i) over >= 2 variables
         if n >= 2 and a + b == 0 and rest:
             groups = _rest_as_univariate_groups(poly, rest, {xi, yj})
             if groups is not None and len(groups) >= 2:
-                degs = {names[v]: d for v, d in sorted(groups.items())}
-                if all(d not in (n, n - 1) for d in groups.values()):
-                    record("fc-poly-sum", _fired(
-                        "fc-poly-sum", a=a, n=n, x=x, y=y, rhs_degrees=degs))
-                else:
-                    record("fc-poly-sum", _quiet(
-                        "fc-poly-sum", a=a, n=n, x=x, y=y, rhs_degrees=degs))
+                record("fc-poly-sum",
+                       all(d not in (n, n - 1) for d in groups.values()),
+                       a=a, n=n, x=x, y=y,
+                       rhs_degrees={names[v]: d for v, d in sorted(groups.items())})
 
         # R4: a*x^n - a*y^n = c * product of z_i^k_i (one monomial, >= 2 vars)
         if n >= 2 and a + b == 0 and len(rest) == 1:
@@ -369,15 +339,11 @@ def _fermat_catalan(eq: Equation,
             if len(m.exponents) >= 2 and all(v not in (xi, yj) for v, _ in m.exponents):
                 exps = [e for _, e in m.exponents]
                 achievable = _subset_sums(exps)
-                if not achievable & {n, n - 1}:
-                    record("fc-power-product", _fired(
-                        "fc-power-product", a=a, n=n, x=x, y=y, c=-m.coeff,
-                        product_exponents=sorted(exps),
-                        subset_sums=sorted(achievable)))
-                else:
-                    record("fc-power-product", _quiet(
-                        "fc-power-product", a=a, n=n, x=x, y=y, c=-m.coeff,
-                        product_exponents=sorted(exps)))
+                fired = not achievable & {n, n - 1}
+                # only a firing rule lists the subset sums it ruled out
+                record("fc-power-product", fired, a=a, n=n, x=x, y=y,
+                       c=-m.coeff, product_exponents=sorted(exps),
+                       **({"subset_sums": sorted(achievable)} if fired else {}))
 
         # R5: a*x + b*y = c*w^m*z^n with m, n > 1
         if n == 1 and len(rest) == 1:
@@ -386,18 +352,10 @@ def _fermat_catalan(eq: Equation,
                     and all(v not in (xi, yj) for v, _ in m.exponents)
                     and all(e > 1 for _, e in m.exponents)):
                 (wv, me), (zv, ne) = m.exponents
-                if a + b != 0:
-                    record("fc-mixed-linear", _fired(
-                        "fc-mixed-linear", a=a, b=b, x=x, y=y, c=-m.coeff,
-                        w=names[wv], m=me, z=names[zv], n=ne))
-                else:
-                    record("fc-mixed-linear", _quiet(
-                        "fc-mixed-linear", a=a, b=b, x=x, y=y, c=-m.coeff,
-                        w=names[wv], m=me, z=names[zv], n=ne))
+                record("fc-mixed-linear", a + b != 0, a=a, b=b, x=x, y=y,
+                       c=-m.coeff, w=names[wv], m=me, z=names[zv], n=ne)
 
-    return [results[name] for name in
-            ("fc-degree", "fc-same-power", "fc-poly-sum",
-             "fc-power-product", "fc-mixed-linear")]
+    return [results[name] for name in _FC_RULES]
 
 
 def match_power_difference(poly: Polynomial) -> Optional[FermatCatalanShape]:
@@ -418,8 +376,7 @@ def match_power_difference(poly: Polynomial) -> Optional[FermatCatalanShape]:
             x, y, c = y, x, -c
         return FermatCatalanShape(
             a=abs(a), b=-abs(a), n=n,
-            x=poly.variables[x], y=poly.variables[y],
-            rhs_kind="single_poly", c=c, k=pp[1])
+            x=poly.variables[x], y=poly.variables[y], c=c, k=pp[1])
     return None
 
 
@@ -470,8 +427,9 @@ def _known_pr_annotation(eq: Equation) -> Optional[str]:
     return None
 
 
-def _open_family_note(eq: Equation) -> Optional[str]:
-    reduced = normalize_fermat_catalan(eq)
+def _open_family_note(eq: Equation, reduced: Optional[Equation]) -> Optional[str]:
+    """The open-family note for eq, whose `normalize_fermat_catalan` is
+    `reduced`."""
     shape = match_power_difference((reduced or eq).poly)
     if (shape is not None and shape.a == 1 and shape.c == 1
             and shape.n >= 3 and shape.k == shape.n - 1):
@@ -481,11 +439,11 @@ def _open_family_note(eq: Equation) -> Optional[str]:
 
 def filter_battery(eq: Equation) -> list[FilterResult]:
     """Every nonlinear filter's outcome, fired or not."""
-    return _battery(eq, _constant_once(eq))
+    return _battery(eq, trivial_constant_solution(eq.poly))
 
 
-def _battery(eq: Equation,
-             constant: Callable[[], Optional[int]]) -> list[FilterResult]:
+def _battery(eq: Equation, constant: Optional[int]) -> list[FilterResult]:
+    """`filter_battery`, given the equation's constant solution."""
     return [
         filter_homogeneous_rado(eq),
         filter_single_variable_leading(eq),
@@ -531,8 +489,12 @@ def decide(eq: Equation) -> tuple[Verdict, list[FilterResult]]:
                                   notes=notes)
         return verdict, verdict.reasons
 
+    degree = poly.total_degree()
+    if degree > DEGREE_CAP:
+        raise CapExceededError(
+            DEGREE_CAP, f"total degree {degree} exceeds the cap ({DEGREE_CAP})")
     constant = trivial_constant_solution(poly)
-    results = _battery(eq, lambda: constant)
+    results = _battery(eq, constant)
     notes = []
     if constant is not None:
         notes.append(
@@ -552,7 +514,7 @@ def decide(eq: Equation) -> tuple[Verdict, list[FilterResult]]:
         annotation = _known_pr_annotation(reduced)
     if annotation:
         notes.append(annotation)
-    open_note = _open_family_note(eq)
+    open_note = _open_family_note(eq, reduced)
     if open_note:
         notes.append(open_note)
     return Verdict(Status.UNKNOWN, notes=notes), results

@@ -23,7 +23,7 @@ from .errors import CapExceededError
 
 Vector = tuple[int, ...]
 
-DEFAULT_COLUMN_CAP = 22
+COLUMN_CAP = 22
 
 
 def _int_row(row: Sequence) -> Vector:
@@ -58,9 +58,6 @@ class QMatrix:
             raise ValueError("ragged rows")
         entries = tuple(x for r in rows for x in _int_row(r))
         return QMatrix(len(rows), ncols, entries)
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> Vector:
         return self.entries[i * self.cols:(i + 1) * self.cols]
@@ -194,8 +191,11 @@ def _zero_sum_masks(vectors: Sequence[Sequence[int]]) -> Iterator[int]:
     Meet in the middle (Horowitz-Sahni): the subset sums of the low half are
     tabled once, then the high-half masks are walked in ascending order and
     each one looks up the low masks whose sums cancel its own.  A mask is
-    high << h | low, so this order is already ascending.
+    high << h | low, so this order is already ascending.  More than
+    COLUMN_CAP vectors raise CapExceededError.
     """
+    if len(vectors) > COLUMN_CAP:
+        raise CapExceededError(COLUMN_CAP)
     h = len(vectors) // 2
     dim = len(vectors[0])
     lows: dict[Vector, list[int]] = {}
@@ -213,39 +213,30 @@ def _pick(mask: int, items: Sequence[int]) -> tuple[int, ...]:
     return tuple(x for j, x in enumerate(items) if mask >> j & 1)
 
 
-def zero_sum_subsets(coeffs: Sequence, cap: int = DEFAULT_COLUMN_CAP) -> list[tuple[int, ...]]:
+def zero_sum_subsets(coeffs: Sequence) -> list[tuple[int, ...]]:
     """All nonempty index subsets whose coefficients sum to zero, in
     ascending bitmask order.  Subsets are 0-based index tuples."""
     if not coeffs:
         raise ValueError("coefficient list must be nonempty")
     if any(c == 0 for c in coeffs):
         raise ValueError("coefficients must be nonzero")
-    n = len(coeffs)
-    if n > cap:
-        raise CapExceededError(cap)
-    indices = range(n)
-    return [_pick(mask, indices)
+    return [_pick(mask, range(len(coeffs)))
             for mask in _zero_sum_masks([(c,) for c in _int_row(coeffs)])]
 
 
-def first_zero_sum_subset(coeffs: Sequence,
-                          cap: int = DEFAULT_COLUMN_CAP) -> Optional[tuple[int, ...]]:
+def first_zero_sum_subset(coeffs: Sequence) -> Optional[tuple[int, ...]]:
     """Smallest (ascending bitmask order) nonempty zero-sum index subset."""
     if not coeffs:
         raise ValueError("coefficient list must be nonempty")
-    n = len(coeffs)
-    if n > cap:
-        raise CapExceededError(cap)
     mask = next(_zero_sum_masks([(c,) for c in _int_row(coeffs)]), None)
-    return None if mask is None else _pick(mask, range(n))
+    return None if mask is None else _pick(mask, range(len(coeffs)))
 
 
 # ---------------------------------------------------------------------------
 # columns condition
 
 
-def columns_condition(matrix: QMatrix,
-                      cap: int = DEFAULT_COLUMN_CAP) -> Optional[ColumnsCertificate]:
+def columns_condition(matrix: QMatrix) -> Optional[ColumnsCertificate]:
     """Search for a columns-condition certificate by exhaustive enumeration
     of ordered column partitions.
 
@@ -255,11 +246,10 @@ def columns_condition(matrix: QMatrix,
     far, that is, the block's reduced columns (see _Basis.reduce) having to
     sum to zero.  Dead ends are memoized by consumed-column bitmask, which
     is sound because that span depends only on the consumed set.  Returns
-    the first certificate found, or None.
+    the first certificate found, or None; the first step raises
+    CapExceededError for more than COLUMN_CAP columns.
     """
     n = matrix.cols
-    if n > cap:
-        raise CapExceededError(cap)
     cols = matrix.columns()
     full = (1 << n) - 1
     failed: set[int] = set()

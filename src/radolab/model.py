@@ -36,12 +36,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(e for _, e in self.exponents)
 
-    def exponent_of(self, index: int) -> int:
-        for i, e in self.exponents:
-            if i == index:
-                return e
-        return 0
-
     def is_constant(self) -> bool:
         return not self.exponents
 
@@ -121,30 +115,6 @@ class Polynomial:
                 coeffs[i] = m.coeff
         return coeffs
 
-    # -- ring operations (internal plumbing for the parser and tests) ------
-
-    def _neg(self) -> "Polynomial":
-        return Polynomial.from_terms(
-            {k: -c for k, c in self.terms_by_name().items()}
-        )
-
-    def _add(self, other: "Polynomial") -> "Polynomial":
-        terms = dict(self.terms_by_name())
-        for k, c in other.terms_by_name().items():
-            terms[k] = terms.get(k, 0) + c
-        return Polynomial.from_terms(terms)
-
-    def _mul(self, other: "Polynomial") -> "Polynomial":
-        terms: dict[tuple, int] = {}
-        for ka, ca in self.terms_by_name().items():
-            for kb, cb in other.terms_by_name().items():
-                exps: dict[str, int] = dict(ka)
-                for v, e in kb:
-                    exps[v] = exps.get(v, 0) + e
-                key = tuple(sorted(exps.items()))
-                terms[key] = terms.get(key, 0) + ca * cb
-        return Polynomial.from_terms(terms)
-
     def sign_canonical(self) -> "Polynomial":
         """Flip the global sign so the leading monomial is positive."""
         if self.monomials and self.monomials[0].coeff < 0:
@@ -153,13 +123,6 @@ class Polynomial:
                 tuple(Monomial(-m.coeff, m.exponents) for m in self.monomials),
             )
         return self
-
-    def rename(self, mapping: Mapping[str, str]) -> "Polynomial":
-        """Rename variables (mapping must be injective on the used names)."""
-        terms = {}
-        for key, c in self.terms_by_name().items():
-            terms[tuple(sorted((mapping.get(v, v), e) for v, e in key))] = c
-        return Polynomial.from_terms(terms)
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,6 @@ def normalize(coeffs: list[int]) -> list[int]:
     return list(coeffs[:n])
 
 
-def degree(p: list[int]) -> int:
-    """Degree of p; -1 for the zero polynomial."""
-    return len(p) - 1
-
-
 def evaluate(p: list[int], x) -> int:
     """Horner evaluation; exact for int or Fraction arguments."""
     acc = 0

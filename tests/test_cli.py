@@ -89,6 +89,19 @@ class TestAnalyze:
         text = " + ".join(f"v{i}" for i in range(23)) + " = 0"
         assert run_cli(capsys, "analyze", text)[0] == 3
 
+    def test_degree_cap_exit_3(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "analyze", "x^3000000 = y^2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == "" and "total degree 3000000" in err
+
+    def test_degree_cap_boundary(self, capsys):
+        cap = filters.DEGREE_CAP
+        assert run_cli(capsys, "analyze", f"x^{cap} = y^2")[0] == 0
+        half = cap // 2
+        assert run_cli(capsys, "analyze", f"x^{half}*y^{half} = z^2 + 3")[0] == 0
+        assert run_cli(capsys, "analyze", f"x^{cap + 1} = y^2")[0] == 3
+
     def test_nonlinear_report_lists_full_battery(self, capsys):
         _, report, _ = run_json(capsys, "analyze", "x^2 - y^2 = z^5")
         names = {f["name"] for f in report["filters"]}

@@ -16,7 +16,6 @@ from radolab.coloring import (
     ColoringSpec,
     _color_lookup,
     asymptotic_profile,
-    color,
     enumerate_solutions,
     head_census,
     iter_records,
@@ -38,14 +37,21 @@ def test_import_does_not_load_numpy():
     assert out.strip() == "False"
 
 
+def test_star_import_exports_each_name_once():
+    namespace: dict = {}
+    exec("from radolab import *", namespace)
+    assert len(radolab.__all__) == len(set(radolab.__all__))
+    assert set(radolab.__all__) <= namespace.keys()
+
+
 class TestColoringSpec:
     def test_mod(self):
-        assert color(ColoringSpec.parse("mod:5"), 10) == 0
-        assert color(ColoringSpec.parse("mod:5"), 13) == 3
+        assert ColoringSpec.parse("mod:5").color(10) == 0
+        assert ColoringSpec.parse("mod:5").color(13) == 3
 
     def test_leading_digit(self):
-        assert color(ColoringSpec.parse("digit:10"), 987) == 9
-        assert color(ColoringSpec.parse("digit:3"), 8) == 2  # 8 = 22_3
+        assert ColoringSpec.parse("digit:10").color(987) == 9
+        assert ColoringSpec.parse("digit:3").color(8) == 2  # 8 = 22_3
 
     def test_digit_base2_rejected(self):
         with pytest.raises(ValueError):
@@ -53,8 +59,8 @@ class TestColoringSpec:
 
     def test_logband(self):
         spec = ColoringSpec.parse("logband:2:2")
-        assert color(spec, 5) == 0  # floor(log2 5) = 2
-        assert color(spec, 2) == 1
+        assert spec.color(5) == 0  # floor(log2 5) = 2
+        assert spec.color(2) == 1
 
     def test_random_reproducible(self):
         a = ColoringSpec.parse("random:42:4")
@@ -302,6 +308,18 @@ class TestWindowedWalk:
                 expected = _walk_order_scan(eq, bound, solved)
                 assert list(enumerate_solutions(eq, bound)) == expected, \
                     (text, bound)
+
+    def test_affine_walk_with_solved_power(self):
+        # the innermost variable enters linearly while the solved one has an
+        # exponent above 1: the walk steps through the solved power and
+        # looks its root up
+        for text in ["x^2*y + y = z^2", "x^2*y + 2y = z^3", "x^2*y - 3y = 2z^2"]:
+            eq = parse(text)
+            for bound in (1, 40):
+                expected = _walk_order_scan(eq, bound, "z")
+                assert list(enumerate_solutions(eq, bound)) == expected, \
+                    (text, bound)
+            assert expected, text
 
     def test_work_is_per_window_not_per_point(self, monkeypatch):
         # the walk evaluates polynomials only through univariate.evaluate;

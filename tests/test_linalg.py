@@ -52,6 +52,10 @@ class TestZeroSumSubsets:
         with pytest.raises(CapExceededError):
             zero_sum_subsets([1] * 23)
 
+    def test_cap_first_subset(self):
+        with pytest.raises(CapExceededError):
+            first_zero_sum_subset([1] * 23)
+
     def test_zero_value_rejected(self):
         with pytest.raises(ValueError):
             zero_sum_subsets([1, 0, -1])
