@@ -527,9 +527,12 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
     params = [{"bound": bound, "N": N, "coloring": s.spec_string()}
               for s in specs]
     # the closed-form path needs one color array per coloring; past ~10^7
-    # entries the memory cost stops being a clear win
+    # entries the memory cost stops being a clear win.  With |c| <= 2^20
+    # and bound, N <= 2^25 its largest int64 intermediate is
+    # N*b + (N+1)*b' <= 2^25*2^25 + (2^25+1)*2^25 < 2^52.
     if (poly.is_linear() and poly.constant_term() == 0
-            and len(poly.variables) == 3 and bound <= 2 ** 25):
+            and len(poly.variables) == 3 and bound <= 2 ** 25
+            and max(map(abs, poly.linear_coefficients())) <= 2 ** 20):
         per_spec, total = _census3_linear(
             poly.linear_coefficients(), specs, bound, N
         )
@@ -556,82 +559,109 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
 # vectorized census for 3-variable linear homogeneous equations -------------
 
 
-def _lt_zero(cond: tuple[int, int], lo: int, hi: int) -> tuple[int, int]:
-    """Integer subinterval of [lo, hi) where alpha*i + beta < 0."""
-    alpha, beta = cond
-    if alpha == 0:
-        return (lo, hi) if beta < 0 else (lo, lo)
-    if alpha > 0:
-        return lo, min(hi, _ceil_div(-beta, alpha))
-    return max(lo, (-beta) // alpha + 1), hi
+def _lt_zero(alpha, beta, lo, hi):
+    """Row by row, the integer subinterval of [lo, hi) where
+    alpha*i + beta < 0.  An empty result may have lo > hi."""
+    import numpy as np
+
+    div = np.where(alpha == 0, 1, alpha)
+    # alpha > 0: i < ceil(-beta/alpha); alpha < 0: i > floor(-beta/alpha);
+    # alpha == 0: every i or none, by the sign of beta
+    new_lo = np.where(alpha < 0, np.maximum(lo, (-beta) // div + 1), lo)
+    new_hi = np.where(alpha > 0, np.minimum(hi, -(beta // div)),
+                      np.where((alpha < 0) | (beta < 0), hi, lo))
+    return new_lo, new_hi
 
 
-def _ge_zero(cond: tuple[int, int], lo: int, hi: int) -> tuple[int, int]:
-    """Integer subinterval of [lo, hi) where alpha*i + beta >= 0."""
-    alpha, beta = cond
-    if alpha == 0:
-        return (lo, hi) if beta >= 0 else (lo, lo)
-    if alpha > 0:
-        return max(lo, _ceil_div(-beta, alpha)), hi
-    return lo, min(hi, (-beta) // alpha + 1)
+def _ge_zero(alpha, beta, lo, hi):
+    """Row by row, the integer subinterval of [lo, hi) where
+    alpha*i + beta >= 0, that is -alpha*i - beta - 1 < 0."""
+    return _lt_zero(-alpha, -beta - 1, lo, hi)
 
 
-def _valid_pieces(items: list[tuple[int, int, int]], count: int,
-                  N: int) -> list[tuple[int, int, int]]:
-    """Exact decomposition of the index range into valid-profile pieces.
+def _piece_table(slopes: tuple[int, int, int], slots: tuple[int, int, int],
+                 starts: np.ndarray, count: np.ndarray, N: int):
+    """Exact decomposition of every row's index range [0, count) into
+    valid-profile pieces, all rows at once in int64.
 
-    items: three (slope, intercept, variable slot) affine values over the
-    index i in [0, count).  Returns disjoint (start, stop, code) covering
-    exactly the indices whose triple has a valid profile; code encodes the
-    ordered partition of the slots (class(slot0)*9 + class(slot1)*3 +
-    class(slot2)).
+    Row r carries three affine values slopes[k]*i + starts[k, r] over the
+    index i, of the variables in slots[k]; the slopes are shared by every
+    row.  Returns arrays (row, lo, hi, code) of disjoint pieces [lo, hi)
+    covering exactly the indices whose triple has a valid profile; code
+    encodes the ordered partition of the slots (class(slot0)*9 +
+    class(slot1)*3 + class(slot2)).
 
     Every profile condition is affine in i once the value ordering is fixed,
     so after splitting at the pairwise value crossings, each greedy-grouping
-    case contributes one exactly-solved subinterval.
+    case contributes one exactly-solved subinterval per segment.
     """
-    bounds = {0, count}
-    for (s1, b1, _), (s2, b2, _) in itertools.combinations(items, 2):
-        alpha, beta = s1 - s2, b1 - b2
-        if alpha:
-            f = (-beta) // alpha
-            for c in (f, f + 1):
-                if 0 < c < count:
-                    bounds.add(c)
-    pieces = []
-    cuts = sorted(bounds)
-    for a, b in zip(cuts, cuts[1:]):
-        order = sorted(items, key=lambda it: (-(it[1] + it[0] * a), it[2]))
-        (sh, bh, slot_h), (sm, bm, slot_m), (sl, bl, slot_l) = order
-        hi_mid = (N * sh - (N + 1) * sm, N * bh - (N + 1) * bm)
-        mid_lo = (N * sm - (N + 1) * sl, N * bm - (N + 1) * bl)
-        hi_lo = (N * sh - (N + 1) * sl, N * bh - (N + 1) * bl)
-        sep_hm = (N * sm - sh, N * bm - bh)
-        sep_ml = (N * sl - sm, N * bl - bm)
+    import numpy as np
 
-        def emit(interval, classes):
-            lo_, hi_ = interval
-            if lo_ < hi_:
-                cls = [0, 0, 0]
-                cls[slot_h], cls[slot_m], cls[slot_l] = classes
-                pieces.append((lo_, hi_, cls[0] * 9 + cls[1] * 3 + cls[2]))
+    # segment cuts: 0, count, and both sides of each pairwise crossing;
+    # a cut outside (0, count) becomes 0 and only adds an empty segment
+    pairs = [(p, q) for p, q in ((0, 1), (0, 2), (1, 2))
+             if slopes[p] != slopes[q]]
+    cuts = np.zeros((len(count), 2 + 2 * len(pairs)), dtype=np.int64)
+    cuts[:, 1] = count
+    for k, (p, q) in enumerate(pairs):
+        f = (starts[q] - starts[p]) // (slopes[p] - slopes[q])
+        for c, col in ((f, 2 + 2 * k), (f + 1, 3 + 2 * k)):
+            np.copyto(cuts[:, col], c, where=(0 < c) & (c < count))
+    cuts.sort(axis=1)
+    row, seg = np.nonzero(cuts[:, :-1] < cuts[:, 1:])
+    a, b = cuts[row, seg], cuts[row, seg + 1]
+    del cuts, seg
+    starts = starts[:, row]
 
-        # one class: extremes within the ratio bound (forces the rest)
-        emit(_lt_zero(hi_lo, a, b), (0, 0, 0))
-        # two classes {hi, mid} >> {lo}
-        span = _lt_zero(hi_mid, a, b)
-        span = _ge_zero(hi_lo, *span)
-        emit(_lt_zero(sep_ml, *span), (0, 0, 1))
-        # two classes {hi} >> {mid, lo}
-        span = _ge_zero(hi_mid, a, b)
-        span = _lt_zero(mid_lo, *span)
-        emit(_lt_zero(sep_hm, *span), (0, 1, 1))
-        # three classes
-        span = _ge_zero(hi_mid, a, b)
-        span = _ge_zero(mid_lo, *span)
-        span = _lt_zero(sep_hm, *span)
-        emit(_lt_zero(sep_ml, *span), (0, 1, 2))
-    return pieces
+    # rank the items by (-value at the segment start, slot)
+    value = [slopes[k] * a + starts[k] for k in range(3)]
+
+    def precedes(p, q):
+        if slots[p] < slots[q]:
+            return value[p] >= value[q]
+        return value[p] > value[q]
+
+    b01, b02, b12 = precedes(0, 1), precedes(0, 2), precedes(1, 2)
+    del value
+    top = np.where(b01 & b02, 0, np.where(b12 & ~b01, 1, 2))
+    low = np.where(b02 & b12, 2, np.where(b01 & ~b12, 1, 0))
+    mid = 3 - top - low
+    del b01, b02, b12
+    slope = np.asarray(slopes, dtype=np.int64)
+    weight = np.asarray([(9, 3, 1)[s] for s in slots], dtype=np.int64)
+    hi, md, lo = ((slope[k], np.choose(k, starts)) for k in (top, mid, low))
+    wm, wl = weight[mid], weight[low]
+    del top, mid, low, starts
+
+    # each condition is (alpha, beta) of alpha*i + beta < 0
+    def near(p, q):
+        """p within the ratio bound of q: N*(p - q) < q."""
+        return N * p[0] - (N + 1) * q[0], N * p[1] - (N + 1) * q[1]
+
+    def apart(p, q):
+        """p separated from q by a factor N: N*q < p."""
+        return N * q[0] - p[0], N * q[1] - p[1]
+
+    out = []
+
+    def emit(span, code):
+        keep = span[0] < span[1]
+        out.append((row[keep], span[0][keep], span[1][keep],
+                    np.broadcast_to(code, keep.shape)[keep]))
+
+    # one class: extremes within the ratio bound (forces the rest)
+    emit(_lt_zero(*near(hi, lo), a, b), 0)
+    # two classes {hi, mid} >> {lo}
+    span = _ge_zero(*near(hi, lo), *_lt_zero(*near(hi, md), a, b))
+    emit(_lt_zero(*apart(md, lo), *span), wl)
+    # two classes {hi} >> {mid, lo}
+    split = _ge_zero(*near(hi, md), a, b)
+    span = _lt_zero(*near(md, lo), *split)
+    emit(_lt_zero(*apart(hi, md), *span), wm + wl)
+    # three classes
+    span = _lt_zero(*apart(hi, md), *_ge_zero(*near(md, lo), *split))
+    emit(_lt_zero(*apart(md, lo), *span), wm + 2 * wl)
+    return tuple(np.concatenate(col) for col in zip(*out))
 
 
 def _build_code_partitions() -> dict[int, OrderedPartition]:
@@ -653,6 +683,9 @@ def _build_code_partitions() -> dict[int, OrderedPartition]:
 
 _CODE_PARTITIONS = _build_code_partitions()
 
+# values of u per piece table: bounds its temporaries at large bounds
+_BLOCK = 1024
+
 
 def _census3_linear(coeffs: list[int], specs: Sequence[ColoringSpec],
                     bound: int, N: int) -> tuple[list, int]:
@@ -660,48 +693,64 @@ def _census3_linear(coeffs: list[int], specs: Sequence[ColoringSpec],
     solution list.
 
     For each value u of the first free variable, the second free variable
-    runs over the exact arithmetic progression of `_progression`
-    (divisibility and the range of the solved variable settled in closed
-    form), and the solved variable over the matching progression.
-    Candidates that could never carry a valid profile are discarded by a
-    sound value-only filter (a valid profile needs the extremes of the
-    triple either within the 1/N ratio bound or separated by a factor N),
-    profiles are classified once, and only then is each coloring compared
-    on the small remainder.
+    runs over the exact arithmetic progression of
+    `_progression(-cv, -cu*u, cs, 1, bound, bound)` and the solved variable
+    over the matching progression; both are closed-form in u, so a block of
+    u is handled with int64 array operations.  `_piece_table` splits each
+    progression into the pieces whose profile is valid, and only those
+    pieces are sliced out of the color arrays and compared per coloring.
     """
     import numpy as np
 
     solve = max(range(3), key=lambda i: (abs(coeffs[i]) == 1, i))
     free = [i for i in range(3) if i != solve]
     cu, cv, cs = coeffs[free[0]], coeffs[free[1]], coeffs[solve]
+    # every coordinate lies in [1, bound], so each profile comparison
+    # (N*(a - b) < b, N*b >= a) answers the same for every N >= bound
+    N = min(N, bound)
+    # `_progression` term by term, as arrays over u: only beta depends on u
+    sign = 1 if cs > 0 else -1
+    alpha, den = -cv * sign, cs * sign
+    g = gcd(alpha, den)
+    vstep = den // g
+    inv = pow(alpha // g, -1, vstep)
+    wstep = -cv * vstep // cs
+    slopes, slots = (0, vstep, wstep), (free[0], free[1], solve)
     colors2d = np.stack([s.color_array(bound) for s in specs])
-    counts = np.zeros((len(specs), 27), dtype=np.int64)
+    counts = np.zeros((27, len(specs)), dtype=np.int64)
     total = 0
-    for u in range(1, bound + 1):
-        vs = _progression(-cv, -cu * u, cs, 1, bound, bound)
-        if not vs:
-            continue
-        v_first, count, vstep = vs.start, len(vs), vs.step
-        wstep = -cv * vstep // cs
-        total += count
-        w_first = (-(cu * u) - cv * v_first) // cs
-        items = [(0, u, free[0]), (vstep, v_first, free[1]),
-                 (wstep, w_first, solve)]
-        pieces = _valid_pieces(items, count, N)
-        if not pieces:
-            continue
-        colors_u = colors2d[:, u][:, None]
-        for a, b, code in pieces:
-            length = b - a
-            vs = v_first + vstep * a
-            ws = w_first + wstep * a
-            v_sl = colors2d[:, vs:vs + vstep * length:vstep]
-            w_stop = ws + wstep * length
-            w_sl = colors2d[:, ws:(w_stop if w_stop >= 0 else None):wstep]
-            mono = (v_sl == colors_u) & (w_sl == colors_u)
-            counts[:, code] += mono.sum(axis=1)
+    for start in range(1, bound + 1, _BLOCK):
+        u = np.arange(start, min(start + _BLOCK, bound + 1), dtype=np.int64)
+        beta = -cu * sign * u
+        residue = (-(beta // g)) % vstep * inv % vstep
+        # den*1 <= alpha*t + beta <= den*bound
+        t_lo, t_hi = den - beta, den * bound - beta
+        if alpha < 0:
+            t_lo, t_hi = t_hi, t_lo
+        t_lo = np.maximum(-(-t_lo // alpha), 1)
+        t_hi = np.minimum(t_hi // alpha, bound)
+        v_first = t_lo + (residue - t_lo) % vstep
+        count = np.maximum((t_hi - v_first) // vstep + 1, 0)
+        count[beta % g != 0] = 0
+        keep = count > 0
+        u, v_first, count = u[keep], v_first[keep], count[keep]
+        total += int(count.sum())
+        w_first = (-cu * u - cv * v_first) // cs
+        row, lo, hi, code = _piece_table(
+            slopes, slots, np.stack([u, v_first, w_first]), count, N)
+        sums = np.empty((len(row), len(specs)), dtype=np.int64)
+        for k, (x, v, w, n) in enumerate(zip(
+                u[row].tolist(), (v_first[row] + vstep * lo).tolist(),
+                (w_first[row] + wstep * lo).tolist(), (hi - lo).tolist())):
+            color = colors2d[:, x:x + 1]
+            w_stop = w + wstep * n
+            mono = ((colors2d[:, v:v + vstep * n:vstep] == color)
+                    & (colors2d[:, w:(w_stop if w_stop >= 0 else None):wstep]
+                       == color))
+            sums[k] = mono.sum(axis=1)
+        np.add.at(counts, code, sums)
     per_spec = []
-    for acc in counts:
+    for acc in counts.T:
         per_spec.append({
             _CODE_PARTITIONS[code]: int(n)
             for code, n in enumerate(acc) if n

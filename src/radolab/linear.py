@@ -163,10 +163,12 @@ def hl_matrix(coeffs: Sequence[int], k: int, N: int,
     ratio rows anchored at x_1 (N*x_1 - x_i - q*z and -x_1 + N*x_i - q*z'),
     the same for each suffix variable j in k+2..n anchored at x_{k+1}, and a
     final separation row x_1 - x_{k+1} - q*z''.  Every slack variable gets a
-    fresh column, appended in construction order.  Rational weights are
-    accepted; QMatrix.from_rows scales their rows to integers.
+    fresh column, appended in construction order.  Coefficients, N and
+    weights are integers, so the rows are integer rows as they stand.
     """
     n = len(coeffs)
+    if not all(isinstance(x, int) for x in (*coeffs, N, *weights.values())):
+        raise ValueError("coefficients, N and weights must be integers")
     if any(c == 0 for c in coeffs):
         raise ValueError("coefficients must be nonzero")
     if not 1 <= k < n:
@@ -203,7 +205,7 @@ def hl_matrix(coeffs: Sequence[int], k: int, N: int,
     sep[k] = -1
     sep[slack_col[(1, k + 1)]] = -weights[(1, k + 1)]
     rows.append(sep)
-    return QMatrix.from_rows(rows)
+    return QMatrix(len(rows), ncols, tuple(x for row in rows for x in row))
 
 
 def hl_shape(n: int) -> tuple[int, int]:

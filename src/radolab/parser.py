@@ -13,10 +13,15 @@ Grammar (whitespace between tokens is ignored):
 Juxtaposition multiplies ("3x", "x y"), written exponents must be >= 1,
 coefficients are integer literals only.  The parsed equation is normalized
 to LHS - RHS = 0 with the leading graded-lex monomial positive.
+
+Integer literals, and the combined coefficient of each monomial, may have at
+most `sys.get_int_max_str_digits()` decimal digits (4300 by default; 0 means
+no limit), so that every coefficient can be written back out in a report.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .model import Equation, Polynomial
@@ -33,6 +38,13 @@ class ParseError(Exception):
 
 
 _TOKEN_CHARS = set("+-*^=")
+
+
+def _digit_limit() -> int:
+    """The interpreter's limit on the digits of an int/str conversion, 0 for
+    none (Python 3.10 before 3.10.7 has none)."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -52,6 +64,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            limit = _digit_limit()
+            if limit and j - i > limit:
+                raise ParseError(i, f"integer literal has {j - i} digits",
+                                 f"at most {limit} digits")
             tokens.append(("int", text[i:j], i))
             i = j
         elif ch.isalpha():
@@ -92,38 +108,48 @@ class _Parser:
     # terms are accumulated as {((name, exp), ...): coeff}
 
     def parse_equation(self) -> Equation:
-        lhs_terms, lhs_text = self.parse_expr()
+        lhs_terms, lhs_text, lhs_at = self.parse_expr()
         self._expect("=")
-        rhs_terms, rhs_text = self.parse_expr()
+        rhs_terms, rhs_text, rhs_at = self.parse_expr()
         tok = self._peek()
         if tok is not None:
             raise ParseError(tok[2], f"unexpected {tok[1]!r} after equation", "end of input")
         terms = dict(lhs_terms)
         for key, c in rhs_terms.items():
             terms[key] = terms.get(key, 0) - c
+        limit = _digit_limit()
+        for key, c in terms.items():
+            # |c| >= 10^limit needs more than 3*limit bits
+            if limit and c.bit_length() > 3 * limit and abs(c) >= 10 ** limit:
+                raise ParseError(lhs_at.get(key, rhs_at.get(key)),
+                                 f"coefficient has more than {limit} digits",
+                                 f"at most {limit} digits")
         return Equation.from_polynomial(
             Polynomial.from_terms(terms), lhs_text.strip(), rhs_text.strip()
         )
 
-    def parse_expr(self) -> tuple[dict, str]:
+    def parse_expr(self) -> tuple[dict, str, dict]:
+        """Terms, source text, and the position of each monomial's first
+        term."""
         start = self._peek()[2] if self._peek() else len(self.text)
         sign = 1
         if self._peek() and self._peek()[0] == "-":
             self._take()
             sign = -1
         terms: dict[tuple, int] = {}
+        first_at: dict[tuple, int] = {}
 
-        def add(key, coeff):
-            terms[key] = terms.get(key, 0) + coeff
-
-        key, coeff = self.parse_term()
-        add(key, sign * coeff)
-        while self._peek() and self._peek()[0] in ("+", "-"):
-            op = self._take()[0]
+        def add(sign):
+            at = self._peek()[2] if self._peek() else len(self.text)
             key, coeff = self.parse_term()
-            add(key, coeff if op == "+" else -coeff)
+            terms[key] = terms.get(key, 0) + sign * coeff
+            first_at.setdefault(key, at)
+
+        add(sign)
+        while self._peek() and self._peek()[0] in ("+", "-"):
+            add(1 if self._take()[0] == "+" else -1)
         end = self._peek()[2] if self._peek() else len(self.text)
-        return terms, self.text[start:end]
+        return terms, self.text[start:end], first_at
 
     def parse_term(self) -> tuple[tuple, int]:
         coeff, exps = self.parse_factor()

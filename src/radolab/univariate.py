@@ -9,7 +9,7 @@ the root decision never sees a rounding error.
 
 from __future__ import annotations
 
-from math import comb, gcd
+from math import gcd
 
 
 def normalize(coeffs: list[int]) -> list[int]:
@@ -106,12 +106,14 @@ def count_roots_in(p: list[int], a: int, b: int) -> int:
 
 
 def _forward_difference(p: list[int]) -> list[int]:
-    """Coefficients of p(t + 1) - p(t), one degree lower than p."""
-    out = [0] * len(p)
-    for i, c in enumerate(p):
-        for j in range(i):
-            out[j] += c * comb(i, j)
-    return normalize(out[:-1])
+    """Coefficients of p(t + 1) - p(t), one degree lower than p: p(t + 1)
+    by a Taylor shift in additions only, then p subtracted."""
+    a = list(p)
+    d = len(a) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            a[j] += a[j + 1]
+    return normalize([x - c for x, c in zip(a[:-1], p)])
 
 
 def _nonneg_windows(p: list[int], lo: int, hi: int) -> list[tuple[int, int]]:

@@ -3,13 +3,17 @@
 These deliberately avoid the library's algorithms: root existence is decided
 numerically (derivative recursion, dense sampling, sign changes, bisection),
 solution sets by full-grid evaluation, and profile checks by re-testing the
-defining inequalities pair by pair.
+defining inequalities pair by pair.  Forward differences come from the
+binomial expansion, and the scalar valid-piece decomposition
+(`_valid_pieces`) is the one-progression-at-a-time reference for the array
+piece table of the 3-variable census.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -95,6 +99,23 @@ def oracle_positive_root(coeffs: list[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# forward difference by binomial expansion
+
+
+def oracle_forward_difference(p: list[int]) -> list[int]:
+    """Coefficients of p(t + 1) - p(t) from the binomial expansion of each
+    (t + 1)^i, trailing zeros stripped."""
+    out = [0] * len(p)
+    for i, c in enumerate(p):
+        for j in range(i):
+            out[j] += c * comb(i, j)
+    out = out[:-1]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+# ---------------------------------------------------------------------------
 # full-grid solution oracle
 
 
@@ -138,3 +159,89 @@ def oracle_profile_valid(values, classes, N: int) -> bool:
                     if N * values[j] >= values[i]:
                         return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# scalar valid-piece decomposition of one inner progression
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -((-a) // b)
+
+
+def _lt_zero(cond: tuple[int, int], lo: int, hi: int) -> tuple[int, int]:
+    """Integer subinterval of [lo, hi) where alpha*i + beta < 0."""
+    alpha, beta = cond
+    if alpha == 0:
+        return (lo, hi) if beta < 0 else (lo, lo)
+    if alpha > 0:
+        return lo, min(hi, _ceil_div(-beta, alpha))
+    return max(lo, (-beta) // alpha + 1), hi
+
+
+def _ge_zero(cond: tuple[int, int], lo: int, hi: int) -> tuple[int, int]:
+    """Integer subinterval of [lo, hi) where alpha*i + beta >= 0."""
+    alpha, beta = cond
+    if alpha == 0:
+        return (lo, hi) if beta >= 0 else (lo, lo)
+    if alpha > 0:
+        return max(lo, _ceil_div(-beta, alpha)), hi
+    return lo, min(hi, (-beta) // alpha + 1)
+
+
+def _valid_pieces(items: list[tuple[int, int, int]], count: int,
+                  N: int) -> list[tuple[int, int, int]]:
+    """Exact decomposition of the index range into valid-profile pieces.
+
+    items: three (slope, intercept, variable slot) affine values over the
+    index i in [0, count).  Returns disjoint (start, stop, code) covering
+    exactly the indices whose triple has a valid profile; code encodes the
+    ordered partition of the slots (class(slot0)*9 + class(slot1)*3 +
+    class(slot2)).
+
+    Every profile condition is affine in i once the value ordering is fixed,
+    so after splitting at the pairwise value crossings, each greedy-grouping
+    case contributes one exactly-solved subinterval.
+    """
+    bounds = {0, count}
+    for (s1, b1, _), (s2, b2, _) in itertools.combinations(items, 2):
+        alpha, beta = s1 - s2, b1 - b2
+        if alpha:
+            f = (-beta) // alpha
+            for c in (f, f + 1):
+                if 0 < c < count:
+                    bounds.add(c)
+    pieces = []
+    cuts = sorted(bounds)
+    for a, b in zip(cuts, cuts[1:]):
+        order = sorted(items, key=lambda it: (-(it[1] + it[0] * a), it[2]))
+        (sh, bh, slot_h), (sm, bm, slot_m), (sl, bl, slot_l) = order
+        hi_mid = (N * sh - (N + 1) * sm, N * bh - (N + 1) * bm)
+        mid_lo = (N * sm - (N + 1) * sl, N * bm - (N + 1) * bl)
+        hi_lo = (N * sh - (N + 1) * sl, N * bh - (N + 1) * bl)
+        sep_hm = (N * sm - sh, N * bm - bh)
+        sep_ml = (N * sl - sm, N * bl - bm)
+
+        def emit(interval, classes):
+            lo_, hi_ = interval
+            if lo_ < hi_:
+                cls = [0, 0, 0]
+                cls[slot_h], cls[slot_m], cls[slot_l] = classes
+                pieces.append((lo_, hi_, cls[0] * 9 + cls[1] * 3 + cls[2]))
+
+        # one class: extremes within the ratio bound (forces the rest)
+        emit(_lt_zero(hi_lo, a, b), (0, 0, 0))
+        # two classes {hi, mid} >> {lo}
+        span = _lt_zero(hi_mid, a, b)
+        span = _ge_zero(hi_lo, *span)
+        emit(_lt_zero(sep_ml, *span), (0, 0, 1))
+        # two classes {hi} >> {mid, lo}
+        span = _ge_zero(hi_mid, a, b)
+        span = _lt_zero(mid_lo, *span)
+        emit(_lt_zero(sep_hm, *span), (0, 1, 1))
+        # three classes
+        span = _ge_zero(hi_mid, a, b)
+        span = _ge_zero(mid_lo, *span)
+        span = _lt_zero(sep_hm, *span)
+        emit(_lt_zero(sep_ml, *span), (0, 1, 2))
+    return pieces

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 from radolab import filters, linear, model
@@ -80,6 +81,21 @@ class TestAnalyze:
     def test_parse_error_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "x^0 = y")
         assert code == 2 and "parse error" in err
+
+    def test_literal_past_digit_limit_exit_2(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "analyze", "x = y + " + "7" * (limit + 100))
+        assert code == 2 and out == ""
+        assert f"literal has {limit + 100} digits at position 8" in err
+        assert "set_int_max_str_digits" not in err
+
+    def test_product_past_digit_limit_exit_2(self, capsys):
+        # each literal fits, the coefficient they multiply to does not
+        big = "7" * (sys.get_int_max_str_digits() * 2 // 3)
+        code, out, err = run_cli(capsys, "analyze", f"x = y + {big}*{big}")
+        assert code == 2 and out == ""
+        assert "coefficient has more than" in err and "position 8" in err
+        assert "set_int_max_str_digits" not in err
 
     def test_zero_equation_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "x = x")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radolab
-from _oracles import oracle_profile_valid, oracle_solution_grid
+from _oracles import _valid_pieces, oracle_profile_valid, oracle_solution_grid
 from radolab import univariate
 from radolab.coloring import (
     ColoringSpec,
@@ -357,10 +357,21 @@ def test_progression_matches_brute_force():
         assert all(b - a == stride for a, b in zip(quotients, quotients[1:]))
 
 
+def _one_row_pieces(items, count, N):
+    """`_piece_table` on the single row given by three (slope, intercept,
+    slot) items, as (start, stop, code) triples."""
+    from radolab.coloring import _piece_table
+    slopes, starts, slots = zip(*items)
+    starts = np.array(starts, dtype=np.int64).reshape(3, 1)
+    row, lo, hi, code = _piece_table(slopes, slots, starts,
+                                     np.array([count], dtype=np.int64), N)
+    assert not row.any()
+    return sorted(zip(lo.tolist(), hi.tolist(), code.tolist()))
+
+
 def test_valid_piece_decomposition_matches_scalar_profiles():
     # the closed-form interval decomposition agrees index by index with the
     # greedy profile computation, including validity
-    from radolab.coloring import _valid_pieces
     rng = random.Random(7)
     for _ in range(1200):
         N = rng.choice([2, 3, 5, 10])
@@ -374,7 +385,7 @@ def test_valid_piece_decomposition_matches_scalar_profiles():
             count = (w1 - 1) // (-wstep) + 1
         items = [(0, u, 0), (vstep, v1, 1), (wstep, w1, 2)]
         got = {}
-        for a, b, code in _valid_pieces(items, count, N):
+        for a, b, code in _one_row_pieces(items, count, N):
             for i in range(a, b):
                 assert i not in got
                 got[i] = code
@@ -389,6 +400,44 @@ def test_valid_piece_decomposition_matches_scalar_profiles():
                 assert got.get(i) == cls[0] * 9 + cls[1] * 3 + cls[2], (vals, N)
             else:
                 assert i not in got, (vals, N)
+
+
+def test_piece_table_matches_scalar_oracle_row_by_row():
+    # a block of u through the census's own progressions, slot orders and
+    # the N >= bound clamp, against the scalar decomposition at the true N;
+    # rows with count 0 and 1 and a decreasing solved variable included
+    from radolab.coloring import _piece_table, _progression
+    counts, slot_orders = set(), set()
+    for coeffs, bound in [((1, 1, -1), 60), ((1, -2, 4), 70), ((2, 3, -5), 80),
+                          ((3, -2, 1), 50), ((2, -1, 3), 45)]:
+        solve = max(range(3), key=lambda i: (abs(coeffs[i]) == 1, i))
+        free = [i for i in range(3) if i != solve]
+        cu, cv, cs = coeffs[free[0]], coeffs[free[1]], coeffs[solve]
+        slots = (free[0], free[1], solve)
+        slot_orders.add(slots)
+        rows = []
+        for u in range(1, bound + 1):
+            vs = _progression(-cv, -cu * u, cs, 1, bound, bound)
+            v1 = vs.start if vs else 1
+            w1 = (-(cu * u) - cv * v1) // cs if vs else 1
+            rows.append((u, v1, w1, len(vs), vs.step))
+            counts.add(len(vs))
+        vstep = rows[0][4]
+        wstep = -cv * vstep // cs
+        starts = np.array([r[:3] for r in rows], dtype=np.int64).T
+        count = np.array([r[3] for r in rows], dtype=np.int64)
+        for N in (2, 3, 7, 10 ** 30):
+            table = _piece_table((0, vstep, wstep), slots, starts, count,
+                                 min(N, bound))
+            got = {}
+            for r, lo, hi, code in zip(*(col.tolist() for col in table)):
+                got.setdefault(r, []).append((lo, hi, code))
+            for r, (u, v1, w1, n, _) in enumerate(rows):
+                items = [(0, u, slots[0]), (vstep, v1, slots[1]),
+                         (wstep, w1, slots[2])]
+                assert sorted(got.get(r, [])) == sorted(
+                    _valid_pieces(items, n, N)), (coeffs, u, N)
+    assert {0, 1} <= counts and len(slot_orders) == 3
 
 
 def _scan_census(eq, spec, bound, N):
@@ -418,6 +467,21 @@ class TestProfileCensus:
                 census = profile_census(eq, spec, 240, 6)
                 counts, total = _scan_census(eq, spec, 240, 6)
                 assert census.counts == counts, (eqtext, cname)
+                assert census.total_solutions == total
+        # N past the bound (clamped on the fast path), coefficients just
+        # above the int64 gate (general path), and the smallest bounds
+        cases = [("x + y = z", 240, 10 ** 30), ("x - 2y + 4z = 0", 240, 10 ** 30),
+                 ("x + y = 1048577z", 240, 6),
+                 ("2097154x = 1048577y + 1048577z", 240, 6)]
+        cases += [(text, bound, N) for text in ["x + y = z", "2x + 3y = 5z"]
+                  for bound in (1, 2) for N in (2, 10 ** 30)]
+        for eqtext, bound, N in cases:
+            eq = parse(eqtext)
+            for cname in ["mod:2", "random:5:3", "mod:18446744073709551617"]:
+                spec = ColoringSpec.parse(cname)
+                census = profile_census(eq, spec, bound, N)
+                counts, total = _scan_census(eq, spec, bound, N)
+                assert census.counts == counts, (eqtext, bound, N, cname)
                 assert census.total_solutions == total
 
     def test_general_path_many_matches_per_spec_scans(self):

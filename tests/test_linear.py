@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -177,6 +178,14 @@ class TestHLMatrix:
         del weights[(2, 1)]
         with pytest.raises(ValueError):
             hl_matrix([1, -1, 1], 2, 2, weights)
+
+    def test_non_integer_input_rejected(self):
+        weights = default_hl_weights(2, 3, 2)
+        weights[(1, 2)] = Fraction(3, 2)
+        with pytest.raises(ValueError):
+            hl_matrix([1, -1, 1], 2, 2, weights)
+        with pytest.raises(ValueError):
+            hl_matrix([1, -1, 1.0], 2, 2, default_hl_weights(2, 3, 2))
 
     def test_equation_row(self):
         m = hl_matrix([1, -1, 2], 2, 3, default_hl_weights(2, 3, 3))

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,18 @@ class TestErrors:
         with pytest.raises(ParseError) as info:
             parse("x^0 = y")
         assert info.value.position == 2
+
+    def test_digit_limit_boundary(self):
+        # the interpreter's int/str digit limit; combined coefficients count
+        limit = sys.get_int_max_str_digits()
+        nines = "9" * limit
+        assert parse(f"x = y + {nines}").poly.constant_term() == -(10 ** limit - 1)
+        assert parse(f"x = y + 0{nines[1:]}") is not None
+        for text, at in [(f"x = y + 0{nines}", 8), (f"x = y + {nines} + 1", 8),
+                         (f"{nines}z + x = y - z", 0), (f"x^1{nines} = y", 2)]:
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert info.value.position == at, text
 
 
 names_st = st.lists(st.sampled_from(["a", "b", "w", "x", "y", "z",

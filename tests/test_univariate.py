@@ -1,6 +1,12 @@
 import random
 
-from radolab.univariate import _nonneg_windows, evaluate, normalize
+from _oracles import oracle_forward_difference
+from radolab.univariate import (
+    _forward_difference,
+    _nonneg_windows,
+    evaluate,
+    normalize,
+)
 
 
 def _scan_windows(p, lo, hi):
@@ -46,3 +52,17 @@ def test_nonneg_windows_long_range():
                                                (3 * 10 ** 9, 10 ** 10)]
     assert _nonneg_windows([-c for c in p], 1, 10 ** 10) == [
         (1, 10 ** 6), (10 ** 6 + 5, 3 * 10 ** 9)]
+
+
+def test_forward_difference_matches_binomial_expansion():
+    rng = random.Random(17)
+    cases = [[], [5], [0, 0, 0], [3, 0, 2, 0, 0]]
+    for _ in range(2000):
+        degree = rng.choice([rng.randrange(0, 12), rng.randrange(0, 70)])
+        cases.append([rng.randint(-10 ** rng.randrange(1, 30), 10 ** 6)
+                      for _ in range(degree + 1)])
+    for p in cases:
+        diff = _forward_difference(p)
+        assert diff == oracle_forward_difference(p), p
+        for t in (-3, 0, 1, 7):
+            assert evaluate(diff, t) == evaluate(p, t + 1) - evaluate(p, t)
