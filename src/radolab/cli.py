@@ -9,9 +9,12 @@ command was given an equation outside its scope.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .coloring import (
@@ -50,8 +53,68 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
+_INF = float("inf")
+
+
+def _float_json(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_json(key) -> str:
+    if isinstance(key, str):
+        return _quote(key)
+    if key is None or isinstance(key, (int, float)):
+        return _quote(_dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _dumps(obj, nl: str = "\n") -> str:
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2,
+    default=_json_default), built from C-level joins: the stdlib's indented
+    dump runs its pure-Python encoder, one generator frame per element.
+    `nl` is the newline plus indentation of obj's own line."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        if isinstance(obj[0], str):
+            try:
+                return f"[{inner}{(',' + inner).join(map(_quote, obj))}{nl}]"
+            except TypeError:
+                pass  # not all strings: encode item by item
+        items = map(_dumps, obj, repeat(inner))
+        return f"[{inner}{(',' + inner).join(items)}{nl}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = [f"{_key_json(k)}: {_dumps(v, inner)}"
+                 for k, v in sorted(obj.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_json(obj)
+    return _dumps(_json_default(obj), nl)
+
+
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2, default=_json_default))
+    print(_dumps(payload))
 
 
 def _partition_json(partition: OrderedPartition, eq: Equation) -> list[list[str]]:
@@ -277,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="run the full PR decision pipeline")
     p.add_argument("equation")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("asymptotic",
                        help="enumerate and certify asymptotic class structures "
@@ -285,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("equation")
     p.add_argument("--N", type=int, default=10,
                    help="closeness/separation parameter (default 10)")
-    p.set_defaults(func=cmd_asymptotic)
 
     p = sub.add_parser("search", help="coloring experiments")
     p.add_argument("equation")
@@ -300,20 +361,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=16)
     p.add_argument("--mode", choices=["solutions", "census", "heads", "witness"],
                    default="census")
-    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("columns-condition",
                        help="decide the columns condition for a matrix file "
                             "(rows on lines, entries as integers or p/q)")
     p.add_argument("matrix_file")
-    p.set_defaults(func=cmd_columns_condition)
     return top
 
 
+# building the parser costs about as much as a small report, so it is
+# built once; it names no handler, so rebinding a cmd_* function still takes
+# effect
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    handler = {"analyze": cmd_analyze, "asymptotic": cmd_asymptotic,
+               "search": cmd_search,
+               "columns-condition": cmd_columns_condition}[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

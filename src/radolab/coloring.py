@@ -318,7 +318,7 @@ def enumerate_solutions(eq: Equation, bound: int) -> Iterator[tuple[int, ...]]:
             for t in range(1, bound + 1):
                 yield (*point, t)
             continue
-        cap = min(bound, univariate.cauchy_bound(inner_poly))
+        cap = min(bound, univariate.positive_root_bound(inner_poly))
         walk = range(1, cap + 1)
         if cap > budget:
             walk = _windows_walk([inner_poly, [-c for c in inner_poly]],

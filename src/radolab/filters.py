@@ -20,6 +20,7 @@ from typing import Optional
 
 from . import univariate
 from .errors import CapExceededError
+from .linalg import first_zero_sum_subset
 from .linear import RADO_CITATION, linear_pr_verdict, rado_condition
 from .model import (
     Equation,
@@ -217,14 +218,32 @@ def filter_maximal_root(eq: Equation) -> FilterResult:
     """For a PR equation, the monomials of the dominating scale, collapsed
     to one variable, must vanish somewhere on the positive axis.  Every
     nonempty subset is tried since the dominating set is not known; an
-    identically-zero collapse counts as vanishing."""
+    identically-zero collapse counts as vanishing.
+
+    The filter fires exactly when all coefficients share one sign, or all
+    monomials share one total degree and no coefficients sum to zero: then
+    no collapse changes sign, or every collapse is a nonzero (sum c) x^d.
+    Otherwise some collapse vanishes: a zero-sum subset of one degree, or
+    a pair of opposite signs and different degrees, a binomial with one
+    sign change and so a positive root (Descartes).  Only then are the
+    subsets scanned, in ascending bitmask order, for the first rootful one.
+    """
     poly = eq.poly
     t = len(poly.monomials)
     if t > MONOMIAL_CAP:
         raise CapExceededError(
             MONOMIAL_CAP, f"{t} monomials exceed the cap ({MONOMIAL_CAP})")
+    coeffs = [m.coeff for m in poly.monomials]
+    positive = sum(1 << i for i, c in enumerate(coeffs) if c > 0)
+    negative = ((1 << t) - 1) ^ positive
+    if not positive or not negative or (
+            is_homogeneous(poly) and first_zero_sum_subset(coeffs) is None):
+        return _result("maximal-root", True, monomial_count=t,
+                       subsets_checked=(1 << t) - 1)
     cache: dict[tuple[int, ...], bool] = {}
     for mask in range(1, 1 << t):
+        if not mask & positive or not mask & negative:
+            continue  # one sign: a nonzero collapse with no positive root
         subset = [i for i in range(t) if mask >> i & 1]
         q = tuple(collapse_to_univariate(poly, subset))
         if q not in cache:
@@ -232,8 +251,7 @@ def filter_maximal_root(eq: Equation) -> FilterResult:
         if cache[q]:
             return _result("maximal-root", False, rootful_subset=subset,
                            collapse=list(q))
-    return _result("maximal-root", True, monomial_count=t,
-                   subsets_checked=(1 << t) - 1)
+    raise AssertionError("a sign-changing equation has a rootful subset")
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,7 @@ def _zero_sum_masks(vectors: Sequence[Sequence[int]]) -> Iterator[int]:
 
 def _pick(mask: int, items: Sequence[int]) -> tuple[int, ...]:
     """The items whose positions are set in mask."""
-    return tuple(x for j, x in enumerate(items) if mask >> j & 1)
+    return tuple([x for j, x in enumerate(items) if mask >> j & 1])
 
 
 def zero_sum_subsets(coeffs: Sequence) -> list[tuple[int, ...]]:

@@ -122,14 +122,14 @@ def asymptotic_candidates_linear(eq: Equation) -> list[OrderedPartition]:
     if rado_condition(coeffs) is None:
         raise NotPRError("equation is not partition regular")
     n = len(coeffs)
+    everything = frozenset(range(n))
     out = []
     for subset in zero_sum_subsets(coeffs):
         chosen = frozenset(subset)
         if len(chosen) == n:
             out.append(OrderedPartition((chosen,)))
         else:
-            rest = frozenset(range(n)) - chosen
-            out.append(OrderedPartition((chosen, rest)))
+            out.append(OrderedPartition((chosen, everything - chosen)))
     return out
 
 

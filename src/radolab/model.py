@@ -189,9 +189,10 @@ def trivial_constant_solution(poly: Polynomial) -> Optional[int]:
 
     The constant diagonal values are exactly the univariate collapse q over
     all monomials, so the search reduces to the smallest positive integer
-    root of q.  Every root lies below the Cauchy bound, and the roots are
-    where the exact integer windows of q >= 0 and -q >= 0 meet, so the cost
-    grows with the bit length of the coefficients, not their size.
+    root of q.  Every positive root lies below the positive-root bound, and
+    the roots are where the exact integer windows of q >= 0 and -q >= 0
+    meet, so the cost grows with the bit length of the coefficients, not
+    their size.
     """
     if poly.is_zero():
         raise ZeroPolynomialError("the zero polynomial is uninteresting here")
@@ -202,7 +203,8 @@ def trivial_constant_solution(poly: Polynomial) -> Optional[int]:
     if len(q) == 1:
         return None
     negated = [-c for c in q]
-    for a, b in univariate._nonneg_windows(q, 1, univariate.cauchy_bound(q)):
+    bound = univariate.positive_root_bound(q)
+    for a, b in univariate._nonneg_windows(q, 1, bound):
         roots = univariate._nonneg_windows(negated, a, b)
         if roots:
             return roots[0][0]

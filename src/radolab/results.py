@@ -29,7 +29,7 @@ class OrderedPartition:
         for cls in self.classes:
             if not cls:
                 raise ValueError("asymptotic classes must be nonempty")
-            if seen & cls:
+            if not seen.isdisjoint(cls):
                 raise ValueError("asymptotic classes must be disjoint")
             seen.update(cls)
 

@@ -47,13 +47,39 @@ def content(p: list[int]) -> int:
     return g or 1
 
 
-def cauchy_bound(p: list[int]) -> int:
-    """Integer B with every real root of p strictly less than B in absolute
-    value.  Requires p nonzero and nonconstant."""
-    lead = abs(p[-1])
-    m = max(abs(c) for c in p[:-1]) if len(p) > 1 else 0
-    # 1 + max|c_i|/|c_n|, rounded up to an integer
-    return 1 + (m + lead - 1) // lead if m else 1
+def _ceil_root(n: int, k: int) -> int:
+    """Smallest integer r >= 0 with r**k >= n, for n >= 0 and k >= 1."""
+    if n <= 1:
+        return n
+    # Newton's iteration from above lands on the floor of the k-th root
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            break
+        x = y
+    return x if x ** k == n else x + 1
+
+
+def positive_root_bound(p: list[int]) -> int:
+    """Integer B > 0 strictly above every positive real root of p: the
+    Fujiwara-Kioustelidis bound 2 * max (|a_i| / |a_d|)^(1 / (d - i)) over
+    the coefficients a_i whose sign is opposite to the leading a_d, with
+    each root rounded up, plus 1 (1 when no sign is opposite, since then p
+    has no positive root).  Requires p nonzero.
+
+    Past that point a_d x^d outweighs the opposite-sign terms, each below
+    |a_d| x^d / 2^(d - i).  The bound has about bit_length / (d - i) bits,
+    so windows below it cost time with the bit length of the coefficients,
+    not their size.
+    """
+    lead = p[-1]
+    d = len(p) - 1
+    top = 0
+    for i, c in enumerate(p[:-1]):
+        if c and (c < 0) != (lead < 0):
+            top = max(top, _ceil_root(-(-abs(c) // abs(lead)), d - i))
+    return 2 * top + 1
 
 
 def _signed_prem(f: list[int], g: list[int]) -> list[int]:
@@ -199,5 +225,4 @@ def has_positive_root(p: list[int]) -> bool:
     q, _ = strip_zero_roots(p)
     if len(q) == 1:
         return False
-    bound = cauchy_bound(q)
-    return count_roots_in(q, 0, bound) > 0
+    return count_roots_in(q, 0, positive_root_bound(q)) > 0

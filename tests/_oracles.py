@@ -6,16 +6,22 @@ solution sets by full-grid evaluation, and profile checks by re-testing the
 defining inequalities pair by pair.  Forward differences come from the
 binomial expansion, and the scalar valid-piece decomposition
 (`_valid_pieces`) is the one-progression-at-a-time reference for the array
-piece table of the 3-variable census.
+piece table of the 3-variable census.  The maximal-root filter's reference
+tries every monomial subset, and reports are checked against the standard
+library's indented JSON dump.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 from math import comb
 
 import numpy as np
+
+from radolab.model import collapse_to_univariate
+from radolab.univariate import has_positive_root
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +251,39 @@ def _valid_pieces(items: list[tuple[int, int, int]], count: int,
         span = _lt_zero(sep_hm, *span)
         emit(_lt_zero(sep_ml, *span), (0, 1, 2))
     return pieces
+
+
+# ---------------------------------------------------------------------------
+# the maximal-root filter by exhaustive subset scan
+
+
+def oracle_maximal_root(poly) -> tuple[bool, dict]:
+    """(fired, evidence) of the maximal-root filter from every nonempty
+    monomial subset in ascending bitmask order: the first subset whose
+    univariate collapse is zero or has a positive root keeps it quiet."""
+    t = len(poly.monomials)
+    for mask in range(1, 1 << t):
+        subset = [i for i in range(t) if mask >> i & 1]
+        q = collapse_to_univariate(poly, subset)
+        if not q or has_positive_root(q):
+            return False, {"rootful_subset": subset, "collapse": q}
+    return True, {"monomial_count": t, "subsets_checked": (1 << t) - 1}
+
+
+# ---------------------------------------------------------------------------
+# report text from the standard library
+
+
+def _oracle_default(obj):
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, frozenset):
+        return sorted(obj)
+    raise TypeError(f"not JSON serializable: {type(obj)!r}")
+
+
+def oracle_emit(payload) -> str:
+    """The report text, without its final newline, from the standard
+    library's (pure-Python) indented encoder."""
+    return json.dumps(payload, sort_keys=True, indent=2,
+                      default=_oracle_default)

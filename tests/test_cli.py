@@ -1,10 +1,18 @@
+import hashlib
 import json
+import math
+import random
 import sys
 import time
+from fractions import Fraction
 
-from radolab import filters, linear, model
+import pytest
+
+from _oracles import oracle_emit
+from radolab import cli, filters, linear, model
 from radolab.cli import main
 from radolab.filters import FILTER_CATALOGUE
+from radolab.results import Status
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +81,30 @@ class TestAnalyze:
         assert verdict["reasons"][0]["evidence"]["has_constant_solution"]
         assert any("k=1000000000000000000000000" in note
                    for note in verdict["notes"])
+
+    def test_constant_past_cauchy_bound(self, capsys):
+        # the constant search bisects below the positive-root bound, about
+        # 10^94 here, where below the Cauchy bound (10^1500) it took seconds
+        text = "x^8*y^8 = z^15 + 1" + "0" * 1500
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "analyze", text)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        # the report's bytes, as the Cauchy-bound search wrote them
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "96f81b28c3a02eafa9d63bf25e5a50c136e6c0e570334aec756839e7aacf5597")
+
+    def test_twenty_positive_monomials(self, capsys):
+        # the maximal-root filter fires in closed form; scanning its 2^20 - 1
+        # subsets took minutes
+        text = " + ".join(f"{k}x^{k}*y" for k in range(1, 20)) + " + z^3 = 0"
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "analyze", text)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        # the report's bytes, as the exhaustive scan wrote them
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ad0eb44fd4110b5918974d73580f0c4de8991ab4d83f248d5f2a394022314f60")
 
     def test_linear_report_carries_candidates(self, capsys):
         _, report, _ = run_json(capsys, "analyze", "x + 2y = z")
@@ -228,6 +260,14 @@ class TestSearch:
         assert code == 2
 
 
+def test_parser_built_once_dispatches_rebound_commands(capsys, monkeypatch):
+    run_cli(capsys, "analyze", "x + y = z")
+    seen = []
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args) or 7)
+    assert main(["analyze", "x = y"]) == 7
+    assert seen[0].equation == "x = y"
+
+
 def test_parameters_carry_no_thread_count(capsys):
     # a machine-dependent thread count would break byte-identical reports
     for argv in (["analyze", "x + y = z"], ["asymptotic", "x + y = z"],
@@ -275,3 +315,92 @@ class TestColumnsCondition:
         path = tmp_path / "m.txt"
         path.write_text(" ".join(["1"] * 23) + "\n")
         assert run_cli(capsys, "columns-condition", str(path))[0] == 3
+
+
+# every command of the README, with its matrix file
+README_COMMANDS = [
+    ["analyze", "x + y = z"],
+    ["analyze", "x^2 - y^2 = z^5"],
+    ["asymptotic", "x + 2y = z", "--N", "5"],
+    ["search", "x + y = z", "--coloring", "mod:2", "--bound", "100000",
+     "--mode", "census", "--N", "10"],
+    ["search", "x*y = z", "--coloring", "logband:2:3", "--bound", "100000",
+     "--mode", "heads", "--base", "2"],
+    ["search", "x = y + 1", "--coloring", "mod:2", "--bound", "10000",
+     "--mode", "witness"],
+    ["columns-condition", "matrix.txt"],
+]
+
+STRINGS = ["", "x1", "caf\u00e9 \u00fcber", "tab\tquote\"slash\\ nl\n",
+           "\x00\x1f\x7f", "\u2028\ud7ff\ue000", "\ud800 lone",
+           "\U0001f600 astral", Status.PR, Status.NOT_PR]
+SCALARS = [None, True, False, 0, -1, 7, 2 ** 64, -(2 ** 64) - 1, 10 ** 40,
+           0.0, -0.0, 0.1, -2.5e-300, 1e300, math.inf, -math.inf, math.nan,
+           Fraction(3, 7), Fraction(-5), frozenset(), frozenset({3, 1, 2})]
+NUMERIC_KEYS = [True, False, 0, 1, -3, 2 ** 64, 0.5, -1e20, math.inf]
+
+
+def _payload(rng: random.Random, depth: int):
+    kind = rng.randrange(9 if depth < 4 else 2)
+    if kind == 0:
+        return rng.choice(STRINGS)
+    if kind == 1:
+        return rng.choice(SCALARS)
+    if kind == 2:
+        return [rng.choice(STRINGS) for _ in range(rng.randrange(4))]
+    if kind == 3:  # a string first, then anything
+        return [rng.choice(STRINGS)] + [_payload(rng, depth + 1)
+                                        for _ in range(rng.randrange(4))]
+    if kind in (4, 5):
+        items = [_payload(rng, depth + 1) for _ in range(rng.randrange(4))]
+        return tuple(items) if kind == 5 else items
+    if kind == 6:
+        return {rng.choice(NUMERIC_KEYS): _payload(rng, depth + 1)
+                for _ in range(rng.randrange(4))}
+    if kind == 7:
+        return {None: _payload(rng, depth + 1)} if rng.random() < 0.2 else {}
+    return {str(rng.choice(STRINGS)): _payload(rng, depth + 1)
+            for _ in range(rng.randrange(5))}
+
+
+class TestReportWriter:
+    def test_matches_stdlib_on_generated_payloads(self):
+        rng = random.Random(7)
+        for _ in range(3000):
+            payload = _payload(rng, 0)
+            assert cli._dumps(payload) == oracle_emit(payload), payload
+
+    def test_matches_stdlib_on_nested_empties_and_strings(self):
+        payload = {"a": [[], {}, [[]], [{}], ()], "b": {"c": {}, "d": [[[]]]},
+                   "strings": ["\u00e9", "\"", "\\"], "mixed": ["a", 1, "b"],
+                   "ints": [1, 2 ** 70], 3: None}
+        with pytest.raises(TypeError):
+            cli._dumps(payload)  # str and int keys do not sort together
+        del payload[3]
+        assert cli._dumps(payload) == oracle_emit(payload)
+        for payload in ([], {}, (), "s", 5, None, [["a"], ["b", "c"]]):
+            assert cli._dumps(payload) == oracle_emit(payload)
+
+    def test_rejects_what_the_stdlib_rejects(self):
+        for payload in ({Fraction(1, 2): 1}, {(1, 2): 1}, [object()]):
+            with pytest.raises(TypeError):
+                oracle_emit(payload)
+            with pytest.raises(TypeError):
+                cli._dumps(payload)
+
+    def test_readme_reports_match_stdlib(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "matrix.txt").write_text("1 1 -1\n")
+        emitted = []
+        emit = cli._emit
+
+        def spy(payload):
+            emitted.append(payload)
+            emit(payload)
+
+        monkeypatch.setattr(cli, "_emit", spy)
+        for argv in README_COMMANDS:
+            emitted.clear()
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and len(emitted) == 1, argv
+            assert out == oracle_emit(emitted[0]) + "\n", argv

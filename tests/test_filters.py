@@ -1,9 +1,10 @@
 import itertools
 import random
+import time
 
 import pytest
 
-from _oracles import oracle_positive_root
+from _oracles import oracle_maximal_root, oracle_positive_root
 from radolab.errors import CapExceededError
 from radolab.filters import (
     FILTER_CATALOGUE,
@@ -148,6 +149,63 @@ class TestMaximalRoot:
             from radolab.model import Equation
             assert not filter_maximal_root(Equation.from_polynomial(poly)).fired
         assert checked > 30
+
+
+    def test_closed_form_matches_exhaustive_scan(self):
+        # random signs, one sign throughout, and one total degree with small
+        # coefficients (so that zero-sum subsets come and go)
+        from radolab.model import Equation
+        rng = random.Random(31)
+        names = ["x", "y", "z"]
+        fired = quiet = 0
+        for _ in range(1500):
+            shape = rng.choice(["signed", "one-sign", "homogeneous"])
+            degree = rng.randint(1, 4)
+            sign = rng.choice([-1, 1])
+            terms = {}
+            for _ in range(rng.randint(1, 7)):
+                if shape == "homogeneous":
+                    cuts = sorted(rng.randint(0, degree) for _ in range(2))
+                    exps = [cuts[0], cuts[1] - cuts[0], degree - cuts[1]]
+                else:
+                    exps = [rng.randint(0, 3) for _ in names]
+                key = tuple((v, e) for v, e in zip(names, exps) if e)
+                coeff = rng.choice([1, 2, 3, 5])
+                if shape == "one-sign":
+                    coeff *= sign
+                else:
+                    coeff *= rng.choice([-1, 1])
+                terms[key] = coeff
+            poly = Polynomial.from_terms(terms)
+            if poly.is_zero():
+                continue
+            eq = Equation.from_polynomial(poly)
+            r = filter_maximal_root(eq)
+            assert (r.fired, r.evidence) == oracle_maximal_root(eq.poly), eq
+            fired += r.fired
+            quiet += not r.fired
+        assert fired > 400 and quiet > 400
+
+    def test_twenty_monomials_fire_in_closed_form(self):
+        # 20 positive monomials: the scan of all 2^20 - 1 subsets took minutes
+        text = " + ".join(f"{k}x^{k}*y" for k in range(1, 20)) + " + z^3 = 0"
+        start = time.perf_counter()
+        r = filter_maximal_root(parse(text))
+        assert time.perf_counter() - start < 1.0
+        assert r.fired
+        assert r.evidence == {"monomial_count": 20,
+                              "subsets_checked": 2 ** 20 - 1}
+
+    def test_one_sign_subsets_skipped(self):
+        # the first subset with both signs is {19x^19*y, -z^3}, at bitmask
+        # 2^18 + 1; every subset before it has one sign
+        text = " + ".join(f"{k}x^{k}*y" for k in range(1, 20)) + " = z^3"
+        start = time.perf_counter()
+        r = filter_maximal_root(parse(text))
+        assert time.perf_counter() - start < 1.0
+        assert not r.fired
+        assert r.evidence["rootful_subset"] == [0, 18]
+        assert r.evidence["collapse"] == [0, 0, 0, -1] + [0] * 16 + [19]
 
 
 class TestFermatCatalanRules:

@@ -2,10 +2,12 @@ import random
 
 from _oracles import oracle_forward_difference
 from radolab.univariate import (
+    _ceil_root,
     _forward_difference,
     _nonneg_windows,
     evaluate,
     normalize,
+    positive_root_bound,
 )
 
 
@@ -66,3 +68,62 @@ def test_forward_difference_matches_binomial_expansion():
         assert diff == oracle_forward_difference(p), p
         for t in (-3, 0, 1, 7):
             assert evaluate(diff, t) == evaluate(p, t + 1) - evaluate(p, t)
+
+
+def _times(p, factor):
+    out = [0] * (len(p) + len(factor) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(factor):
+            out[i + j] += a * b
+    return out
+
+
+def test_ceil_root():
+    for n in range(0, 3000):
+        for k in range(1, 7):
+            r = _ceil_root(n, k)
+            assert r ** k >= n and (r == 0 or (r - 1) ** k < n), (n, k)
+    rng = random.Random(5)
+    for _ in range(2000):
+        n = rng.getrandbits(rng.randint(1, 5000))
+        k = rng.randint(1, 300)
+        r = _ceil_root(n, k)
+        assert r ** k >= n and (r == 0 or (r - 1) ** k < n), (n, k)
+
+
+def test_positive_root_bound_above_planted_roots():
+    # positive rational roots p/q planted as factors (q t - p), among
+    # negative roots, complex pairs and multiple roots; every planted root
+    # lies strictly below the bound and p keeps its leading sign past it
+    rng = random.Random(29)
+    for _ in range(3000):
+        poly = [rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(0, 6))]
+        roots = []
+        for _ in range(rng.randint(1, 5)):
+            num = rng.randint(1, 10 ** rng.randint(1, 40))
+            den = rng.randint(1, 10 ** rng.randint(0, 6))
+            roots.append((num, den))
+            poly = _times(poly, [-num, den])
+            if rng.random() < 0.3:
+                poly = _times(poly, [-num, den])
+        for _ in range(rng.randint(0, 3)):
+            if rng.random() < 0.5:
+                poly = _times(poly, [rng.randint(1, 10 ** 9), 1])
+            else:
+                a = rng.randint(0, 50)
+                poly = _times(poly, [a * a + rng.randint(1, 10 ** 6), a, 1])
+        poly = _times(poly, [0] * rng.randint(0, 2) + [1])
+        bound = positive_root_bound(poly)
+        assert all(bound * den > num for num, den in roots), (poly, bound)
+        assert (evaluate(poly, bound) > 0) == (poly[-1] > 0)
+
+
+def test_positive_root_bound_without_sign_change():
+    # no coefficient opposite to the leading one: no positive root, bound 1
+    assert positive_root_bound([3, 0, 2, 5]) == 1
+    assert positive_root_bound([-1, -7]) == 1
+    assert positive_root_bound([0, 0, 4]) == 1
+    assert positive_root_bound([9]) == 1
+    # x^2 - 10^100: the bound stays near the root 10^50, not near 10^100
+    bound = positive_root_bound([-10 ** 100, 0, 1])
+    assert 10 ** 50 < bound <= 2 * 10 ** 50 + 1
