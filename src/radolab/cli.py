@@ -30,6 +30,7 @@ from .linalg import columns_condition, parse_matrix_text
 from .linear import (
     NotLinearError,
     NotPRError,
+    _candidate_classes,
     asymptotic_candidates_linear,
     hl_conventional_shape,
     hl_shape,
@@ -165,9 +166,8 @@ def cmd_analyze(args) -> int:
     report["filter_catalogue"] = FILTER_CATALOGUE
     if (eq.poly.is_linear() and eq.poly.constant_term() == 0
             and verdict.status is Status.PR):
-        report["asymptotic_candidates"] = [
-            _partition_json(p, eq) for p in asymptotic_candidates_linear(eq)
-        ]
+        report["asymptotic_candidates"] = _candidate_classes(
+            eq.poly.linear_coefficients(), eq.poly.variables)
     _emit(report)
     summary = verdict.status.value
     if verdict.reasons:

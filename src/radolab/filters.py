@@ -34,8 +34,11 @@ from .parser import pretty
 from .results import FilterResult, Status, Verdict
 
 MONOMIAL_CAP = 20
-# with a large constant term, the constant search spends about d^3/6
-# binomial coefficients at total degree d: about 0.3 s at 128, 6 s at 256
+# with a large constant term, the constant search takes the forward
+# difference at every degree below the total degree d, each a Taylor shift
+# of about d^2/2 additions, and bisects each level's windows: at d = 128
+# it took 2 ms with an 11-digit constant and 37 ms with a 301-digit one
+# (2-core Xeon, Python 3.11)
 DEGREE_CAP = 128
 
 CITATIONS = {
@@ -214,19 +217,38 @@ def sturm_positive_root(p: list[int]) -> bool:
     return univariate.has_positive_root(p)
 
 
+def _quiet_degree_masks(poly: Polynomial) -> list[int]:
+    """Entry i is the mask of the monomials sharing monomial i's total
+    degree when no subset of their coefficients sums to zero, else 0."""
+    by_degree: dict[int, list[int]] = {}
+    for i, m in enumerate(poly.monomials):
+        by_degree.setdefault(m.degree(), []).append(i)
+    quiet = [0] * len(poly.monomials)
+    for members in by_degree.values():
+        coeffs = [poly.monomials[i].coeff for i in members]
+        if first_zero_sum_subset(coeffs) is None:
+            mask = sum(1 << i for i in members)
+            for i in members:
+                quiet[i] = mask
+    return quiet
+
+
 def filter_maximal_root(eq: Equation) -> FilterResult:
     """For a PR equation, the monomials of the dominating scale, collapsed
     to one variable, must vanish somewhere on the positive axis.  Every
     nonempty subset is tried since the dominating set is not known; an
     identically-zero collapse counts as vanishing.
 
-    The filter fires exactly when all coefficients share one sign, or all
-    monomials share one total degree and no coefficients sum to zero: then
-    no collapse changes sign, or every collapse is a nonzero (sum c) x^d.
-    Otherwise some collapse vanishes: a zero-sum subset of one degree, or
-    a pair of opposite signs and different degrees, a binomial with one
-    sign change and so a positive root (Descartes).  Only then are the
-    subsets scanned, in ascending bitmask order, for the first rootful one.
+    A subset of one sign collapses to a polynomial without sign changes,
+    and one inside a total degree whose coefficients have no zero-sum
+    subset to a nonzero (sum c) x^d, so neither has a positive root.  The
+    filter fires exactly when every subset is of these kinds: all
+    coefficients share one sign, or all monomials share one total degree
+    and no coefficients sum to zero.  Otherwise some collapse vanishes: a
+    zero-sum subset of one degree, or a pair of opposite signs and
+    different degrees, a binomial with one sign change and so a positive
+    root (Descartes).  Only then are the other subsets scanned, in
+    ascending bitmask order, for the first rootful one.
     """
     poly = eq.poly
     t = len(poly.monomials)
@@ -241,9 +263,16 @@ def filter_maximal_root(eq: Equation) -> FilterResult:
         return _result("maximal-root", True, monomial_count=t,
                        subsets_checked=(1 << t) - 1)
     cache: dict[tuple[int, ...], bool] = {}
+    # usually the first subset of both signs is rootful, so the quiet
+    # degrees are looked up only once one is not
+    quiet = None
     for mask in range(1, 1 << t):
         if not mask & positive or not mask & negative:
             continue  # one sign: a nonzero collapse with no positive root
+        if quiet:
+            degree_mask = quiet[(mask & -mask).bit_length() - 1]
+            if mask | degree_mask == degree_mask:
+                continue  # inside one quiet degree: a nonzero (sum c) x^d
         subset = [i for i in range(t) if mask >> i & 1]
         q = tuple(collapse_to_univariate(poly, subset))
         if q not in cache:
@@ -251,6 +280,8 @@ def filter_maximal_root(eq: Equation) -> FilterResult:
         if cache[q]:
             return _result("maximal-root", False, rootful_subset=subset,
                            collapse=list(q))
+        if quiet is None:
+            quiet = _quiet_degree_masks(poly)
     raise AssertionError("a sign-changing equation has a rootful subset")
 
 

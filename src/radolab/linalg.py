@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import CapExceededError
 
@@ -213,6 +213,25 @@ def _pick(mask: int, items: Sequence[int]) -> tuple[int, ...]:
     return tuple([x for j, x in enumerate(items) if mask >> j & 1])
 
 
+def _subset_tuples(items: Sequence) -> list[tuple]:
+    """The items of every subset, indexed by mask (bit i = items[i])."""
+    tuples: list[tuple] = [()]
+    for x in items:
+        tuples += [t + (x,) for t in tuples]
+    return tuples
+
+
+def _picker(items: Sequence) -> Callable[[int], tuple]:
+    """`_pick` over fixed items for many masks: the mask is split at the
+    same h as in _zero_sum_masks, and each half's tuple is read from a
+    table of 2^h or 2^(n-h) entries, so a pick is one concatenation."""
+    items = tuple(items)
+    h = len(items) // 2
+    lows, highs = _subset_tuples(items[:h]), _subset_tuples(items[h:])
+    low_bits = (1 << h) - 1
+    return lambda mask: lows[mask & low_bits] + highs[mask >> h]
+
+
 def zero_sum_subsets(coeffs: Sequence) -> list[tuple[int, ...]]:
     """All nonempty index subsets whose coefficients sum to zero, in
     ascending bitmask order.  Subsets are 0-based index tuples."""
@@ -220,8 +239,9 @@ def zero_sum_subsets(coeffs: Sequence) -> list[tuple[int, ...]]:
         raise ValueError("coefficient list must be nonempty")
     if any(c == 0 for c in coeffs):
         raise ValueError("coefficients must be nonzero")
-    return [_pick(mask, range(len(coeffs)))
-            for mask in _zero_sum_masks([(c,) for c in _int_row(coeffs)])]
+    # the masks first: the enumerator checks the column cap
+    masks = list(_zero_sum_masks([(c,) for c in _int_row(coeffs)]))
+    return list(map(_picker(range(len(coeffs))), masks))
 
 
 def first_zero_sum_subset(coeffs: Sequence) -> Optional[tuple[int, ...]]:

@@ -20,10 +20,11 @@ from typing import Mapping, Optional, Sequence
 from .linalg import (
     ColumnsCertificate,
     QMatrix,
+    _picker,
+    _zero_sum_masks,
     columns_condition,
     first_zero_sum_subset,
     verify_certificate,
-    zero_sum_subsets,
 )
 from .model import Equation, trivial_constant_solution
 from .results import FilterResult, OrderedPartition, Status, Verdict
@@ -121,16 +122,22 @@ def asymptotic_candidates_linear(eq: Equation) -> list[OrderedPartition]:
     coeffs = poly.linear_coefficients()
     if rado_condition(coeffs) is None:
         raise NotPRError("equation is not partition regular")
-    n = len(coeffs)
-    everything = frozenset(range(n))
-    out = []
-    for subset in zero_sum_subsets(coeffs):
-        chosen = frozenset(subset)
-        if len(chosen) == n:
-            out.append(OrderedPartition((chosen,)))
-        else:
-            out.append(OrderedPartition((chosen, everything - chosen)))
-    return out
+    return [OrderedPartition(tuple(map(frozenset, classes)))
+            for classes in _candidate_classes(coeffs, range(len(coeffs)))]
+
+
+def _candidate_classes(coeffs: Sequence[int],
+                       labels: Sequence) -> list[tuple[tuple, ...]]:
+    """The classes of `asymptotic_candidates_linear`, in its order, as
+    tuples of labels (labels[i] stands for variable i; each class keeps
+    the labels' order): (chosen,) for a zero-sum mask covering every
+    variable, else (chosen, rest)."""
+    # the masks first: the enumerator checks the column cap
+    masks = list(_zero_sum_masks([(c,) for c in coeffs]))
+    pick = _picker(labels)
+    full = (1 << len(coeffs)) - 1
+    return [(pick(mask),) if mask == full else (pick(mask), pick(full ^ mask))
+            for mask in masks]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ binomial expansion, and the scalar valid-piece decomposition
 (`_valid_pieces`) is the one-progression-at-a-time reference for the array
 piece table of the 3-variable census.  The maximal-root filter's reference
 tries every monomial subset, and reports are checked against the standard
-library's indented JSON dump.
+library's indented JSON dump.  Asymptotic candidates are built the way
+they once were: each zero-sum mask picked bit by bit, wrapped in an
+`OrderedPartition` and named.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from math import comb
 
 import numpy as np
 
+from radolab.linalg import _zero_sum_masks
 from radolab.model import collapse_to_univariate
+from radolab.results import OrderedPartition
 from radolab.univariate import has_positive_root
 
 
@@ -287,3 +291,26 @@ def oracle_emit(payload) -> str:
     library's (pure-Python) indented encoder."""
     return json.dumps(payload, sort_keys=True, indent=2,
                       default=_oracle_default)
+
+
+# ---------------------------------------------------------------------------
+# asymptotic candidates through OrderedPartition
+
+
+def oracle_pick(mask: int, items) -> tuple:
+    """The items whose positions are set in mask, bit by bit."""
+    return tuple(x for j, x in enumerate(items) if mask >> j & 1)
+
+
+def oracle_candidate_names(coeffs, variables) -> list[list[list[str]]]:
+    """The asymptotic candidates' classes as sorted name lists: one
+    `OrderedPartition` per zero-sum mask, (J,) when J is every index and
+    (J, rest) otherwise, each turned back into names."""
+    n = len(coeffs)
+    everything = frozenset(range(n))
+    out = []
+    for mask in _zero_sum_masks([(c,) for c in coeffs]):
+        chosen = frozenset(oracle_pick(mask, range(n)))
+        classes = (chosen,) if chosen == everything else (chosen, everything - chosen)
+        out.append(OrderedPartition(classes).named(variables))
+    return out

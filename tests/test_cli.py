@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import oracle_emit
+from _oracles import oracle_candidate_names, oracle_emit
 from radolab import cli, filters, linear, model
 from radolab.cli import main
 from radolab.filters import FILTER_CATALOGUE
+from radolab.parser import parse
 from radolab.results import Status
 
 
@@ -192,6 +193,63 @@ class TestAsymptotic:
         entries = report["asymptotic_candidates"]
         assert len(entries) == 1
         assert entries[0]["certificate"] is None and "note" in entries[0]
+
+
+class TestCandidateBytes:
+    """Raw stdout against the standard library's indented dump of the same
+    report with its candidates from `oracle_candidate_names`."""
+
+    @staticmethod
+    def corpus():
+        rng = random.Random(88)
+        out = ["2x + 3y = 5z", "x + y = z"]
+        for _ in range(60):
+            n = rng.randint(2, 17)
+            coeffs = [rng.choice([c for c in range(-9, 10) if c]) for _ in range(n)]
+            text = " + ".join(f"{c}*w{i}" for i, c in enumerate(coeffs))
+            out.append(text.replace("+ -", "- ") + " = 0")
+        return out
+
+    @staticmethod
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_analyze(self, capsys):
+        listed = 0
+        for text in self.corpus():
+            code, out, _ = run_cli(capsys, "analyze", text)
+            report = json.loads(out)
+            eq = parse(text)
+            if report["verdict"]["status"] == "PR":
+                report["asymptotic_candidates"] = oracle_candidate_names(
+                    eq.poly.linear_coefficients(), eq.poly.variables)
+                listed += 1
+            else:
+                assert "asymptotic_candidates" not in report
+            expected = json.dumps(report, sort_keys=True, indent=2) + "\n"
+            assert code == 0 and self.digest(out) == self.digest(expected), text
+        assert listed > 40
+
+    def test_asymptotic(self, capsys):
+        listed = 0
+        for text in self.corpus():
+            eq = parse(text)
+            if len(eq.poly.variables) > 10:
+                continue
+            code, out, _ = run_cli(capsys, "asymptotic", text, "--N", "4")
+            if code == 4:
+                continue
+            report = json.loads(out)
+            names = oracle_candidate_names(eq.poly.linear_coefficients(),
+                                           eq.poly.variables)
+            entries = report["asymptotic_candidates"]
+            assert len(entries) == len(names), text
+            for entry, classes in zip(entries, names):
+                entry["classes"] = classes
+            expected = json.dumps(report, sort_keys=True, indent=2) + "\n"
+            assert code == 0 and self.digest(out) == self.digest(expected), text
+            listed += 1
+        assert listed > 20
 
 
 class TestSearch:

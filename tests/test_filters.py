@@ -207,6 +207,52 @@ class TestMaximalRoot:
         assert r.evidence["rootful_subset"] == [0, 18]
         assert r.evidence["collapse"] == [0, 0, 0, -1] + [0] * 16 + [19]
 
+    def test_quiet_degree_subsets_skipped(self):
+        # the 19 degree-2 coefficients (-2)^i have no zero-sum subset, so
+        # no subset of them is rootful; the first rootful subset pairs
+        # x0*y with the one degree-1 monomial, -z, at bitmask 2^19 + 1
+        text = " + ".join(f"{(-2) ** i}x{i}*y" for i in range(19))
+        text = text.replace("+ -", "- ").replace("1x0", "x0") + " = z"
+        start = time.perf_counter()
+        r = filter_maximal_root(parse(text))
+        assert time.perf_counter() - start < 1.0
+        assert not r.fired
+        assert r.evidence == {"rootful_subset": [0, 19], "collapse": [0, -1, 1]}
+
+    def test_quiet_degrees_match_exhaustive_scan(self):
+        # two or three total degrees, each with coefficients that have no
+        # zero-sum subset (distinct powers of two) or may have one (small)
+        from radolab.model import Equation
+        rng = random.Random(43)
+        names = ["x", "y", "z", "w"]
+        mixed_quiet = 0  # equations with a quiet degree of both signs
+        for _ in range(600):
+            terms = {}
+            for degree in rng.sample(range(0, 5), rng.randint(2, 3)):
+                powers = rng.random() < 0.6
+                for k in range(rng.randint(1, 4)):
+                    cuts = sorted(rng.randint(0, degree) for _ in range(3))
+                    exps = [cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1],
+                            degree - cuts[2]]
+                    key = tuple((v, e) for v, e in zip(names, exps) if e)
+                    coeff = 2 ** k if powers else rng.choice([1, 2, 3])
+                    terms[key] = coeff * rng.choice([-1, 1])
+            poly = Polynomial.from_terms(terms)
+            if poly.is_zero():
+                continue
+            eq = Equation.from_polynomial(poly)
+            r = filter_maximal_root(eq)
+            assert (r.fired, r.evidence) == oracle_maximal_root(eq.poly), eq
+            by_degree = {}
+            for m in poly.monomials:
+                by_degree.setdefault(m.degree(), []).append(m.coeff)
+            mixed_quiet += any(
+                min(cs) < 0 < max(cs) and not any(
+                    sum(sub) == 0 for k in range(1, len(cs) + 1)
+                    for sub in itertools.combinations(cs, k))
+                for cs in by_degree.values())
+        assert mixed_quiet > 150
+
 
 class TestFermatCatalanRules:
     def test_r1_degree_gap(self):

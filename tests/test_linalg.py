@@ -5,10 +5,12 @@ from math import comb
 
 import pytest
 
+from _oracles import oracle_pick
 from radolab.errors import CapExceededError
 from radolab.linalg import (
     ColumnsCertificate,
     QMatrix,
+    _picker,
     _zero_sum_masks,
     columns_condition,
     first_zero_sum_subset,
@@ -72,6 +74,46 @@ class TestZeroSumSubsets:
             all_subs = zero_sum_subsets(vals)
             first = first_zero_sum_subset(vals)
             assert first == (all_subs[0] if all_subs else None)
+
+
+class TestPicker:
+    @staticmethod
+    def edge_masks(n):
+        # around the split at h = n // 2: the low half full or alone, the
+        # high half's first bit, the last low bit, the top bit
+        h = n // 2
+        full = (1 << n) - 1
+        low = (1 << h) - 1
+        edges = {0, 1, full, full ^ 1, low, full ^ low, 1 << h,
+                 low | 1 << h, full ^ 1 << h, 1 << (n - 1)}
+        if h:
+            edges |= {1 << (h - 1), 1 << (h - 1) | 1 << h}
+        return sorted(edges)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 22])
+    def test_matches_bit_by_bit_pick(self, n):
+        rng = random.Random(n)
+        labels = [f"v{i}" for i in range(n)]
+        pick = _picker(labels)
+        masks = (range(1 << n) if n <= 9
+                 else self.edge_masks(n) + [rng.getrandbits(n) for _ in range(2000)])
+        for mask in masks:
+            assert pick(mask) == oracle_pick(mask, labels), (n, mask)
+
+    def test_index_labels_and_order(self):
+        # the picked items keep the order of the items, not of their values
+        pick = _picker([5, 3, 9, 1, 7])
+        assert pick(0b11111) == (5, 3, 9, 1, 7)
+        assert pick(0b10010) == (3, 7)
+        assert _picker(range(3))(0b101) == (0, 2)
+
+    def test_subset_list_matches_bit_by_bit_pick(self):
+        rng = random.Random(4)
+        for _ in range(300):
+            n = rng.randint(1, 14)
+            vals = [rng.choice([c for c in range(-4, 5) if c]) for _ in range(n)]
+            masks = _zero_sum_masks([(c,) for c in vals])
+            assert zero_sum_subsets(vals) == [oracle_pick(m, range(n)) for m in masks]
 
 
 class TestZeroSumMasks:

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import oracle_candidate_names
+from radolab.errors import CapExceededError
 from radolab.linalg import QMatrix, columns_condition, verify_certificate
 from radolab.linear import (
     NotLinearError,
     NotPRError,
+    _candidate_classes,
     asymptotic_candidates_linear,
     default_hl_weights,
     hl_conventional_shape,
@@ -140,6 +143,36 @@ class TestAsymptoticCandidates:
     def test_not_pr(self):
         with pytest.raises(NotPRError):
             asymptotic_candidates_linear(parse("x + y = 3z"))
+
+    def test_classes_match_partition_oracle(self):
+        # names and index labels, against OrderedPartition -> named; the
+        # first texts hit the single-class case and a lone two-class one
+        rng = random.Random(8)
+        texts = ["2x + 3y = 5z", "x + y = z", "x - y = 0",
+                 "x1 - y1 + z1 + x2 - y2 + z2 = 0"]
+        for _ in range(200):
+            n = rng.randint(2, 16)
+            coeffs = [rng.choice([c for c in range(-6, 7) if c]) for _ in range(n)]
+            text = " + ".join(f"{c}*v{i}" for i, c in enumerate(coeffs))
+            texts.append(text.replace("+ -", "- ") + " = 0")
+        singles = 0
+        for text in texts:
+            eq = parse(text)
+            coeffs = eq.poly.linear_coefficients()
+            expected = oracle_candidate_names(coeffs, eq.poly.variables)
+            named = _candidate_classes(coeffs, eq.poly.variables)
+            assert [list(map(list, c)) for c in named] == expected, text
+            if expected:
+                by_index = _candidate_classes(coeffs, range(len(coeffs)))
+                assert [p.as_lists() for p in asymptotic_candidates_linear(eq)] == [
+                    list(map(list, c)) for c in by_index]
+            singles += sum(len(c) == 1 for c in named)
+        assert _candidate_classes([2, 3, -5], "xyz") == [(("x", "y", "z"),)]
+        assert singles > 10
+
+    def test_classes_cap(self):
+        with pytest.raises(CapExceededError):
+            _candidate_classes([1, -1] * 12, range(24))
 
     def test_nonhomogeneous(self):
         with pytest.raises(NotLinearError):
