@@ -1,10 +1,12 @@
-"""Exact integer linear algebra and the columns-condition search.
+"""Exact integer linear algebra and the columns-condition decision.
 
 A matrix satisfies the columns condition when its columns admit an ordered
 partition D_1, ..., D_r such that the columns of D_1 sum to zero and every
 later block's sum lies in the rational span of all earlier columns.  This is
-the classical criterion governing partition regularity of linear systems, and
-the search here is exhaustive and exact.
+the classical criterion governing partition regularity of linear systems.
+The decision here is greedy and exact: consuming more columns never
+removes a completion, so the first valid block at each step will do (see
+columns_condition).
 
 Rows are scaled to integers once, on input.  Scaling a row changes neither
 which column sets sum to zero nor span membership, so everything after that
@@ -13,6 +15,7 @@ is integer arithmetic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -53,7 +56,7 @@ class QMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "QMatrix":
-        ncols = len(rows[0])
+        ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
         entries = tuple(x for r in rows for x in _int_row(r))
@@ -85,18 +88,28 @@ class ColumnsCertificate:
             seen.update(block)
 
 
+_ENTRY = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def _entry(tok: str) -> Fraction:
+    # Fraction also takes decimals, exponents (at unbounded cost), "_" and
+    # non-ASCII digits
+    if not _ENTRY.fullmatch(tok):
+        raise ValueError(f"{tok!r} is not an integer or p/q")
+    return Fraction(tok)
+
+
 def parse_matrix_text(text: str) -> QMatrix:
-    """One row per line, entries as integers or p/q, whitespace-separated."""
+    """One row per line, whitespace-separated entries, each an ASCII integer
+    or p/q with an optional sign."""
     rows = []
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
-            rows.append([Fraction(tok) for tok in line.split()])
+            rows.append([_entry(tok) for tok in line.split()])
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad matrix entry on line {lineno}: {exc}") from exc
-    if not rows:
-        raise ValueError("empty matrix")
     return QMatrix.from_rows(rows)
 
 
@@ -111,23 +124,17 @@ class _Basis:
     the pivot columns of every earlier row.
     """
 
-    def __init__(self, dim: int):
-        self.dim = dim
+    def __init__(self):
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
-
-    def copy(self) -> "_Basis":
-        b = _Basis(self.dim)
-        b.rows = [row[:] for row in self.rows]
-        b.pivots = self.pivots[:]
-        return b
 
     def reduce(self, v: Sequence[int]) -> list[int]:
         """Apply v -> row[p]*v - v[p]*row for every basis row in order.
 
         The step runs even where v[p] == 0 (there it is a plain scaling by
-        row[p]), so the whole map is linear; its kernel is exactly the span.  A sum of vectors therefore lies in the
-        span iff their reductions sum to zero.
+        row[p]), so the whole map is linear; its kernel is exactly the span.
+        A sum of vectors therefore lies in the span iff their reductions sum
+        to zero.
         """
         for row, p in zip(self.rows, self.pivots):
             a, b = row[p], v[p]
@@ -162,7 +169,7 @@ def in_span(generators: Sequence[Sequence], vector: Sequence) -> bool:
     The empty generator set spans only the zero vector.
     """
     vec = _int_row(vector)
-    basis = _Basis(len(vec))
+    basis = _Basis()
     for g in generators:
         if len(g) != len(vec):
             raise ValueError(
@@ -257,47 +264,39 @@ def first_zero_sum_subset(coeffs: Sequence) -> Optional[tuple[int, ...]]:
 
 
 def columns_condition(matrix: QMatrix) -> Optional[ColumnsCertificate]:
-    """Search for a columns-condition certificate by exhaustive enumeration
-    of ordered column partitions.
+    """The certificate whose every block is the first (ascending bitmask
+    order) valid block of the remaining columns, or None if none exists.
 
-    Candidate first blocks are nonempty zero-sum column subsets (ascending
-    bitmask order); the search then recurses on the remaining columns, each
-    next block's sum having to lie in the span of everything consumed so
-    far, that is, the block's reduced columns (see _Basis.reduce) having to
-    sum to zero.  Dead ends are memoized by consumed-column bitmask, which
-    is sound because that span depends only on the consumed set.  Returns
-    the first certificate found, or None; the first step raises
-    CapExceededError for more than COLUMN_CAP columns.
+    A block is valid when its sum lies in the span of the consumed columns,
+    that is, when its reduced columns (see _Basis.reduce) sum to zero.  Not
+    backtracking is exact: if a completion exists from a consumed set S,
+    one also exists from every S' containing S (drop S' from each later
+    block: each block sum changes only by columns of S', which lie in the
+    span).  So a valid block never loses a completion, and a step with no
+    valid block means there is none.  More than COLUMN_CAP columns raise
+    CapExceededError.
     """
-    n = matrix.cols
+    if matrix.rows > matrix.cols:
+        # an echelon basis of the rows keeps every linear relation among the
+        # columns and at most `cols` rows, which bounds the subset-sum tables
+        echelon = _Basis()
+        for r in range(matrix.rows):
+            echelon.add(matrix.row(r))
+        matrix = QMatrix.from_rows(echelon.rows or [[0] * matrix.cols])
     cols = matrix.columns()
-    full = (1 << n) - 1
-    failed: set[int] = set()
+    basis = _Basis()
+    rem = list(range(matrix.cols))
     blocks: list[tuple[int, ...]] = []
-
-    def extend(consumed: int, basis: _Basis) -> bool:
-        if consumed == full:
-            return True
-        if consumed in failed:
-            return False
-        rem = [i for i in range(n) if not consumed >> i & 1]
-        # an empty basis reduces nothing, which makes the first block's
-        # condition a plain zero sum
-        for local in _zero_sum_masks([basis.reduce(cols[i]) for i in rem]):
-            block = _pick(local, rem)
-            nxt = basis.copy()
-            for i in block:
-                nxt.add(cols[i])
-            blocks.append(block)
-            if extend(consumed | sum(1 << i for i in block), nxt):
-                return True
-            blocks.pop()
-        failed.add(consumed)
-        return False
-
-    if extend(0, _Basis(matrix.rows)):
-        return ColumnsCertificate(tuple(blocks))
-    return None
+    while rem:
+        mask = next(_zero_sum_masks([basis.reduce(cols[i]) for i in rem]), None)
+        if mask is None:
+            return None
+        block = _pick(mask, rem)
+        for i in block:
+            basis.add(cols[i])
+        blocks.append(block)
+        rem = [i for j, i in enumerate(rem) if not mask >> j & 1]
+    return ColumnsCertificate(tuple(blocks))
 
 
 def verify_certificate(matrix: QMatrix, cert: ColumnsCertificate) -> bool:
@@ -309,7 +308,7 @@ def verify_certificate(matrix: QMatrix, cert: ColumnsCertificate) -> bool:
     if sorted(covered) != list(range(n)):
         return False
     cols = matrix.columns()
-    basis = _Basis(matrix.rows)
+    basis = _Basis()
     previous: tuple[int, ...] = ()
     for block in cert.blocks:
         for i in previous:

@@ -10,7 +10,9 @@ piece table of the 3-variable census.  The maximal-root filter's reference
 tries every monomial subset, and reports are checked against the standard
 library's indented JSON dump.  Asymptotic candidates are built the way
 they once were: each zero-sum mask picked bit by bit, wrapped in an
-`OrderedPartition` and named.
+`OrderedPartition` and named.  The columns condition is decided by the
+memoized depth-first search over ordered column partitions that the greedy
+decision replaced.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from math import comb
 
 import numpy as np
 
-from radolab.linalg import _zero_sum_masks
+from radolab.linalg import ColumnsCertificate, _Basis, _pick, _zero_sum_masks
 from radolab.model import collapse_to_univariate
 from radolab.results import OrderedPartition
 from radolab.univariate import has_positive_root
@@ -314,3 +316,51 @@ def oracle_candidate_names(coeffs, variables) -> list[list[list[str]]]:
         classes = (chosen,) if chosen == everything else (chosen, everything - chosen)
         out.append(OrderedPartition(classes).named(variables))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the columns condition by backtracking search
+
+
+def oracle_columns_condition(matrix):
+    """The first certificate of a depth-first search over ordered column
+    partitions, or None.
+
+    Candidate first blocks are nonempty zero-sum column subsets (ascending
+    bitmask order); the search then recurses on the remaining columns, each
+    next block's sum having to lie in the span of everything consumed so
+    far, that is, the block's reduced columns (see _Basis.reduce) having to
+    sum to zero.  Dead ends are memoized by consumed-column bitmask, which
+    is sound because that span depends only on the consumed set.
+    """
+    n = matrix.cols
+    cols = matrix.columns()
+    full = (1 << n) - 1
+    failed: set[int] = set()
+    blocks: list[tuple[int, ...]] = []
+
+    def extend(consumed: int, basis: _Basis) -> bool:
+        if consumed == full:
+            return True
+        if consumed in failed:
+            return False
+        rem = [i for i in range(n) if not consumed >> i & 1]
+        # an empty basis reduces nothing, which makes the first block's
+        # condition a plain zero sum
+        for local in _zero_sum_masks([basis.reduce(cols[i]) for i in rem]):
+            block = _pick(local, rem)
+            nxt = _Basis()
+            nxt.rows = [row[:] for row in basis.rows]
+            nxt.pivots = basis.pivots[:]
+            for i in block:
+                nxt.add(cols[i])
+            blocks.append(block)
+            if extend(consumed | sum(1 << i for i in block), nxt):
+                return True
+            blocks.pop()
+        failed.add(consumed)
+        return False
+
+    if extend(0, _Basis()):
+        return ColumnsCertificate(tuple(blocks))
+    return None

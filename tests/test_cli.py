@@ -374,6 +374,33 @@ class TestColumnsCondition:
         path.write_text(" ".join(["1"] * 23) + "\n")
         assert run_cli(capsys, "columns-condition", str(path))[0] == 3
 
+    def test_outside_grammar_exit_2(self, tmp_path, capsys):
+        # decimals, underscores, exponents and non-ASCII digits included
+        for tok in ["1.5", "1_000", "\u0661", "1e3", "1/-2"]:
+            path = tmp_path / "m.txt"
+            path.write_text(f"1 {tok} -1\n", encoding="utf-8")
+            code, out, err = run_cli(capsys, "columns-condition", str(path))
+            assert (code, out) == (2, ""), tok
+            assert "bad matrix entry on line 1" in err
+
+    def test_huge_exponent_exit_2_fast(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_text("1 1e10000000 -1\n")
+        start = time.perf_counter()
+        assert run_cli(capsys, "columns-condition", str(path))[0] == 2
+        assert time.perf_counter() - start < 0.1
+
+    def test_unsatisfiable_22_columns(self, tmp_path, capsys):
+        rng = random.Random(2)
+        rows = [[rng.choice([-1, 1]) for _ in range(22)] for _ in range(3)]
+        path = tmp_path / "m.txt"
+        path.write_text("".join(" ".join(map(str, r)) + "\n" for r in rows))
+        code, out, err = run_cli(capsys, "columns-condition", str(path))
+        assert code == 0
+        assert '"columns_condition": null' in out
+        assert json.loads(out)["matrix"] == {"rows": 3, "cols": 22}
+        assert "NONE" in err
+
 
 # every command of the README, with its matrix file
 README_COMMANDS = [

@@ -1,11 +1,12 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from _oracles import oracle_pick
+from _oracles import oracle_columns_condition, oracle_pick
 from radolab.errors import CapExceededError
 from radolab.linalg import (
     ColumnsCertificate,
@@ -259,6 +260,77 @@ class TestColumnsCondition:
             )
             assert (columns_condition(m) is not None) == naive(m)
 
+    def test_certificates_equal_backtracking_search(self):
+        # the greedy decision returns the certificate the depth-first
+        # search used to return, not just the same existence
+        rng = random.Random(11)
+        found = 0
+        for _ in range(4000):
+            rows = rng.randint(1, 3)
+            cols = rng.randint(1, 10)
+            m = QMatrix.from_rows(
+                [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+            )
+            cert = columns_condition(m)
+            assert cert == oracle_columns_condition(m), m
+            found += cert is not None
+        assert found > 1000
+
+    def test_row_reduction_keeps_certificates(self):
+        # more rows than columns, spanned by fewer rows, so that certificates
+        # exist; the oracle searches the rows as given
+        rng = random.Random(12)
+        reduced = found = 0
+        for _ in range(1500):
+            cols = rng.randint(1, 6)
+            base = [[rng.randint(-3, 3) for _ in range(cols)]
+                    for _ in range(rng.randint(1, cols))]
+            rows = [[sum(c * x for c, x in zip(coeffs, col))
+                     for col in zip(*base)]
+                    for coeffs in ([rng.randint(-2, 2) for _ in base]
+                                   for _ in range(rng.randint(1, 8)))]
+            m = QMatrix.from_rows(rows)
+            cert = columns_condition(m)
+            assert cert == oracle_columns_condition(m), m
+            reduced += m.rows > m.cols
+            found += cert is not None and m.rows > m.cols
+        assert reduced > 300 and found > 100
+
+    def test_all_zero_rows(self):
+        m = QMatrix.from_rows([[0, 0]] * 3)
+        assert columns_condition(m).blocks == ((0,), (1,))
+
+    def test_unsatisfiable_22_columns_fast(self):
+        # no certificate; the backtracking search took most of a minute
+        rng = random.Random(2)
+        m = QMatrix.from_rows(
+            [[rng.choice([-1, 1]) for _ in range(22)] for _ in range(3)]
+        )
+        start = time.perf_counter()
+        assert columns_condition(m) is None
+        assert time.perf_counter() - start < 0.1
+
+    def test_many_rows_reduced(self):
+        # 3000 combinations of 3 independent rows: the enumerator's vectors
+        # stay 3 long, and the certificate is the 3-row matrix's
+        rng = random.Random(13)
+        half = [[rng.randint(-3, 3) for _ in range(11)] for _ in range(3)]
+        base = [row + [-x for x in row] for row in half]
+        rows = [[sum(c * x for c, x in zip(coeffs, col)) for col in zip(*base)]
+                for coeffs in ([rng.randint(-3, 3) for _ in base]
+                               for _ in range(3000))]
+        m = QMatrix.from_rows(rows)
+        start = time.perf_counter()
+        cert = columns_condition(m)
+        assert time.perf_counter() - start < 1.0
+        assert cert is not None
+        assert cert == columns_condition(QMatrix.from_rows(base))
+        assert verify_certificate(m, cert)
+
+
+BAD_ENTRIES = ["x", "1/0", "1.5", "1_000", "\u0661", "\uff11", "1e3",
+               "1e10000000", "1/-2", "+-1", "1/", "/2", "0x10", "inf", "nan"]
+
 
 class TestMatrixText:
     def test_integers(self):
@@ -278,8 +350,25 @@ class TestMatrixText:
         with pytest.raises(ValueError):
             parse_matrix_text("   \n  ")
 
+    def test_signs(self):
+        m = parse_matrix_text("+1 -2/3 007")
+        assert m.row(0) == (3, -2, 21)
+
     def test_bad_entry(self):
+        # only ASCII [+-]digits[/digits]: no decimals, underscores,
+        # exponents or other scripts' digits
+        for tok in BAD_ENTRIES:
+            with pytest.raises(ValueError, match="bad matrix entry on line 2"):
+                parse_matrix_text(f"1 1\n1 {tok}")
+
+    def test_exponent_rejected_fast(self):
+        start = time.perf_counter()
         with pytest.raises(ValueError):
-            parse_matrix_text("1 x")
-        with pytest.raises(ValueError):
-            parse_matrix_text("1/0")
+            parse_matrix_text("1e10000000 -1")
+        assert time.perf_counter() - start < 0.1
+
+
+class TestQMatrix:
+    def test_no_rows(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            QMatrix.from_rows([])
