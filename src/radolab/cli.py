@@ -186,6 +186,8 @@ def cmd_asymptotic(args) -> int:
     except (NotLinearError, NotPRError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCOPE
+    if args.N < 2:
+        raise ValueError("N must be at least 2")
     coeffs = poly.linear_coefficients()
     n = len(coeffs)
     report = _base_report(eq, args.equation, {"N": args.N})

@@ -484,6 +484,8 @@ def iter_monochromatic(eq: Equation, spec: ColoringSpec,
 def iter_records(eq: Equation, spec: ColoringSpec, bound: int, N: int,
                  bases: Sequence[int] = ()) -> Iterator[SolutionRecord]:
     """Monochromatic solutions annotated with profiles and standard heads."""
+    if N < 2:
+        raise ValueError("N must be at least 2")
     for assignment, c in iter_monochromatic(eq, spec, bound):
         partition, valid = asymptotic_profile(assignment, N)
         heads = {

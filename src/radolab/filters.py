@@ -217,38 +217,28 @@ def sturm_positive_root(p: list[int]) -> bool:
     return univariate.has_positive_root(p)
 
 
-def _quiet_degree_masks(poly: Polynomial) -> list[int]:
-    """Entry i is the mask of the monomials sharing monomial i's total
-    degree when no subset of their coefficients sums to zero, else 0."""
-    by_degree: dict[int, list[int]] = {}
-    for i, m in enumerate(poly.monomials):
-        by_degree.setdefault(m.degree(), []).append(i)
-    quiet = [0] * len(poly.monomials)
-    for members in by_degree.values():
-        coeffs = [poly.monomials[i].coeff for i in members]
-        if first_zero_sum_subset(coeffs) is None:
-            mask = sum(1 << i for i in members)
-            for i in members:
-                quiet[i] = mask
-    return quiet
-
-
 def filter_maximal_root(eq: Equation) -> FilterResult:
     """For a PR equation, the monomials of the dominating scale, collapsed
     to one variable, must vanish somewhere on the positive axis.  Every
     nonempty subset is tried since the dominating set is not known; an
-    identically-zero collapse counts as vanishing.
+    identically-zero collapse counts as vanishing.  The evidence of a quiet
+    filter is the first rootful subset in ascending bitmask order.
 
-    A subset of one sign collapses to a polynomial without sign changes,
-    and one inside a total degree whose coefficients have no zero-sum
-    subset to a nonzero (sum c) x^d, so neither has a positive root.  The
-    filter fires exactly when every subset is of these kinds: all
-    coefficients share one sign, or all monomials share one total degree
-    and no coefficients sum to zero.  Otherwise some collapse vanishes: a
-    zero-sum subset of one degree, or a pair of opposite signs and
-    different degrees, a binomial with one sign change and so a positive
-    root (Descartes).  Only then are the other subsets scanned, in
-    ascending bitmask order, for the first rootful one.
+    That subset is the earlier of (a) the first pair i < j (by j, then i)
+    with opposite signs and different total degrees and (b) the first
+    zero-sum subset inside one total degree; the filter fires when neither
+    exists.  Mapping a degree's own first zero-sum subset to monomial
+    positions keeps the bitmask order, so (b) is the least of those.
+    - A pair as in (a) collapses to a binomial with one sign change, so it
+      has a positive root (Descartes).
+    - A subset of one sign collapses to a nonzero polynomial without sign
+      changes, so it has no positive root.
+    - A subset of both signs below (a) holds no pair as in (a), whose mask
+      would be at most the subset's and so below (a).  So any two of its
+      members of opposite signs share one degree d, and every other
+      member, having the opposite sign to one of them, has degree d too.
+      The subset collapses to (sum c) x^d, which is rootful iff sum c = 0:
+      it is at or above (b).
     """
     poly = eq.poly
     t = len(poly.monomials)
@@ -256,33 +246,25 @@ def filter_maximal_root(eq: Equation) -> FilterResult:
         raise CapExceededError(
             MONOMIAL_CAP, f"{t} monomials exceed the cap ({MONOMIAL_CAP})")
     coeffs = [m.coeff for m in poly.monomials]
-    positive = sum(1 << i for i, c in enumerate(coeffs) if c > 0)
-    negative = ((1 << t) - 1) ^ positive
-    if not positive or not negative or (
-            is_homogeneous(poly) and first_zero_sum_subset(coeffs) is None):
+    degrees = [m.degree() for m in poly.monomials]
+    pair = next((1 << i | 1 << j for j in range(t) for i in range(j)
+                 if (coeffs[i] > 0) != (coeffs[j] > 0)
+                 and degrees[i] != degrees[j]), None)
+    masks = [] if pair is None else [pair]
+    by_degree: dict[int, list[int]] = {}
+    for i, d in enumerate(degrees):
+        by_degree.setdefault(d, []).append(i)
+    for members in by_degree.values():
+        subset = first_zero_sum_subset([coeffs[i] for i in members])
+        if subset is not None:
+            masks.append(sum(1 << members[k] for k in subset))
+    if not masks:
         return _result("maximal-root", True, monomial_count=t,
                        subsets_checked=(1 << t) - 1)
-    cache: dict[tuple[int, ...], bool] = {}
-    # usually the first subset of both signs is rootful, so the quiet
-    # degrees are looked up only once one is not
-    quiet = None
-    for mask in range(1, 1 << t):
-        if not mask & positive or not mask & negative:
-            continue  # one sign: a nonzero collapse with no positive root
-        if quiet:
-            degree_mask = quiet[(mask & -mask).bit_length() - 1]
-            if mask | degree_mask == degree_mask:
-                continue  # inside one quiet degree: a nonzero (sum c) x^d
-        subset = [i for i in range(t) if mask >> i & 1]
-        q = tuple(collapse_to_univariate(poly, subset))
-        if q not in cache:
-            cache[q] = (not q) or sturm_positive_root(list(q))
-        if cache[q]:
-            return _result("maximal-root", False, rootful_subset=subset,
-                           collapse=list(q))
-        if quiet is None:
-            quiet = _quiet_degree_masks(poly)
-    raise AssertionError("a sign-changing equation has a rootful subset")
+    mask = min(masks)
+    subset = [i for i in range(t) if mask >> i & 1]
+    return _result("maximal-root", False, rootful_subset=subset,
+                   collapse=collapse_to_univariate(poly, subset))
 
 
 # ---------------------------------------------------------------------------

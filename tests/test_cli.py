@@ -194,6 +194,16 @@ class TestAsymptotic:
         assert len(entries) == 1
         assert entries[0]["certificate"] is None and "note" in entries[0]
 
+    def test_N_below_two_exit_2_for_every_candidate_shape(self, capsys):
+        # "x - y = 0" has only a single-class candidate, which never reaches
+        # hl_matrix's own check; out-of-scope equations keep exit 4
+        for text in ("x - y = 0", "x + y = z"):
+            for N in ("1", "-5"):
+                code, out, _ = run_cli(capsys, "asymptotic", text, "--N", N)
+                assert code == 2 and out == "", (text, N)
+        code, _, _ = run_cli(capsys, "asymptotic", "x + y = 3z", "--N", "1")
+        assert code == 4
+
 
 class TestCandidateBytes:
     """Raw stdout against the standard library's indented dump of the same
@@ -303,6 +313,13 @@ class TestSearch:
 
     def test_N_below_two_exit_2(self, capsys):
         code, out, _ = run_cli(capsys, "search", "x + y = z", "--N", "1")
+        assert code == 2 and out == ""
+
+    def test_solutions_N_below_two_exit_2_without_solutions(self, capsys):
+        # no solution has coordinates up to 1, so only the up-front check
+        # can reject N
+        code, out, _ = run_cli(capsys, "search", "x + y = z", "--mode",
+                               "solutions", "--N", "1", "--bound", "1")
         assert code == 2 and out == ""
 
     def test_modulus_past_int64(self, capsys):

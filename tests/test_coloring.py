@@ -653,3 +653,8 @@ class TestRecords:
             assert set(rec.heads) == {2, 10}
             for p, heads in rec.heads.items():
                 assert all(1 <= h < p for h in heads)
+
+    def test_N_below_two_rejected_before_the_first_solution(self):
+        spec = ColoringSpec.parse("mod:2")
+        with pytest.raises(ValueError, match="N must be at least 2"):
+            list(iter_records(parse("x + y = z"), spec, 1, N=1))

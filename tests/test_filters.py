@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -5,6 +6,7 @@ import time
 import pytest
 
 from _oracles import oracle_maximal_root, oracle_positive_root
+from radolab.cli import main
 from radolab.errors import CapExceededError
 from radolab.filters import (
     FILTER_CATALOGUE,
@@ -252,6 +254,78 @@ class TestMaximalRoot:
                     for sub in itertools.combinations(cs, k))
                 for cs in by_degree.values())
         assert mixed_quiet > 150
+
+    def test_late_zero_sum_subset_found_in_closed_form(self, capsys):
+        # the degree-2 coefficients (-2)^i for i < 18 have no zero-sum
+        # subset; the first one needs the last coefficient, 1: {0, 1, 18}
+        # at bitmask 2^18 + 3, below the pair {x00*y, -z} at 2^19 + 1
+        text = " ".join(["x00*y"] + [
+            f"{'-' if i % 2 else '+'} {2 ** i}x{i:02d}*y" for i in range(1, 18)
+        ] + ["+ x18*y = z"])
+        eq = parse(text)
+        start = time.perf_counter()
+        r = filter_maximal_root(eq)
+        assert time.perf_counter() - start < 0.1
+        assert not r.fired
+        assert r.evidence == {"rootful_subset": [0, 1, 18], "collapse": []}
+        assert main(["analyze", text]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest().startswith(
+            "ee83c5e2cdab0dbe")
+
+    def test_oracle_corpus_without_sturm(self, monkeypatch):
+        # random signs with constant monomials, one sign throughout,
+        # homogeneous, and 2-3 degrees of signed powers of two; the oracle
+        # (which decides roots with Sturm sequences) runs first, then the
+        # filter must agree without a single root test
+        from radolab.model import Equation
+        rng = random.Random(59)
+        names = ["x", "y", "z", "w"]
+        corpus = []
+        while len(corpus) < 3000:
+            shape = rng.choice(["signed", "one-sign", "homogeneous", "powers"])
+            sign = rng.choice([-1, 1])
+            degree = rng.randint(1, 4)
+            terms = {}
+            if shape == "powers":
+                for d in rng.sample(range(0, 5), rng.randint(2, 3)):
+                    for k in range(rng.randint(1, 4)):
+                        cuts = sorted(rng.randint(0, d) for _ in range(3))
+                        exps = [cuts[0], cuts[1] - cuts[0],
+                                cuts[2] - cuts[1], d - cuts[2]]
+                        key = tuple((v, e) for v, e in zip(names, exps) if e)
+                        terms[key] = 2 ** k * rng.choice([-1, 1])
+            else:
+                # a fired equation costs the oracle all 2^t - 1 subsets
+                size = 8 if shape == "one-sign" else 12
+                for _ in range(rng.randint(1, size)):
+                    if shape == "homogeneous":
+                        cuts = sorted(rng.randint(0, degree) for _ in range(3))
+                        exps = [cuts[0], cuts[1] - cuts[0],
+                                cuts[2] - cuts[1], degree - cuts[2]]
+                    else:
+                        # exponent 0 throughout is the constant monomial
+                        exps = [rng.randint(0, 2) for _ in names]
+                    key = tuple((v, e) for v, e in zip(names, exps) if e)
+                    coeff = rng.choice([1, 2, 3, 5])
+                    terms[key] = coeff * (sign if shape == "one-sign"
+                                          else rng.choice([-1, 1]))
+            poly = Polynomial.from_terms(terms)
+            if not poly.is_zero() and len(poly.monomials) <= 12:
+                corpus.append(Equation.from_polynomial(poly))
+        expected = [oracle_maximal_root(eq.poly) for eq in corpus]
+
+        def no_root_tests(p):
+            raise AssertionError("the maximal-root filter ran a root test")
+
+        monkeypatch.setattr("radolab.filters.sturm_positive_root",
+                            no_root_tests)
+        for eq, want in zip(corpus, expected):
+            r = filter_maximal_root(eq)
+            assert (r.fired, r.evidence) == want, eq
+        fired = sum(f for f, _ in expected)
+        assert fired > 500 and len(corpus) - fired > 1500
+        assert sum(len(eq.poly.monomials) > 8 for eq in corpus) > 200
 
 
 class TestFermatCatalanRules:
