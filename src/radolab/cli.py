@@ -25,7 +25,7 @@ from .coloring import (
     witness_search,
 )
 from .errors import CapExceededError
-from .filters import FILTER_CATALOGUE, decide
+from .filters import FILTER_CATALOGUE, check_degree_cap, decide
 from .linalg import columns_condition, parse_matrix_text
 from .linear import (
     NotLinearError,
@@ -225,7 +225,7 @@ def _record_json(record) -> dict:
         "assignment": list(record.assignment),
         "color": record.color,
         "profile": {
-            "classes": [sorted(c) for c in partition.classes],
+            "classes": partition.as_lists(),
             "N": N,
             "valid": valid,
         },
@@ -239,6 +239,7 @@ def _record_json(record) -> dict:
 def cmd_search(args) -> int:
     eq = parse(args.equation)
     specs = [ColoringSpec.parse(s) for s in (args.coloring or ["mod:2"])]
+    check_degree_cap(eq.poly)
     params = {
         "bound": args.bound, "N": args.N, "base": args.base,
         "mode": args.mode, "colorings": [s.spec_string() for s in specs],

@@ -6,7 +6,9 @@ take the largest unassigned value a and group with it every unassigned value
 b with |a/b - 1| < 1/N (all comparisons exact integer arithmetic).  The
 profile is valid when, in addition, every within-class pair meets the ratio
 bound and every cross-class pair (i earlier, j later) satisfies N*a_j < a_i.
-Only valid profiles of monochromatic solutions enter a census.
+The classes are runs of the descending order, so one pass groups the values
+and decides validity at the class cuts alone (see `_profile`).  Only valid
+profiles of monochromatic solutions enter a census.
 """
 
 from __future__ import annotations
@@ -198,36 +200,47 @@ def asymptotic_profile(values: Sequence[int], N: int) -> tuple[OrderedPartition,
         raise ValueError("N must be at least 2")
     if any(v < 1 for v in values):
         raise ValueError("tuple entries must be positive")
-    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
-    classes: list[list[int]] = []
-    assigned = [False] * len(values)
-    for anchor in order:
-        if assigned[anchor]:
-            continue
-        amax = values[anchor]
-        group = []
-        for i in order:
-            if not assigned[i] and N * (amax - values[i]) < values[i]:
-                assigned[i] = True
-                group.append(i)
-        classes.append(group)
-    partition = OrderedPartition(tuple(frozenset(c) for c in classes))
-    valid = _profile_valid(values, classes, N)
-    return partition, valid
+    ranks, valid = _profile(values, N)
+    return _partition(ranks), valid
 
 
-def _profile_valid(values: Sequence[int], classes: list[list[int]], N: int) -> bool:
-    for c in classes:
-        for i, j in itertools.combinations(c, 2):
-            hi, lo = max(values[i], values[j]), min(values[i], values[j])
-            if N * (hi - lo) >= lo:
-                return False
-    for earlier, later in itertools.combinations(range(len(classes)), 2):
-        for i in classes[earlier]:
-            for j in classes[later]:
-                if N * values[j] >= values[i]:
-                    return False
-    return True
+def _profile(values: Sequence[int], N: int) -> tuple[tuple[int, ...], bool]:
+    """The greedy profile as ranks (ranks[i] is position i's class, 0 the
+    top) and its validity flag, in one pass.
+
+    Walk the values in (-value, index) order.  A value v joins the open
+    class, anchored at its first value, iff N*(anchor - v) < v, and this
+    test only gets harder further down, so the greedy classes are runs of
+    that order.  Every within-class pair meets the ratio bound by
+    construction.  The cross-class condition N*a_j < a_i holds for all
+    pairs iff it holds at each cut, between the last value of one class
+    and the first of the next: min(C_t) > N*max(C_{t+1}) >=
+    N*min(C_{t+1}) > N^2*max(C_{t+2}).  `_piece_table`'s four cases are
+    this rule for three items.
+    """
+    # reverse=True keeps equal values in index order
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    ranks = [0] * len(values)
+    valid = True
+    rank = 0
+    anchor = last = values[order[0]] if order else 0
+    for i in order:
+        v = values[i]
+        if N * (anchor - v) >= v:
+            rank += 1
+            valid = valid and N * v < last
+            anchor = v
+        ranks[i] = rank
+        last = v
+    return tuple(ranks), valid
+
+
+def _partition(ranks: Sequence[int]) -> OrderedPartition:
+    """The ordered partition whose class r holds the positions of rank r."""
+    classes: list[list[int]] = [[] for _ in range(max(ranks, default=-1) + 1)]
+    for i, r in enumerate(ranks):
+        classes[r].append(i)
+    return OrderedPartition(tuple(map(frozenset, classes)))
 
 
 # ---------------------------------------------------------------------------
@@ -550,12 +563,13 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
             if _common_color(table, assignment) is None:
                 continue
             if profile is None:
-                profile = asymptotic_profile(assignment, N)
-            partition, valid = profile
+                profile = _profile(assignment, N)
+            ranks, valid = profile
             if valid:
-                counts[partition] = counts.get(partition, 0) + 1
-    return [ProfileCensus(counts, total, p)
-            for counts, p in zip(per_spec, params)]
+                counts[ranks] = counts.get(ranks, 0) + 1
+    # tallied by rank tuple; one partition per distinct profile
+    return [ProfileCensus({_partition(r): n for r, n in counts.items()},
+                          total, p) for counts, p in zip(per_spec, params)]
 
 
 # vectorized census for 3-variable linear homogeneous equations -------------
@@ -666,25 +680,6 @@ def _piece_table(slopes: tuple[int, int, int], slots: tuple[int, int, int],
     return tuple(np.concatenate(col) for col in zip(*out))
 
 
-def _build_code_partitions() -> dict[int, OrderedPartition]:
-    out = {}
-    for ra in range(3):
-        for rb in range(3):
-            for rc in range(3):
-                ranks = (ra, rb, rc)
-                used = set(ranks)
-                if sorted(used) != list(range(len(used))):
-                    continue
-                classes = tuple(
-                    frozenset(i for i in range(3) if ranks[i] == lvl)
-                    for lvl in range(len(used))
-                )
-                out[ra * 9 + rb * 3 + rc] = OrderedPartition(classes)
-    return out
-
-
-_CODE_PARTITIONS = _build_code_partitions()
-
 # values of u per piece table: bounds its temporaries at large bounds
 _BLOCK = 1024
 
@@ -751,13 +746,8 @@ def _census3_linear(coeffs: list[int], specs: Sequence[ColoringSpec],
                        == color))
             sums[k] = mono.sum(axis=1)
         np.add.at(counts, code, sums)
-    per_spec = []
-    for acc in counts.T:
-        per_spec.append({
-            _CODE_PARTITIONS[code]: int(n)
-            for code, n in enumerate(acc) if n
-        })
-    return per_spec, total
+    return [{_partition((code // 9, code // 3 % 3, code % 3)): int(n)
+             for code, n in enumerate(acc) if n} for acc in counts.T], total
 
 
 # ---------------------------------------------------------------------------

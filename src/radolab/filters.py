@@ -495,6 +495,14 @@ def run_all_filters(eq: Equation) -> Verdict:
     return decide(eq)[0]
 
 
+def check_degree_cap(poly: Polynomial) -> None:
+    """Raise `CapExceededError` when the total degree exceeds `DEGREE_CAP`."""
+    degree = poly.total_degree()
+    if degree > DEGREE_CAP:
+        raise CapExceededError(
+            DEGREE_CAP, f"total degree {degree} exceeds the cap ({DEGREE_CAP})")
+
+
 def decide(eq: Equation) -> tuple[Verdict, list[FilterResult]]:
     """The `run_all_filters` verdict together with the filter results it was
     decided from: the linear decision's reasons for a linear equation, the
@@ -520,10 +528,7 @@ def decide(eq: Equation) -> tuple[Verdict, list[FilterResult]]:
                                   notes=notes)
         return verdict, verdict.reasons
 
-    degree = poly.total_degree()
-    if degree > DEGREE_CAP:
-        raise CapExceededError(
-            DEGREE_CAP, f"total degree {degree} exceeds the cap ({DEGREE_CAP})")
+    check_degree_cap(poly)
     constant = trivial_constant_solution(poly)
     results = _battery(eq, constant)
     notes = []

@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's algorithms: root existence is decided
 numerically (derivative recursion, dense sampling, sign changes, bisection),
-solution sets by full-grid evaluation, and profile checks by re-testing the
-defining inequalities pair by pair.  Forward differences come from the
-binomial expansion, and the scalar valid-piece decomposition
+solution sets by full-grid evaluation, and profiles by grouping with one
+rescan of the descending order per class and re-testing the defining
+inequalities pair by pair.  Forward differences come from the binomial
+expansion, and the scalar valid-piece decomposition
 (`_valid_pieces`) is the one-progression-at-a-time reference for the array
 piece table of the 3-variable census.  The maximal-root filter's reference
 tries every monomial subset, and reports are checked against the standard
@@ -154,6 +155,26 @@ def oracle_solution_grid(poly_terms, nvars: int, bound: int) -> set[tuple[int, .
 
 # ---------------------------------------------------------------------------
 # profile re-verification straight from the defining inequalities
+
+
+def oracle_asymptotic_profile(values, N: int):
+    """Greedy descending grouping by rescans: each class takes every
+    unassigned value within the ratio bound of the largest unassigned one,
+    scanning the whole order again.  The flag is `oracle_profile_valid`."""
+    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
+    classes = []
+    assigned = [False] * len(values)
+    for anchor in order:
+        if assigned[anchor]:
+            continue
+        group = []
+        for i in order:
+            if not assigned[i] and N * (values[anchor] - values[i]) < values[i]:
+                assigned[i] = True
+                group.append(i)
+        classes.append(group)
+    return (OrderedPartition.of(*classes),
+            oracle_profile_valid(values, classes, N))
 
 
 def oracle_profile_valid(values, classes, N: int) -> bool:

@@ -334,6 +334,23 @@ class TestSearch:
                              "--coloring", "digit:2")
         assert code == 2
 
+    def test_degree_cap_exit_3(self, capsys):
+        # the cap is checked before the first solution, with analyze's
+        # message
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "search", "x^100000000 = y",
+                                 "--bound", "3")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err == run_cli(capsys, "analyze", "x^100000000 = y")[2]
+
+    def test_degree_cap_boundary(self, capsys):
+        cap = filters.DEGREE_CAP
+        assert run_cli(capsys, "search", f"x^{cap} = y", "--bound", "3")[0] == 0
+        code, out, _ = run_cli(capsys, "search", f"x^{cap + 1} = y",
+                               "--bound", "3")
+        assert code == 3 and out == ""
+
 
 def test_parser_built_once_dispatches_rebound_commands(capsys, monkeypatch):
     run_cli(capsys, "analyze", "x + y = z")

@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radolab
-from _oracles import _valid_pieces, oracle_profile_valid, oracle_solution_grid
+from _oracles import (
+    _valid_pieces,
+    oracle_asymptotic_profile,
+    oracle_profile_valid,
+    oracle_solution_grid,
+)
 from radolab import univariate
 from radolab.coloring import (
     ColoringSpec,
@@ -193,6 +198,32 @@ class TestAsymptoticProfile:
         partition, valid = asymptotic_profile((100, 91, 84), 10)
         assert partition == OrderedPartition.of({0, 1}, {2})
         assert not valid
+
+    @given(st.lists(st.one_of(st.integers(1, 12), st.integers(1, 10 ** 9)),
+                    max_size=8),
+           st.sampled_from([2, 3, 5, 10, 99, 10 ** 30]))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_oracle(self, values, N):
+        # partition and flag, both directions; small values force ties
+        assert (asymptotic_profile(values, N)
+                == oracle_asymptotic_profile(values, N))
+
+    def test_matches_oracle_on_seeded_corpus(self):
+        rng = random.Random(20261018)
+        for k in range(12000):
+            n = rng.randint(0, 8)
+            N = rng.choice([2, 3, 5, 10, 99, 10 ** 30])
+            if k % 3 == 0:  # tie-heavy
+                pool = [rng.randint(1, 40) for _ in range(3)]
+                values = [rng.choice(pool) for _ in range(n)]
+            elif k % 3 == 1:  # near the cut tests: powers of N, nudged
+                base = rng.randint(1, 1000)
+                values = [max(1, base * min(N, 50) ** rng.randint(0, 3)
+                              + rng.randint(-2, 2)) for _ in range(n)]
+            else:
+                values = [rng.randint(1, 10 ** 9) for _ in range(n)]
+            assert (asymptotic_profile(values, N)
+                    == oracle_asymptotic_profile(values, N)), (values, N)
 
 
 class TestEnumerateSolutions:
@@ -498,6 +529,23 @@ class TestProfileCensus:
                 counts, total = _scan_census(eq, spec, bound, 3)
                 assert census.counts == counts, (eqtext, spec)
                 assert census.total_solutions == total
+
+    def test_general_path_matches_oracle_tally(self):
+        eq = parse("x + y + z = w")
+        names = ["mod:2", "mod:3", "random:7:3"]
+        many = profile_census_many(
+            eq, [ColoringSpec.parse(s) for s in names], 40, 10)
+        for name, census in zip(names, many):
+            spec = ColoringSpec.parse(name)
+            counts, total = {}, 0
+            for sol in enumerate_solutions(eq, 40):
+                total += 1
+                if len({spec.color(v) for v in sol}) == 1:
+                    partition, valid = oracle_asymptotic_profile(sol, 10)
+                    if valid:
+                        counts[partition] = counts.get(partition, 0) + 1
+            assert census.counts == counts, name
+            assert census.total_solutions == total
 
     def test_schur_profiles_at_ten_thousand(self):
         eq = parse("x + 2y = z")
