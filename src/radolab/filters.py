@@ -499,8 +499,11 @@ def check_degree_cap(poly: Polynomial) -> None:
     """Raise `CapExceededError` when the total degree exceeds `DEGREE_CAP`."""
     degree = poly.total_degree()
     if degree > DEGREE_CAP:
-        raise CapExceededError(
-            DEGREE_CAP, f"total degree {degree} exceeds the cap ({DEGREE_CAP})")
+        try:
+            shown = f"total degree {degree}"
+        except ValueError:  # more digits than the interpreter will print
+            shown = "total degree"
+        raise CapExceededError(DEGREE_CAP, f"{shown} exceeds the cap ({DEGREE_CAP})")
 
 
 def decide(eq: Equation) -> tuple[Verdict, list[FilterResult]]:

@@ -43,11 +43,12 @@ class Monomial:
         return len(self.exponents) <= 1
 
 
-def _grlex_key(mono: Monomial, nvars: int):
-    dense = [0] * nvars
-    for i, e in mono.exponents:
-        dense[i] = e
-    return (mono.degree(), tuple(dense))
+def _grlex_key(mono: Monomial):
+    """Graded-lex key without dense exponent vectors: at the first variable
+    where two monomials of one degree differ, the one that has it, or has it
+    to the higher power, is larger, and (-index, exponent) pairs in index
+    order compare exactly so."""
+    return (mono.degree(), tuple((-i, e) for i, e in mono.exponents))
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class Polynomial:
             Monomial(coeff, tuple(sorted((index[v], e) for v, e in key)))
             for key, coeff in combined.items()
         ]
-        monos.sort(key=lambda m: _grlex_key(m, len(names)), reverse=True)
+        monos.sort(key=_grlex_key, reverse=True)
         return Polynomial(tuple(names), tuple(monos))
 
     # -- term access -------------------------------------------------------

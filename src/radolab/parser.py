@@ -10,13 +10,21 @@ Grammar (whitespace between tokens is ignored):
     variable := letter (letter|digit)*
     integer  := digit+
 
+Digits are the ASCII digits 0-9; letters are whatever `str.isalpha` accepts.
 Juxtaposition multiplies ("3x", "x y"), written exponents must be >= 1,
 coefficients are integer literals only.  The parsed equation is normalized
 to LHS - RHS = 0 with the leading graded-lex monomial positive.
 
-Integer literals, and the combined coefficient of each monomial, may have at
-most `sys.get_int_max_str_digits()` decimal digits (4300 by default; 0 means
-no limit), so that every coefficient can be written back out in a report.
+Each grammar rule is a function of the token list and an index that returns
+what it parsed and the next index; the list ends with an 'end' token, so
+every lookahead is a plain index.
+
+Integer literals, the running product of the literals in each term, and the
+combined coefficient of each monomial may have at most
+`sys.get_int_max_str_digits()` decimal digits (4300 by default; 0 means no
+limit), so that every coefficient can be written back out in a report.  A
+term's product is checked after each literal, before anything to its right
+is parsed.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ class ParseError(Exception):
 
 
 _TOKEN_CHARS = set("+-*^=")
+_DIGITS = set("0123456789")
 
 
 def _digit_limit() -> int:
@@ -47,9 +56,19 @@ def _digit_limit() -> int:
     return get() if get else 0
 
 
+def _check_coefficient(c: int, at: int) -> None:
+    """Raise a ParseError at `at` if `c` has more digits than the limit."""
+    limit = _digit_limit()
+    # |c| >= 10^limit needs more than 3*limit bits
+    if limit and c.bit_length() > 3 * limit and abs(c) >= 10 ** limit:
+        raise ParseError(at, f"coefficient has more than {limit} digits",
+                         f"at most {limit} digits")
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Returns (kind, value, position) triples; kind in
-    {'int', 'name', '+', '-', '*', '^', '='}."""
+    {'int', 'name', '+', '-', '*', '^', '=', 'end'}, the list closed by one
+    'end' token at len(text)."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -60,9 +79,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch in _TOKEN_CHARS:
             tokens.append((ch, ch, i))
             i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             limit = _digit_limit()
             if limit and j - i > limit:
@@ -72,129 +91,97 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             i = j
         elif ch.isalpha():
             j = i
-            while j < n and (text[j].isalnum()):
+            while j < n and (text[j].isalpha() or text[j] in _DIGITS):
                 j += 1
             tokens.append(("name", text[i:j], i))
             i = j
         else:
             raise ParseError(i, f"unexpected character {ch!r}", "token")
+    tokens.append(("end", "", n))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _unexpected(token: tuple[str, str, int], expected: str) -> ParseError:
+    kind, value, pos = token
+    if kind == "end":
+        return ParseError(pos, "unexpected end of input", expected)
+    return ParseError(pos, f"unexpected {value!r}", expected)
 
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def _take(self):
-        tok = self._peek()
-        if tok is None:
-            raise ParseError(len(self.text), "unexpected end of input", "token")
-        self.pos += 1
-        return tok
-
-    def _expect(self, kind: str):
-        tok = self._peek()
-        if tok is None:
-            raise ParseError(len(self.text), "unexpected end of input", kind)
-        if tok[0] != kind:
-            raise ParseError(tok[2], f"unexpected {tok[1]!r}", kind)
-        return self._take()
-
-    # terms are accumulated as {((name, exp), ...): coeff}
-
-    def parse_equation(self) -> Equation:
-        lhs_terms, lhs_text, lhs_at = self.parse_expr()
-        self._expect("=")
-        rhs_terms, rhs_text, rhs_at = self.parse_expr()
-        tok = self._peek()
-        if tok is not None:
-            raise ParseError(tok[2], f"unexpected {tok[1]!r} after equation", "end of input")
-        terms = dict(lhs_terms)
-        for key, c in rhs_terms.items():
-            terms[key] = terms.get(key, 0) - c
-        limit = _digit_limit()
-        for key, c in terms.items():
-            # |c| >= 10^limit needs more than 3*limit bits
-            if limit and c.bit_length() > 3 * limit and abs(c) >= 10 ** limit:
-                raise ParseError(lhs_at.get(key, rhs_at.get(key)),
-                                 f"coefficient has more than {limit} digits",
-                                 f"at most {limit} digits")
-        return Equation.from_polynomial(
-            Polynomial.from_terms(terms), lhs_text.strip(), rhs_text.strip()
-        )
-
-    def parse_expr(self) -> tuple[dict, str, dict]:
-        """Terms, source text, and the position of each monomial's first
-        term."""
-        start = self._peek()[2] if self._peek() else len(self.text)
-        sign = 1
-        if self._peek() and self._peek()[0] == "-":
-            self._take()
-            sign = -1
-        terms: dict[tuple, int] = {}
-        first_at: dict[tuple, int] = {}
-
-        def add(sign):
-            at = self._peek()[2] if self._peek() else len(self.text)
-            key, coeff = self.parse_term()
-            terms[key] = terms.get(key, 0) + sign * coeff
-            first_at.setdefault(key, at)
-
-        add(sign)
-        while self._peek() and self._peek()[0] in ("+", "-"):
-            add(1 if self._take()[0] == "+" else -1)
-        end = self._peek()[2] if self._peek() else len(self.text)
-        return terms, self.text[start:end], first_at
-
-    def parse_term(self) -> tuple[tuple, int]:
-        coeff, exps = self.parse_factor()
-        while True:
-            tok = self._peek()
-            if tok and tok[0] == "*":
-                self._take()
-                c, e = self.parse_factor()
-            elif tok and tok[0] in ("int", "name"):
-                c, e = self.parse_factor()
-            else:
-                break
-            coeff *= c
-            for v, k in e.items():
-                exps[v] = exps.get(v, 0) + k
-        key = tuple(sorted((v, k) for v, k in exps.items() if k))
-        return key, coeff
-
-    def parse_factor(self) -> tuple[int, dict]:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError(len(self.text), "unexpected end of input", "integer or variable")
-        kind, value, pos = tok
+def _term(tokens: list, i: int) -> tuple[tuple, int, int]:
+    """term := factor ("*"? factor)*, from tokens[i]: the monomial key
+    ((name, exp), ...), the coefficient and the next index.  The running
+    coefficient is checked after each literal, so a long product stops at
+    the first factor that takes it past the digit limit."""
+    at = tokens[i][2]
+    coeff, exps = 1, {}
+    while True:
+        kind, value, _ = tokens[i]
         if kind == "int":
-            self._take()
-            return int(value), {}
-        if kind == "name":
-            self._take()
+            coeff *= int(value)
+            _check_coefficient(coeff, at)
+            i += 1
+        elif kind == "name":
             exp = 1
-            nxt = self._peek()
-            if nxt and nxt[0] == "^":
-                self._take()
-                etok = self._expect("int")
+            if tokens[i + 1][0] == "^":
+                etok = tokens[i + 2]
+                if etok[0] != "int":
+                    raise _unexpected(etok, "int")
                 exp = int(etok[1])
                 if exp < 1:
-                    raise ParseError(etok[2], "written exponents must be >= 1", "integer >= 1")
-            return 1, {value: exp}
-        raise ParseError(pos, f"unexpected {value!r}", "integer or variable")
+                    raise ParseError(etok[2], "written exponents must be >= 1",
+                                     "integer >= 1")
+                i += 2
+            exps[value] = exps.get(value, 0) + exp
+            i += 1
+        else:
+            raise _unexpected(tokens[i], "integer or variable")
+        if tokens[i][0] == "*":
+            i += 1
+        elif tokens[i][0] not in ("int", "name"):
+            return tuple(sorted(exps.items())), coeff, i
+
+
+def _expr(text: str, tokens: list, i: int) -> tuple[dict, str, dict, int]:
+    """expr := ["-"] term (("+"|"-") term)*, from tokens[i]: the terms
+    {key: coeff}, the source text, the position of each monomial's first
+    term and the next index."""
+    start = tokens[i][2]
+    sign = 1
+    if tokens[i][0] == "-":
+        sign, i = -1, i + 1
+    terms: dict[tuple, int] = {}
+    first_at: dict[tuple, int] = {}
+    while True:
+        at = tokens[i][2]
+        key, coeff, i = _term(tokens, i)
+        terms[key] = terms.get(key, 0) + sign * coeff
+        first_at.setdefault(key, at)
+        kind, _, pos = tokens[i]
+        if kind not in ("+", "-"):
+            return terms, text[start:pos], first_at, i
+        sign, i = (1 if kind == "+" else -1), i + 1
 
 
 def parse(text: str) -> Equation:
     """Parse one equation; raises ParseError on malformed input."""
     if not text.strip():
         raise ParseError(0, "empty input", "equation")
-    return _Parser(text).parse_equation()
+    tokens = _tokenize(text)
+    terms, lhs_text, lhs_at, i = _expr(text, tokens, 0)
+    if tokens[i][0] != "=":
+        raise _unexpected(tokens[i], "=")
+    rhs_terms, rhs_text, rhs_at, i = _expr(text, tokens, i + 1)
+    kind, value, pos = tokens[i]
+    if kind != "end":
+        raise ParseError(pos, f"unexpected {value!r} after equation", "end of input")
+    for key, c in rhs_terms.items():
+        terms[key] = terms.get(key, 0) - c
+    for key, c in terms.items():
+        _check_coefficient(c, lhs_at.get(key, rhs_at.get(key)))
+    return Equation.from_polynomial(
+        Polynomial.from_terms(terms), lhs_text.strip(), rhs_text.strip()
+    )
 
 
 def _render_monomial(poly: Polynomial, index: int) -> str:

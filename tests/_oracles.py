@@ -13,20 +13,24 @@ library's indented JSON dump.  Asymptotic candidates are built the way
 they once were: each zero-sum mask picked bit by bit, wrapped in an
 `OrderedPartition` and named.  The columns condition is decided by the
 memoized depth-first search over ordered column partitions that the greedy
-decision replaced.
+decision replaced.  Equations are parsed by the recursive-descent class
+with one-token lookahead and no end token that the stateless grammar
+functions replaced, and monomials are ordered by dense exponent vectors.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import sys
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 
 from radolab.linalg import ColumnsCertificate, _Basis, _pick, _zero_sum_masks
-from radolab.model import collapse_to_univariate
+from radolab.model import Equation, Polynomial, collapse_to_univariate
+from radolab.parser import ParseError
 from radolab.results import OrderedPartition
 from radolab.univariate import has_positive_root
 
@@ -385,3 +389,168 @@ def oracle_columns_condition(matrix):
     if extend(0, _Basis()):
         return ColumnsCertificate(tuple(blocks))
     return None
+
+
+# ---------------------------------------------------------------------------
+# the equation parser as a class with one-token lookahead
+
+
+def _oracle_digit_limit() -> int:
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
+
+
+def _oracle_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*^=":
+            tokens.append((ch, ch, i))
+            i += 1
+        elif ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            limit = _oracle_digit_limit()
+            if limit and j - i > limit:
+                raise ParseError(i, f"integer literal has {j - i} digits",
+                                 f"at most {limit} digits")
+            tokens.append(("int", text[i:j], i))
+            i = j
+        elif ch.isalpha():
+            j = i
+            while j < n and (text[j].isalnum()):
+                j += 1
+            tokens.append(("name", text[i:j], i))
+            i = j
+        else:
+            raise ParseError(i, f"unexpected character {ch!r}", "token")
+    return tokens
+
+
+class _OracleParser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _oracle_tokenize(text)
+        self.pos = 0
+
+    def _peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def _take(self):
+        tok = self._peek()
+        if tok is None:
+            raise ParseError(len(self.text), "unexpected end of input", "token")
+        self.pos += 1
+        return tok
+
+    def _expect(self, kind: str):
+        tok = self._peek()
+        if tok is None:
+            raise ParseError(len(self.text), "unexpected end of input", kind)
+        if tok[0] != kind:
+            raise ParseError(tok[2], f"unexpected {tok[1]!r}", kind)
+        return self._take()
+
+    def parse_equation(self) -> Equation:
+        lhs_terms, lhs_text, lhs_at = self.parse_expr()
+        self._expect("=")
+        rhs_terms, rhs_text, rhs_at = self.parse_expr()
+        tok = self._peek()
+        if tok is not None:
+            raise ParseError(tok[2], f"unexpected {tok[1]!r} after equation", "end of input")
+        terms = dict(lhs_terms)
+        for key, c in rhs_terms.items():
+            terms[key] = terms.get(key, 0) - c
+        limit = _oracle_digit_limit()
+        for key, c in terms.items():
+            if limit and c.bit_length() > 3 * limit and abs(c) >= 10 ** limit:
+                raise ParseError(lhs_at.get(key, rhs_at.get(key)),
+                                 f"coefficient has more than {limit} digits",
+                                 f"at most {limit} digits")
+        return Equation.from_polynomial(
+            Polynomial.from_terms(terms), lhs_text.strip(), rhs_text.strip()
+        )
+
+    def parse_expr(self) -> tuple[dict, str, dict]:
+        start = self._peek()[2] if self._peek() else len(self.text)
+        sign = 1
+        if self._peek() and self._peek()[0] == "-":
+            self._take()
+            sign = -1
+        terms: dict[tuple, int] = {}
+        first_at: dict[tuple, int] = {}
+
+        def add(sign):
+            at = self._peek()[2] if self._peek() else len(self.text)
+            key, coeff = self.parse_term()
+            terms[key] = terms.get(key, 0) + sign * coeff
+            first_at.setdefault(key, at)
+
+        add(sign)
+        while self._peek() and self._peek()[0] in ("+", "-"):
+            add(1 if self._take()[0] == "+" else -1)
+        end = self._peek()[2] if self._peek() else len(self.text)
+        return terms, self.text[start:end], first_at
+
+    def parse_term(self) -> tuple[tuple, int]:
+        coeff, exps = self.parse_factor()
+        while True:
+            tok = self._peek()
+            if tok and tok[0] == "*":
+                self._take()
+                c, e = self.parse_factor()
+            elif tok and tok[0] in ("int", "name"):
+                c, e = self.parse_factor()
+            else:
+                break
+            coeff *= c
+            for v, k in e.items():
+                exps[v] = exps.get(v, 0) + k
+        key = tuple(sorted((v, k) for v, k in exps.items() if k))
+        return key, coeff
+
+    def parse_factor(self) -> tuple[int, dict]:
+        tok = self._peek()
+        if tok is None:
+            raise ParseError(len(self.text), "unexpected end of input", "integer or variable")
+        kind, value, pos = tok
+        if kind == "int":
+            self._take()
+            return int(value), {}
+        if kind == "name":
+            self._take()
+            exp = 1
+            nxt = self._peek()
+            if nxt and nxt[0] == "^":
+                self._take()
+                etok = self._expect("int")
+                exp = int(etok[1])
+                if exp < 1:
+                    raise ParseError(etok[2], "written exponents must be >= 1", "integer >= 1")
+            return 1, {value: exp}
+        raise ParseError(pos, f"unexpected {value!r}", "integer or variable")
+
+
+def oracle_parse(text: str) -> Equation:
+    """One equation by recursive descent over a token list without an end
+    token; the combined coefficients are checked once, after both sides."""
+    if not text.strip():
+        raise ParseError(0, "empty input", "equation")
+    return _OracleParser(text).parse_equation()
+
+
+# ---------------------------------------------------------------------------
+# graded-lex order by dense exponent vectors
+
+
+def oracle_grlex_key(mono, nvars: int):
+    """(degree, exponent of every variable by index): the graded-lex key."""
+    dense = [0] * nvars
+    for i, e in mono.exponents:
+        dense[i] = e
+    return (mono.degree(), tuple(dense))

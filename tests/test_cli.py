@@ -130,6 +130,24 @@ class TestAnalyze:
         assert "coefficient has more than" in err and "position 8" in err
         assert "set_int_max_str_digits" not in err
 
+    def test_long_literal_product_exit_2(self, capsys):
+        # the product is checked after each literal, not after all 200
+        big = "7" * sys.get_int_max_str_digits()
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "analyze", "x = y + " + "*".join([big] * 200))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "coefficient has more than" in err and "position 8" in err
+        assert "set_int_max_str_digits" not in err
+
+    def test_ten_thousand_variables_exit_3(self, capsys):
+        # canonical order costs no exponent vector per monomial
+        text = " + ".join(f"x{i}" for i in range(10000)) + " = 0"
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "analyze", text)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+
     def test_zero_equation_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "x = x")
         assert code == 2
@@ -150,6 +168,13 @@ class TestAnalyze:
         half = cap // 2
         assert run_cli(capsys, "analyze", f"x^{half}*y^{half} = z^2 + 3")[0] == 0
         assert run_cli(capsys, "analyze", f"x^{cap + 1} = y^2")[0] == 3
+
+    def test_unprintable_degree_cap_exit_3(self, capsys):
+        # each exponent fits the digit limit, the total degree does not
+        big = "9" * sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "analyze", f"x^{big}*y^{big} = z")
+        assert code == 3 and out == ""
+        assert f"exceeds the cap ({filters.DEGREE_CAP})" in err
 
     def test_nonlinear_report_lists_full_battery(self, capsys):
         _, report, _ = run_json(capsys, "analyze", "x^2 - y^2 = z^5")
@@ -350,6 +375,13 @@ class TestSearch:
         code, out, _ = run_cli(capsys, "search", f"x^{cap + 1} = y",
                                "--bound", "3")
         assert code == 3 and out == ""
+
+    def test_unprintable_degree_cap_exit_3(self, capsys):
+        big = "9" * sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "search", f"x^{big}*y^{big} = z",
+                                 "--bound", "3")
+        assert code == 3 and out == ""
+        assert f"exceeds the cap ({filters.DEGREE_CAP})" in err
 
 
 def test_parser_built_once_dispatches_rebound_commands(capsys, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _oracles import oracle_grlex_key
 from radolab.model import (
     Equation,
     MissingVariableError,
@@ -183,3 +184,17 @@ def test_equation_sign_normalization():
 def test_variables_pruned_and_sorted():
     poly = P({(("z", 1),): 1, (("a", 2),): 3, (("m", 1),): 0})
     assert poly.variables == ("a", "z")
+
+
+def test_grlex_order_matches_dense_oracle():
+    # the sparse sort key orders monomials as dense exponent vectors do
+    rng = random.Random(8)
+    names = ["a", "b", "c", "d", "e", "f"]
+    for _ in range(2000):
+        terms = {}
+        for _ in range(rng.randint(1, 8)):
+            chosen = rng.sample(names, rng.randint(0, 4))
+            terms[tuple((v, rng.randint(1, 3)) for v in sorted(chosen))] = rng.randint(1, 9)
+        poly = P(terms)
+        keys = [oracle_grlex_key(m, len(poly.variables)) for m in poly.monomials]
+        assert keys == sorted(keys, reverse=True)

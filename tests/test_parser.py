@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import oracle_parse
 from radolab.model import Equation, Polynomial
 from radolab.parser import ParseError, parse, pretty
 
@@ -94,6 +95,79 @@ class TestErrors:
             with pytest.raises(ParseError) as info:
                 parse(text)
             assert info.value.position == at, text
+
+    def test_digits_are_ascii(self):
+        # int() read these as digits, or raised a bare ValueError
+        for text, at in [("x = \u00b2", 4), ("x^\u00b2 = y", 2),
+                         ("x = \u0661y", 4)]:
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert info.value.position == at, text
+        assert parse("x\u00e9 = y").poly.variables == ("x\u00e9", "y")
+
+    def test_product_checked_after_each_literal(self):
+        # the first factor past the limit stops the term, at its position,
+        # even where the products would cancel or an error lies to the right
+        big = "7" * (sys.get_int_max_str_digits() * 2 // 3)
+        for text, at in [(f"x = y + {big}*{big} - {big}*{big}", 8),
+                         (f"{big}*{big}*x = y^0", 0)]:
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert info.value.position == at, text
+            assert info.value.message.startswith("coefficient has more than")
+
+
+@given(st.text(st.one_of(st.sampled_from(list("xy19^*+-= \u00b2\u0661\u00e9")),
+                         st.characters()), max_size=12))
+@settings(max_examples=1000, deadline=None)
+def test_any_text_parses_or_raises_parse_error(text):
+    try:
+        assert isinstance(parse(text), Equation)
+    except ParseError:
+        pass
+
+
+def _outcome(parse_fn, text):
+    try:
+        eq = parse_fn(text)
+    except ParseError as exc:
+        return exc.position, exc.message, exc.expected
+    return eq.poly, eq.source_lhs, eq.source_rhs
+
+
+def _token_soup(rng: random.Random) -> str:
+    """An equation-shaped token string over an ASCII alphabet, then up to
+    three tokens replaced at random; literals have at most 5 digits."""
+    factors = ["x", "y", "z1", "w", "ab", "0", "1", "2", "3", "12", "99999"]
+    tokens = []
+    for side in range(2):
+        tokens += [rng.choice(["", "-"]) if side == 0 else "="]
+        for k in range(rng.randint(1, 3)):
+            if k:
+                tokens.append(rng.choice("+-"))
+            for f in range(rng.randint(1, 3)):
+                tokens += [rng.choice(["", "*"]) if f else "", rng.choice(factors)]
+                if tokens[-1].isalpha() and rng.random() < 0.3:
+                    tokens += ["^", rng.choice(factors[5:])]
+    for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+        tokens.insert(rng.randint(0, len(tokens)),
+                      rng.choice(factors + list("+-*^=?")))
+        del tokens[rng.randrange(len(tokens))]
+    out = ""
+    for tok in tokens:
+        # a space keeps two literals apart
+        sep = " " if out[-1:].isdigit() and tok[:1].isdigit() else rng.choice(["", " ", " ", "\t"])
+        out += sep + tok
+    return out
+
+
+def test_matches_oracle_on_seeded_corpus():
+    # the class-based parser this one replaced: the same polynomial and
+    # source texts, or the same error position, message and expected text
+    rng = random.Random(12)
+    for _ in range(100_000):
+        text = _token_soup(rng)
+        assert _outcome(parse, text) == _outcome(oracle_parse, text), text
 
 
 names_st = st.lists(st.sampled_from(["a", "b", "w", "x", "y", "z",
