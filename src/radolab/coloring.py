@@ -7,8 +7,16 @@ b with |a/b - 1| < 1/N (all comparisons exact integer arithmetic).  The
 profile is valid when, in addition, every within-class pair meets the ratio
 bound and every cross-class pair (i earlier, j later) satisfies N*a_j < a_i.
 The classes are runs of the descending order, so one pass groups the values
-and decides validity at the class cuts alone (see `_profile`).  Only valid
-profiles of monochromatic solutions enter a census.
+(`_ranks`) and one decides validity at the class cuts alone (`_valid`).
+Only valid profiles of monochromatic solutions enter a census.
+
+Every search walks the solutions with one walker, `_walk`, which tests
+colors as it goes: given a coloring's table it skips each grid prefix whose
+values do not share a color and builds a tuple only for a monochromatic
+solution.  Records, head censuses, witness searches and the general profile
+census run it once per coloring; `enumerate_solutions` runs it without a
+table.  Searches take bounds up to `BOUND_CAP`, past which a color table no
+longer fits in reasonable memory.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from math import gcd
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from . import univariate
+from .errors import CapExceededError
 from .model import Equation, Polynomial, ZeroPolynomialError
 from .results import OrderedPartition
 
@@ -32,6 +41,18 @@ if TYPE_CHECKING:
 
 # ---------------------------------------------------------------------------
 # colorings
+
+
+# the largest bound a coloring search takes: its color table holds bound + 1
+# entries, and the three-variable census's int64 arithmetic is exact up to it
+BOUND_CAP = 2 ** 25
+
+
+def _check_bound(bound: int) -> None:
+    """Raise `CapExceededError` when the bound exceeds `BOUND_CAP`."""
+    if bound > BOUND_CAP:
+        raise CapExceededError(
+            BOUND_CAP, f"bound {bound} exceeds the cap ({BOUND_CAP})")
 
 
 @dataclass(frozen=True)
@@ -117,6 +138,7 @@ class ColoringSpec:
         typecode that holds every color: the one per-kind builder."""
         from array import array  # not loaded by import radolab
 
+        _check_bound(bound)
         kind, p = self.kind, self.params
         # mod, digit and logband colors never exceed x; a random color is
         # reduced from an 8-byte digest
@@ -168,6 +190,7 @@ class _HashedColors(dict):
 
 def _color_lookup(spec: ColoringSpec, bound: int):
     """One search's color table, indexed by value in [1, bound]."""
+    _check_bound(bound)
     if spec.kind == "random":
         return _HashedColors(spec)
     return spec._table(bound).tolist()
@@ -200,39 +223,53 @@ def asymptotic_profile(values: Sequence[int], N: int) -> tuple[OrderedPartition,
         raise ValueError("N must be at least 2")
     if any(v < 1 for v in values):
         raise ValueError("tuple entries must be positive")
-    ranks, valid = _profile(values, N)
-    return _partition(ranks), valid
+    return _partition(_ranks(values, N)), _valid(values, N)
 
 
-def _profile(values: Sequence[int], N: int) -> tuple[tuple[int, ...], bool]:
-    """The greedy profile as ranks (ranks[i] is position i's class, 0 the
-    top) and its validity flag, in one pass.
+def _ranks(values: Sequence[int], N: int) -> tuple[int, ...]:
+    """The greedy profile as ranks: ranks[i] is position i's class, 0 the
+    top.
 
     Walk the values in (-value, index) order.  A value v joins the open
     class, anchored at its first value, iff N*(anchor - v) < v, and this
     test only gets harder further down, so the greedy classes are runs of
-    that order.  Every within-class pair meets the ratio bound by
-    construction.  The cross-class condition N*a_j < a_i holds for all
-    pairs iff it holds at each cut, between the last value of one class
-    and the first of the next: min(C_t) > N*max(C_{t+1}) >=
-    N*min(C_{t+1}) > N^2*max(C_{t+2}).  `_piece_table`'s four cases are
-    this rule for three items.
+    that order.
     """
     # reverse=True keeps equal values in index order
     order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
     ranks = [0] * len(values)
-    valid = True
     rank = 0
-    anchor = last = values[order[0]] if order else 0
+    anchor = values[order[0]] if order else 0
     for i in order:
         v = values[i]
         if N * (anchor - v) >= v:
             rank += 1
-            valid = valid and N * v < last
             anchor = v
         ranks[i] = rank
+    return tuple(ranks)
+
+
+def _valid(values: Sequence[int], N: int) -> bool:
+    """Whether the greedy profile of `_ranks` is valid, from the values in
+    descending order alone.
+
+    Every within-class pair meets the ratio bound by construction.  The
+    cross-class condition N*a_j < a_i holds for all pairs iff it holds at
+    each cut, between the last value of one class and the first of the
+    next: min(C_t) > N*max(C_{t+1}) >= N*min(C_{t+1}) > N^2*max(C_{t+2}).
+    `_piece_table`'s four cases are this rule for three items.  The test
+    stops at the first failing cut, and a census asks for ranks only when
+    it passes: most monochromatic tuples have invalid profiles.
+    """
+    ordered = sorted(values, reverse=True)
+    anchor = last = ordered[0] if ordered else 0
+    for v in ordered:
+        if N * (anchor - v) >= v:
+            if N * v >= last:
+                return False
+            anchor = v
         last = v
-    return tuple(ranks), valid
+    return True
 
 
 def _partition(ranks: Sequence[int]) -> OrderedPartition:
@@ -307,37 +344,57 @@ def enumerate_solutions(eq: Equation, bound: int) -> Iterator[tuple[int, ...]]:
     value lies in its range.  Without such a variable the full grid runs
     over all but the innermost variable, which walks the exact integer
     roots of its restriction.  Solutions come out in lexicographic order of
-    the grid point, then of the innermost variable.
+    the grid point, then of the innermost variable.  This is `_walk`
+    without a color table; the coloring searches run the same walk with
+    one, in the same order.
     """
-    poly = eq.poly
+    yield from _walk(eq.poly, bound)
+
+
+def _walk(poly: Polynomial, bound: int, table=None,
+          tally: Optional[list[int]] = None) -> Iterator[tuple[int, ...]]:
+    """The solution walker: every solution with coordinates in [1, bound],
+    or with a color table from `_color_lookup` only the monochromatic ones.
+    `tally`, a one-item list, gains the number of all solutions."""
     if poly.is_zero():
         raise ZeroPolynomialError("the zero polynomial is satisfied everywhere")
     if bound < 1 or not poly.variables:
-        return
-    n = len(poly.variables)
+        return iter(())
     iso = _pick_isolated(poly)
+    if iso is None:
+        return _walk_grid(poly, bound, table, tally)
+    return _enumerate_isolated(poly, bound, iso, table, tally)
 
-    if iso is not None:
-        yield from _enumerate_isolated(poly, bound, iso)
-        return
 
-    # full grid; the innermost variable walks the roots of its restriction,
-    # where p >= 0 and -p >= 0
+def _walk_grid(poly: Polynomial, bound: int, table,
+               tally: Optional[list[int]]) -> Iterator[tuple[int, ...]]:
+    """`_walk` for a poly without an isolated variable: the full grid runs
+    over all variables but the last, which walks the roots of its
+    restriction, where p >= 0 and -p >= 0."""
+    n = len(poly.variables)
     inner = n - 1
     budget = _window_budget(poly.monomials, inner, bound)
     for point in itertools.product(range(1, bound + 1), repeat=n - 1):
+        c = _prefix_color(table, point)
+        if c == _MIXED and tally is None:
+            continue
         inner_poly = _restrict(poly.monomials, point, inner)
         if not inner_poly:
-            for t in range(1, bound + 1):
-                yield (*point, t)
+            roots = range(1, bound + 1)
+        else:
+            cap = min(bound, univariate.positive_root_bound(inner_poly))
+            walk = range(1, cap + 1)
+            if cap > budget:
+                walk = _windows_walk([inner_poly, [-a for a in inner_poly]],
+                                     cap, budget)
+            roots = (t for t in walk if univariate.evaluate(inner_poly, t) == 0)
+        if tally is not None:
+            roots = list(roots)
+            tally[0] += len(roots)
+        if c == _MIXED:
             continue
-        cap = min(bound, univariate.positive_root_bound(inner_poly))
-        walk = range(1, cap + 1)
-        if cap > budget:
-            walk = _windows_walk([inner_poly, [-c for c in inner_poly]],
-                                 cap, budget)
-        for t in walk:
-            if univariate.evaluate(inner_poly, t) == 0:
+        for t in roots:
+            if c is None or table[t] == c:
                 yield (*point, t)
 
 
@@ -393,8 +450,35 @@ def _plus_term(p: list[int], k: int, c: int) -> list[int]:
     return univariate.normalize(out)
 
 
+# the prefix color of a point whose values do not share one; colors are >= 0
+_MIXED = -1
+
+
+def _prefix_color(table, point: tuple[int, ...]) -> Optional[int]:
+    """The color every value of the grid point shares, `_MIXED` if they
+    differ; None without a table or without a point (nothing to match)."""
+    if table is None or not point:
+        return None
+    c = table[point[0]]
+    for x in point[1:]:
+        if table[x] != c:
+            return _MIXED
+    return c
+
+
 def _enumerate_isolated(poly: Polynomial, bound: int,
-                        iso: tuple[int, int, int]) -> Iterator[tuple[int, ...]]:
+                        iso: tuple[int, int, int], table,
+                        tally: Optional[list[int]]) -> Iterator[tuple[int, ...]]:
+    """`_walk` for a poly with an isolated variable (`_pick_isolated`).
+
+    With a color table a prefix point whose values do not share a color is
+    skipped before its inner walk, since no completion of it is
+    monochromatic; each inner value is tested against the prefix color, the
+    solved value next, and only then is a tuple built.  The tally counts
+    the progression's length on the affine branch with exponent 1, so a
+    skipped prefix walks nothing; elsewhere it counts the solutions as they
+    are walked.
+    """
     sv, se, smono = iso
     n = len(poly.variables)
     others = [v for v in range(n) if v != sv]
@@ -409,27 +493,32 @@ def _enumerate_isolated(poly: Polynomial, bound: int,
     if not others:
         q, r = divmod(-sum(m.coeff for m in rest), mono.coeff)
         if not r and q in powers:
+            if tally is not None:
+                tally[0] += 1
             yield (q if se == 1 else powers[q],)
         return
 
     inner = others[-1]
     prefix_vars = others[:-1]
-    den_has_inner = any(v == inner for v, _ in mono_others)
+    # the inner variable's exponent in the solved monomial, 0 if absent
     inner_exp = next((e for w, e in mono_others if w == inner), 0)
     hi_q = bound if se == 1 else bound ** se
     budget = _window_budget(poly.monomials, inner, bound)
 
     values = [0] * n
     for point in itertools.product(range(1, bound + 1), repeat=len(prefix_vars)):
+        c = _prefix_color(table, point)
+        if c == _MIXED and tally is None:
+            continue
         for v, val in zip(prefix_vars, point):
             values[v] = val
         den_const = mono.coeff
         for v, e in mono_others:
             if v != inner:
                 den_const *= values[v] ** e
-        num = [-c for c in _restrict(rest, values, inner)]
+        num = [-a for a in _restrict(rest, values, inner)]
 
-        if not den_has_inner and len(num) <= 2:
+        if not inner_exp and len(num) <= 2:
             alpha = num[1] if len(num) == 2 else 0
             beta = num[0] if num else 0
             ts = _progression(alpha, beta, den_const, 1, hi_q, bound)
@@ -437,30 +526,63 @@ def _enumerate_isolated(poly: Polynomial, bound: int,
             # [1, hi_q] that steps by alpha*step/den_const, exactly
             qs = itertools.count((alpha * ts.start + beta) // den_const,
                                  alpha * ts.step // den_const)
-            for t, q in zip(ts, qs):
-                if se == 1 or q in powers:
-                    values[inner] = t
-                    values[sv] = q if se == 1 else powers[q]
-                    yield tuple(values)
-            continue
+            pairs = zip(ts, qs)
+            counted = se == 1
+            if counted and tally is not None:
+                tally[0] += len(ts)
+            if se != 1:
+                pairs = ((t, powers[q]) for t, q in pairs if q in powers)
+        else:
+            walk = range(1, bound + 1)
+            if bound > budget:
+                # 1 <= num(t) / (den_const * t^k) <= hi_q, both sides scaled
+                # by |den_const| * t^k > 0
+                d = abs(den_const)
+                scaled = num if den_const > 0 else [-a for a in num]
+                walk = _windows_walk(
+                    [_plus_term(scaled, inner_exp, -d),
+                     _plus_term([-a for a in scaled], inner_exp, hi_q * d)],
+                    bound, budget)
+            if tally is None and c is not None:
+                # the inner value's color first, before evaluating there
+                walk = (t for t in walk if table[t] == c)
+            pairs = _solved(num, den_const, inner_exp, powers, se, walk)
+            counted = False
 
-        walk = range(1, bound + 1)
-        if bound > budget:
-            # 1 <= num(t) / (den_const * t^k) <= hi_q, both sides scaled by
-            # |den_const| * t^k > 0
-            d = abs(den_const)
-            scaled = num if den_const > 0 else [-c for c in num]
-            walk = _windows_walk(
-                [_plus_term(scaled, inner_exp, -d),
-                 _plus_term([-c for c in scaled], inner_exp, hi_q * d)],
-                bound, budget)
-        for t in walk:
-            den = den_const * t ** inner_exp if den_has_inner else den_const
-            q, r = divmod(univariate.evaluate(num, t), den)
-            if not r and q in powers:
+        if tally is not None and not counted:
+            pairs = list(pairs)
+            tally[0] += len(pairs)
+        if c == _MIXED:
+            continue
+        if table is None:
+            for t, s in pairs:
                 values[inner] = t
-                values[sv] = q if se == 1 else powers[q]
+                values[sv] = s
                 yield tuple(values)
+        elif c is None:
+            # no prefix: the inner value sets the color
+            for t, s in pairs:
+                if table[t] == table[s]:
+                    values[inner] = t
+                    values[sv] = s
+                    yield tuple(values)
+        else:
+            for t, s in pairs:
+                if table[t] == c and table[s] == c:
+                    values[inner] = t
+                    values[sv] = s
+                    yield tuple(values)
+
+
+def _solved(num: list[int], den_const: int, inner_exp: int, powers, se: int,
+            walk: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The (t, v) with t from the walk for which num(t) / (den_const *
+    t^inner_exp) is the power v^se of a v in range."""
+    for t in walk:
+        den = den_const * t ** inner_exp if inner_exp else den_const
+        q, r = divmod(univariate.evaluate(num, t), den)
+        if not r and q in powers:
+            yield t, (q if se == 1 else powers[q])
 
 
 # ---------------------------------------------------------------------------
@@ -475,23 +597,13 @@ class SolutionRecord:
     heads: dict[int, list[Fraction]]
 
 
-def _common_color(table, values: Sequence[int]) -> Optional[int]:
-    """The color every value shares, or None; `table` is the search's
-    color table from `_color_lookup`."""
-    c = table[values[0]]
-    for x in values:
-        if table[x] != c:
-            return None
-    return c
-
-
 def iter_monochromatic(eq: Equation, spec: ColoringSpec,
                        bound: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The monochromatic solutions in `enumerate_solutions` order, each with
+    its color."""
     table = _color_lookup(spec, bound)
-    for assignment in enumerate_solutions(eq, bound):
-        c = _common_color(table, assignment)
-        if c is not None:
-            yield assignment, c
+    for assignment in _walk(eq.poly, bound, table):
+        yield assignment, table[assignment[0]]
 
 
 def iter_records(eq: Equation, spec: ColoringSpec, bound: int, N: int,
@@ -526,13 +638,12 @@ def profile_census(eq: Equation, spec: ColoringSpec, bound: int,
 
 def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
                         bound: int, N: int) -> list[ProfileCensus]:
-    """Censuses for several colorings in one pass over the solutions.
+    """Censuses for several colorings.
 
-    Solution candidates and their profiles do not depend on the coloring, so
-    they are found once for the whole family and only the color comparison
-    runs per coloring: 3-variable linear homogeneous equations walk each
-    inner progression in closed form, every other equation takes a single
-    pass over `enumerate_solutions`.
+    3-variable linear homogeneous equations walk each inner progression in
+    closed form, once for the whole family.  Every other equation takes one
+    walk per coloring that builds only its monochromatic solutions (see
+    `_enumerate_isolated`); the first walk also counts every solution.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
@@ -541,32 +652,30 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
     poly = eq.poly
     params = [{"bound": bound, "N": N, "coloring": s.spec_string()}
               for s in specs]
-    # the closed-form path needs one color array per coloring; past ~10^7
-    # entries the memory cost stops being a clear win.  With |c| <= 2^20
-    # and bound, N <= 2^25 its largest int64 intermediate is
+    # the closed-form path needs one color array per coloring, and
+    # `color_array` caps the bound.  With |c| <= 2^20 and bound, N <=
+    # BOUND_CAP = 2^25 its largest int64 intermediate is
     # N*b + (N+1)*b' <= 2^25*2^25 + (2^25+1)*2^25 < 2^52.
     if (poly.is_linear() and poly.constant_term() == 0
-            and len(poly.variables) == 3 and bound <= 2 ** 25
+            and len(poly.variables) == 3
             and max(map(abs, poly.linear_coefficients())) <= 2 ** 20):
         per_spec, total = _census3_linear(
             poly.linear_coefficients(), specs, bound, N
         )
         return [ProfileCensus(counts, total, p)
                 for counts, p in zip(per_spec, params)]
-    per_spec = [{} for _ in specs]
-    tables = [_color_lookup(s, bound) for s in specs]
-    total = 0
-    for assignment in enumerate_solutions(eq, bound):
-        total += 1
-        profile = None
-        for table, counts in zip(tables, per_spec):
-            if _common_color(table, assignment) is None:
-                continue
-            if profile is None:
-                profile = _profile(assignment, N)
-            ranks, valid = profile
-            if valid:
+    per_spec = []
+    tally = [0]
+    for spec in specs:
+        counts: dict[tuple[int, ...], int] = {}
+        table = _color_lookup(spec, bound)
+        for assignment in _walk(poly, bound, table,
+                                None if per_spec else tally):
+            if _valid(assignment, N):
+                ranks = _ranks(assignment, N)
                 counts[ranks] = counts.get(ranks, 0) + 1
+        per_spec.append(counts)
+    total = tally[0]
     # tallied by rank tuple; one partition per distinct profile
     return [ProfileCensus({_partition(r): n for r, n in counts.items()},
                           total, p) for counts, p in zip(per_spec, params)]
@@ -800,15 +909,8 @@ def witness_search(eq: Equation, family: Sequence[ColoringSpec],
     bound.  A witness is empirical evidence against partition regularity,
     never a proof.
 
-    One pass over the solutions serves the whole family; it stops once
-    every coloring has a monochromatic solution.  Witnesses come back in
-    family order."""
-    pending = list(range(len(family)))
-    if pending:
-        tables = [_color_lookup(s, bound) for s in family]
-        for assignment in enumerate_solutions(eq, bound):
-            pending = [i for i in pending
-                       if _common_color(tables[i], assignment) is None]
-            if not pending:
-                break
-    return [family[i] for i in pending]
+    Each coloring walks only its monochromatic solutions and stops at the
+    first.  Witnesses come back in family order."""
+    return [spec for spec in family
+            if next(_walk(eq.poly, bound, _color_lookup(spec, bound)),
+                    None) is None]

@@ -19,12 +19,13 @@ Each grammar rule is a function of the token list and an index that returns
 what it parsed and the next index; the list ends with an 'end' token, so
 every lookahead is a plain index.
 
-Integer literals, the running product of the literals in each term, and the
-combined coefficient of each monomial may have at most
-`sys.get_int_max_str_digits()` decimal digits (4300 by default; 0 means no
-limit), so that every coefficient can be written back out in a report.  A
-term's product is checked after each literal, before anything to its right
-is parsed.
+Integer literals, the running product of the literals in each term, the
+combined coefficient of each monomial and the summed exponent of a name
+repeated in a term (x^a*x^b) may have at most `sys.get_int_max_str_digits()`
+decimal digits (4300 by default; 0 means no limit), so that every
+coefficient and exponent can be written back out in a report.  A term's
+product is checked after each literal, before anything to its right is
+parsed.
 """
 
 from __future__ import annotations
@@ -56,12 +57,12 @@ def _digit_limit() -> int:
     return get() if get else 0
 
 
-def _check_coefficient(c: int, at: int) -> None:
+def _check_digits(c: int, at: int, what: str = "coefficient") -> None:
     """Raise a ParseError at `at` if `c` has more digits than the limit."""
     limit = _digit_limit()
     # |c| >= 10^limit needs more than 3*limit bits
     if limit and c.bit_length() > 3 * limit and abs(c) >= 10 ** limit:
-        raise ParseError(at, f"coefficient has more than {limit} digits",
+        raise ParseError(at, f"{what} has more than {limit} digits",
                          f"at most {limit} digits")
 
 
@@ -112,14 +113,15 @@ def _term(tokens: list, i: int) -> tuple[tuple, int, int]:
     """term := factor ("*"? factor)*, from tokens[i]: the monomial key
     ((name, exp), ...), the coefficient and the next index.  The running
     coefficient is checked after each literal, so a long product stops at
-    the first factor that takes it past the digit limit."""
+    the first factor that takes it past the digit limit; a name's summed
+    exponent is checked when the name repeats."""
     at = tokens[i][2]
     coeff, exps = 1, {}
     while True:
         kind, value, _ = tokens[i]
         if kind == "int":
             coeff *= int(value)
-            _check_coefficient(coeff, at)
+            _check_digits(coeff, at)
             i += 1
         elif kind == "name":
             exp = 1
@@ -132,7 +134,11 @@ def _term(tokens: list, i: int) -> tuple[tuple, int, int]:
                     raise ParseError(etok[2], "written exponents must be >= 1",
                                      "integer >= 1")
                 i += 2
-            exps[value] = exps.get(value, 0) + exp
+            if value in exps:
+                # a repeated name: its summed exponent must print too
+                exp += exps[value]
+                _check_digits(exp, at, "exponent")
+            exps[value] = exp
             i += 1
         else:
             raise _unexpected(tokens[i], "integer or variable")
@@ -178,7 +184,7 @@ def parse(text: str) -> Equation:
     for key, c in rhs_terms.items():
         terms[key] = terms.get(key, 0) - c
     for key, c in terms.items():
-        _check_coefficient(c, lhs_at.get(key, rhs_at.get(key)))
+        _check_digits(c, lhs_at.get(key, rhs_at.get(key)))
     return Equation.from_polynomial(
         Polynomial.from_terms(terms), lhs_text.strip(), rhs_text.strip()
     )

@@ -16,6 +16,10 @@ memoized depth-first search over ordered column partitions that the greedy
 decision replaced.  Equations are parsed by the recursive-descent class
 with one-token lookahead and no end token that the stateless grammar
 functions replaced, and monomials are ordered by dense exponent vectors.
+Coloring searches are checked against the enumerate-then-filter loop that
+the color-testing walk replaced: every solution is built as a tuple, then
+the scalar colors of its coordinates are compared, and a witness search
+serves the whole family from one shared pass over the solutions.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from math import comb
 
 import numpy as np
 
+from radolab.coloring import enumerate_solutions
 from radolab.linalg import ColumnsCertificate, _Basis, _pick, _zero_sum_masks
 from radolab.model import Equation, Polynomial, collapse_to_univariate
 from radolab.parser import ParseError
@@ -554,3 +559,34 @@ def oracle_grlex_key(mono, nvars: int):
     for i, e in mono.exponents:
         dense[i] = e
     return (mono.degree(), tuple(dense))
+
+
+# ---------------------------------------------------------------------------
+# coloring searches by enumerate-then-filter
+
+
+def oracle_monochromatic(eq: Equation, spec, bound: int):
+    """The monochromatic solutions with their colors, in
+    `enumerate_solutions` order: each solution is built first, then the
+    scalar colors of its coordinates are compared."""
+    colors: dict[int, int] = {}
+    for assignment in enumerate_solutions(eq, bound):
+        for x in assignment:
+            if x not in colors:
+                colors[x] = spec.color(x)
+        c = colors[assignment[0]]
+        if all(colors[x] == c for x in assignment):
+            yield assignment, c
+
+
+def oracle_witness_search(eq: Equation, family, bound: int) -> list:
+    """The family's colorings without a monochromatic solution, from one
+    pass over the solutions that stops once every coloring has one."""
+    pending = list(range(len(family)))
+    if pending:
+        for assignment in enumerate_solutions(eq, bound):
+            pending = [i for i in pending
+                       if len({family[i].color(x) for x in assignment}) > 1]
+            if not pending:
+                break
+    return [family[i] for i in pending]

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from _oracles import oracle_candidate_names, oracle_emit
-from radolab import cli, filters, linear, model
+from radolab import cli, coloring, filters, linear, model
 from radolab.cli import main
 from radolab.filters import FILTER_CATALOGUE
 from radolab.parser import parse
@@ -382,6 +382,24 @@ class TestSearch:
                                  "--bound", "3")
         assert code == 3 and out == ""
         assert f"exceeds the cap ({filters.DEGREE_CAP})" in err
+
+    def test_huge_bound_exit_3(self, capsys):
+        # the bound cap stops every mode before a color table is built,
+        # on the three-variable census path and the general walk alike
+        for text in ["x + y = w + z", "x + y = z"]:
+            for mode in ["witness", "census", "solutions", "heads"]:
+                t0 = time.perf_counter()
+                code, out, err = run_cli(
+                    capsys, "search", text, "--bound", "99999999999",
+                    "--mode", mode, "--base", "2")
+                assert time.perf_counter() - t0 < 1, (text, mode)
+                assert code == 3 and out == "", (text, mode)
+                assert err == (f"cap exceeded: bound 99999999999 exceeds the "
+                               f"cap ({coloring.BOUND_CAP})\n")
+        code, out, _ = run_cli(capsys, "search", "x + y = z", "--bound",
+                               str(coloring.BOUND_CAP), "--mode", "witness",
+                               "--coloring", "random:7:3")
+        assert code == 0 and json.loads(out)["witnesses"]["found"] == []
 
 
 def test_parser_built_once_dispatches_rebound_commands(capsys, monkeypatch):

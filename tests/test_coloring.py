@@ -13,16 +13,19 @@ import radolab
 from _oracles import (
     _valid_pieces,
     oracle_asymptotic_profile,
+    oracle_monochromatic,
     oracle_profile_valid,
     oracle_solution_grid,
+    oracle_witness_search,
 )
-from radolab import univariate
+from radolab import coloring, univariate
 from radolab.coloring import (
     ColoringSpec,
     _color_lookup,
     asymptotic_profile,
     enumerate_solutions,
     head_census,
+    iter_monochromatic,
     iter_records,
     profile_census,
     profile_census_many,
@@ -531,21 +534,39 @@ class TestProfileCensus:
                 assert census.total_solutions == total
 
     def test_general_path_matches_oracle_tally(self):
-        eq = parse("x + y + z = w")
-        names = ["mod:2", "mod:3", "random:7:3"]
-        many = profile_census_many(
-            eq, [ColoringSpec.parse(s) for s in names], 40, 10)
-        for name, census in zip(names, many):
-            spec = ColoringSpec.parse(name)
-            counts, total = {}, 0
-            for sol in enumerate_solutions(eq, 40):
-                total += 1
-                if len({spec.color(v) for v in sol}) == 1:
+        # the first coloring's walk counts every solution: in closed form on
+        # the affine branch with exponent 1, as it walks elsewhere, and past
+        # prefixes it skips (two-value prefixes under mod:2, and under the
+        # 2^64 + 1 modulus, where only equal values share a color)
+        names = ["mod:2", "mod:3", "random:7:3", "digit:10", "logband:2:3",
+                 "mod:18446744073709551617"]
+        specs = [ColoringSpec.parse(s) for s in names]
+        for text, bound in [
+                ("x + y + z = w", 40),           # affine, two-value prefix
+                ("x + y = z + 1", 120),          # affine, one-value prefix
+                ("x*y + x*w + y*w = z^2", 30),   # affine, solved square
+                ("x^2*y + y = z^2", 60),
+                ("x^2 + y^2 - z^2 = w", 30),     # not affine
+                ("x^2 - y^2 = z", 150),
+                ("x + y = z^2", 80),
+                ("y*z = x^2 + 1", 150),          # inner variable solved over
+                ("x = y + 1", 300),              # no prefix
+                ("x = 2y", 300),
+                ("x^2 = 4", 5),                  # one variable
+                ("x^2 - 2x*y + y^2 = x + y", 150),   # full grid
+                ("x^2*y + y^2 = x*y*z + z^2", 30),
+                ("x^2 + x = 6", 9)]:
+            eq = parse(text)
+            many = profile_census_many(eq, specs, bound, 10)
+            total = sum(1 for _ in enumerate_solutions(eq, bound))
+            for spec, census in zip(specs, many):
+                counts = {}
+                for sol, _ in oracle_monochromatic(eq, spec, bound):
                     partition, valid = oracle_asymptotic_profile(sol, 10)
                     if valid:
                         counts[partition] = counts.get(partition, 0) + 1
-            assert census.counts == counts, name
-            assert census.total_solutions == total
+                assert census.counts == counts, (text, spec)
+                assert census.total_solutions == total, (text, spec)
 
     def test_schur_profiles_at_ten_thousand(self):
         eq = parse("x + 2y = z")
@@ -684,6 +705,81 @@ class TestWitnessSearch:
         assert witness_search(eq, family, 50) == expected
         assert [s.spec_string() for s in expected] == ["mod:2", "mod:2",
                                                        "mod:3"]
+
+
+class TestFilteredWalk:
+    """The color-testing walk against the enumerate-then-filter oracles."""
+
+    EQUATIONS = ["x + y = z", "x + 2y = 4z", "x + y + z = w", "x + y = z + 1",
+                 "x = y + 1", "x = 2y", "x + y = z^2", "x^2*y + y = z^2",
+                 "x*y + x*w + y*w = z^2", "x^2 - y^2 = z",
+                 "x^2 + y^2 - z^2 = w", "x*y = z", "y*z = x^2 + 1",
+                 "x^2 = 4", "3x = 7", "x^2 - 2x*y + y^2 = x + y",
+                 "x^2*y + y^2 = x*y*z + z^2", "x^2 + x = 6"]
+    COLORINGS = ["mod:2", "mod:3", "mod:7", "digit:3", "digit:10",
+                 "logband:2:1", "logband:2:3", "logband:3:2", "random:7:3",
+                 "random:11:4", "mod:18446744073709551617"]
+
+    def corpus(self, seed, size):
+        rng = random.Random(seed)
+        for text in self.EQUATIONS:
+            eq = parse(text)
+            small = len(eq.poly.variables) > 3
+            for _ in range(size):
+                yield (eq, ColoringSpec.parse(rng.choice(self.COLORINGS)),
+                       rng.choice([1, 2, 7, 24] if small else [1, 3, 40, 150]),
+                       rng)
+
+    def test_solutions_in_order(self):
+        for eq, spec, bound, _ in self.corpus(61, 4):
+            assert (list(iter_monochromatic(eq, spec, bound))
+                    == list(oracle_monochromatic(eq, spec, bound))), \
+                (eq.poly, spec, bound)
+
+    def test_head_bins(self):
+        for eq, spec, bound, rng in self.corpus(62, 2):
+            base, bin_count = rng.choice([2, 3, 10]), rng.choice([1, 5, 16])
+            bins = [0] * bin_count
+            for sol, _ in oracle_monochromatic(eq, spec, bound):
+                for x in sol:
+                    h = standard_head(x, base)
+                    bins[min(int((h - 1) * bin_count / (base - 1)),
+                             bin_count - 1)] += 1
+            census = head_census(eq, spec, bound, base, bin_count)
+            assert census.bins == bins, (eq.poly, spec, bound, base)
+
+    def test_skipped_prefixes_walk_nothing(self, monkeypatch):
+        # under the 2^64 + 1 modulus only equal values share a color, so of
+        # the prefixes (w, x) of x + y + z = w only those with w == x pass,
+        # and none of them completes (z = -y).  Each prefix costs two color
+        # lookups, and a skipped one none more: not in a search, and not in
+        # a census, which counts its solutions in closed form
+        lookups = [0]
+
+        class Counted(list):
+            def __getitem__(self, x):
+                lookups[0] += 1
+                return list.__getitem__(self, x)
+
+        build = coloring._color_lookup
+        monkeypatch.setattr(coloring, "_color_lookup",
+                            lambda spec, bound: Counted(build(spec, bound)))
+        eq = parse("x + y + z = w")
+        spec = ColoringSpec.parse("mod:18446744073709551617")
+        assert list(iter_monochromatic(eq, spec, 30)) == []
+        assert lookups[0] == 2 * 30 ** 2
+        lookups[0] = 0
+        census = profile_census(eq, spec, 30, 10)
+        assert census.counts == {} and census.total_solutions == 4060
+        assert lookups[0] == 2 * 30 ** 2
+
+    def test_witnesses(self):
+        for eq, _, bound, rng in self.corpus(63, 4):
+            family = [ColoringSpec.parse(rng.choice(self.COLORINGS))
+                      for _ in range(rng.randint(1, 5))]
+            assert (witness_search(eq, family, bound)
+                    == oracle_witness_search(eq, family, bound)), \
+                (eq.poly, family, bound)
 
 
 class TestRecords:

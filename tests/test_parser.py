@@ -96,6 +96,22 @@ class TestErrors:
                 parse(text)
             assert info.value.position == at, text
 
+    def test_summed_exponent_digit_limit(self):
+        # each written exponent fits the limit, their sum in one term does
+        # not: pretty() could not print it.  Distinct names are not summed
+        # (their total degree is the degree cap's to reject)
+        nines = "9" * sys.get_int_max_str_digits()
+        for text, at in [(f"x^{nines}*x^{nines} = y", 0),
+                         (f"z = 1 + 2x^{nines} x^{nines}", 8)]:
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert info.value.position == at, text
+            assert info.value.message.startswith("exponent has more than")
+        assert parse(f"x^{nines}*y^{nines} = z").poly.total_degree() \
+            == 2 * (10 ** len(nines) - 1)
+        half = "4" + "9" * (len(nines) - 1)
+        assert pretty(parse(f"x^{half}*x^{half} = y")).startswith("x^9")
+
     def test_digits_are_ascii(self):
         # int() read these as digits, or raised a bare ValueError
         for text, at in [("x = \u00b2", 4), ("x^\u00b2 = y", 2),
