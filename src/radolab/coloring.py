@@ -10,13 +10,15 @@ The classes are runs of the descending order, so one pass groups the values
 (`_ranks`) and one decides validity at the class cuts alone (`_valid`).
 Only valid profiles of monochromatic solutions enter a census.
 
-Every search walks the solutions with one walker, `_walk`, which tests
-colors as it goes: given a coloring's table it skips each grid prefix whose
-values do not share a color and builds a tuple only for a monochromatic
-solution.  Records, head censuses, witness searches and the general profile
-census run it once per coloring; `enumerate_solutions` runs it without a
-table.  Searches take bounds up to `BOUND_CAP`, past which a color table no
-longer fits in reasonable memory.
+Every search walks the solutions with one walker, `_walk`: one loop over
+the grid of prefix values for every shape of equation, with an inner step
+chosen once per walk (an isolated variable solved for exactly, or the
+integer roots of the innermost variable).  Given a coloring's table it
+skips each prefix whose values do not share a color and builds a tuple only
+for a monochromatic solution.  Records, head censuses, witness searches and
+the general profile census run it once per distinct coloring;
+`enumerate_solutions` runs it without a table.  Searches take bounds up to
+`BOUND_CAP`, past which a color table no longer fits in reasonable memory.
 """
 
 from __future__ import annotations
@@ -336,17 +338,16 @@ def enumerate_solutions(eq: Equation, bound: int) -> Iterator[tuple[int, ...]]:
     duplicate-free.
 
     A variable occurring in exactly one monomial is solved for exactly
-    (divisibility, range and integer-root table checks); the grid runs over
-    the remaining variables.  When the solved value is affine in the
-    innermost variable, that variable walks the exact arithmetic progression
-    of `_progression`, the engine the three-variable census shares;
-    otherwise it walks only the exact integer windows on which the solved
-    value lies in its range.  Without such a variable the full grid runs
-    over all but the innermost variable, which walks the exact integer
-    roots of its restriction.  Solutions come out in lexicographic order of
-    the grid point, then of the innermost variable.  This is `_walk`
-    without a color table; the coloring searches run the same walk with
-    one, in the same order.
+    (divisibility, range and integer-root table checks).  The grid runs over
+    the other variables but the innermost, which walks the exact arithmetic
+    progression of `_progression` (the engine the three-variable census
+    shares) when the solved value is affine in it, and otherwise only the
+    exact integer windows on which the solved value lies in its range.
+    Without such a variable, and in a one-variable equation, the innermost
+    variable walks the exact integer roots of its restriction.  Solutions
+    come out in lexicographic order of the grid point, then of the innermost
+    variable.  This is `_walk` without a color table; the coloring searches
+    run the same walk with one, in the same order.
     """
     yield from _walk(eq.poly, bound)
 
@@ -355,47 +356,169 @@ def _walk(poly: Polynomial, bound: int, table=None,
           tally: Optional[list[int]] = None) -> Iterator[tuple[int, ...]]:
     """The solution walker: every solution with coordinates in [1, bound],
     or with a color table from `_color_lookup` only the monochromatic ones.
-    `tally`, a one-item list, gains the number of all solutions."""
+    `tally`, a one-item list, gains the number of all solutions.
+
+    One loop serves every shape: the prefix variables run over the grid, and
+    the step `_inner_step` chose gives each point's (inner, solved) pairs.
+    With a table a prefix whose values do not share a color is skipped, as
+    no completion of it is monochromatic; a counting walk still takes its
+    step for the tally, which the affine step gives in closed form.  An
+    inner value's color is tested before the equation is evaluated there,
+    the solved value's next, and only then is a tuple built.
+    """
     if poly.is_zero():
         raise ZeroPolynomialError("the zero polynomial is satisfied everywhere")
     if bound < 1 or not poly.variables:
-        return iter(())
-    iso = _pick_isolated(poly)
-    if iso is None:
-        return _walk_grid(poly, bound, table, tally)
-    return _enumerate_isolated(poly, bound, iso, table, tally)
-
-
-def _walk_grid(poly: Polynomial, bound: int, table,
-               tally: Optional[list[int]]) -> Iterator[tuple[int, ...]]:
-    """`_walk` for a poly without an isolated variable: the full grid runs
-    over all variables but the last, which walks the roots of its
-    restriction, where p >= 0 and -p >= 0."""
-    n = len(poly.variables)
-    inner = n - 1
-    budget = _window_budget(poly.monomials, inner, bound)
-    for point in itertools.product(range(1, bound + 1), repeat=n - 1):
-        c = _prefix_color(table, point)
-        if c == _MIXED and tally is None:
-            continue
-        inner_poly = _restrict(poly.monomials, point, inner)
-        if not inner_poly:
-            roots = range(1, bound + 1)
-        else:
-            cap = min(bound, univariate.positive_root_bound(inner_poly))
-            walk = range(1, cap + 1)
-            if cap > budget:
-                walk = _windows_walk([inner_poly, [-a for a in inner_poly]],
-                                     cap, budget)
-            roots = (t for t in walk if univariate.evaluate(inner_poly, t) == 0)
+        return
+    prefix, inner, solved, step = _inner_step(poly, bound)
+    values = [0] * len(poly.variables)
+    for point in _grid(bound, len(prefix)):
+        c, mixed = None, False
+        if table is not None and point:
+            c = table[point[0]]
+            for x in point[1:]:
+                if table[x] != c:
+                    mixed = True
+                    break
+            if mixed and tally is None:
+                continue
+        for v, x in zip(prefix, point):
+            values[v] = x
+        pairs, solve, count = step(values)
+        if solve is not None:
+            if c is not None and tally is None:
+                # the inner value's color first, before evaluating there
+                pairs = (t for t in pairs if table[t] == c)
+            pairs = solve(pairs)
         if tally is not None:
-            roots = list(roots)
-            tally[0] += len(roots)
-        if c == _MIXED:
+            if count is None:
+                pairs = list(pairs)
+                count = len(pairs)
+            tally[0] += count
+        if mixed:
             continue
-        for t in roots:
-            if c is None or table[t] == c:
-                yield (*point, t)
+        if table is None:
+            for t, s in pairs:
+                values[inner] = t
+                values[solved] = s
+                yield tuple(values)
+        elif c is None:
+            # no prefix: the inner value sets the color
+            for t, s in pairs:
+                if table[t] == table[s]:
+                    values[inner] = t
+                    values[solved] = s
+                    yield tuple(values)
+        else:
+            for t, s in pairs:
+                if table[t] == c and table[s] == c:
+                    values[inner] = t
+                    values[solved] = s
+                    yield tuple(values)
+
+
+def _grid(bound: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The points of [1, bound]^k in lexicographic order.  Unlike
+    `itertools.product`, it never copies the range into a tuple."""
+    if not k:
+        yield ()
+        return
+    for head in _grid(bound, k - 1):
+        for x in range(1, bound + 1):
+            yield (*head, x)
+
+
+def _inner_step(poly: Polynomial, bound: int):
+    """The walk's prefix variables, inner and solved variable, and the step
+    for the shape of the equation, chosen once per walk.
+
+    The step maps a prefix point's values to (pairs, solve, count): without
+    `solve`, the (inner, solved) pairs and their number if known in closed
+    form, else None; with it, the inner values to try, ascending, which
+    `solve` turns into pairs by evaluating the equation at each.  An
+    isolated variable (`_pick_isolated`) of an equation in two or more
+    variables is solved for over the last other variable.  Otherwise the
+    last variable is both inner and solved: it walks the integer roots of
+    its restriction p, where p >= 0 and -p >= 0, below
+    `positive_root_bound`, with pairs (t, t).
+    """
+    n = len(poly.variables)
+    iso = _pick_isolated(poly) if n > 1 else None
+    if iso is None:
+        inner = n - 1
+        budget = _window_budget(poly.monomials, inner, bound)
+
+        def roots(values):
+            p = _restrict(poly.monomials, values, inner)
+            walk = range(1, bound + 1)
+            if p:
+                cap = min(bound, univariate.positive_root_bound(p))
+                walk = range(1, cap + 1)
+                if cap > budget:
+                    walk = _windows_walk([p, [-a for a in p]], cap, budget)
+            return walk, lambda walk: (
+                (t, t) for t in walk if univariate.evaluate(p, t) == 0), None
+
+        return list(range(n - 1)), inner, inner, roots
+
+    sv, se, smono = iso
+    others = [v for v in range(n) if v != sv]
+    inner = others[-1]
+    rest = [m for i, m in enumerate(poly.monomials) if i != smono]
+    mono = poly.monomials[smono]
+    mono_others = [(v, e) for v, e in mono.exponents if v != sv]
+    # the solved variable takes the value v where its power q = v^se lies in
+    # `powers`: v = q when se == 1, else v = powers[q]
+    powers = (range(1, bound + 1) if se == 1
+              else {t ** se: t for t in range(1, bound + 1)})
+    # the inner variable's exponent in the solved monomial, 0 if absent
+    inner_exp = next((e for w, e in mono_others if w == inner), 0)
+    hi_q = bound if se == 1 else bound ** se
+    budget = _window_budget(poly.monomials, inner, bound)
+
+    def isolated(values):
+        den_const = mono.coeff
+        for v, e in mono_others:
+            if v != inner:
+                den_const *= values[v] ** e
+        num = [-a for a in _restrict(rest, values, inner)]
+
+        if not inner_exp and len(num) <= 2:
+            alpha = num[1] if len(num) == 2 else 0
+            beta = num[0] if num else 0
+            ts = _progression(alpha, beta, den_const, 1, hi_q, bound)
+            # along ts the power (alpha*t + beta)/den_const is an integer in
+            # [1, hi_q] that steps by alpha*step/den_const, exactly
+            qs = itertools.count((alpha * ts.start + beta) // den_const,
+                                 alpha * ts.step // den_const)
+            if se == 1:
+                return zip(ts, qs), None, len(ts)
+            return (((t, powers[q]) for t, q in zip(ts, qs) if q in powers),
+                    None, None)
+
+        walk = range(1, bound + 1)
+        if bound > budget:
+            # 1 <= num(t) / (den_const * t^k) <= hi_q, both sides scaled by
+            # |den_const| * t^k > 0
+            d = abs(den_const)
+            scaled = num if den_const > 0 else [-a for a in num]
+            walk = _windows_walk(
+                [_plus_term(scaled, inner_exp, -d),
+                 _plus_term([-a for a in scaled], inner_exp, hi_q * d)],
+                bound, budget)
+
+        def solve(walk):
+            # the t for which num(t) / (den_const * t^inner_exp) is the
+            # power v^se of a v in range
+            for t in walk:
+                den = den_const * t ** inner_exp if inner_exp else den_const
+                q, r = divmod(univariate.evaluate(num, t), den)
+                if not r and q in powers:
+                    yield t, (q if se == 1 else powers[q])
+
+        return walk, solve, None
+
+    return others[:-1], inner, sv, isolated
 
 
 def _window_budget(monomials, inner: int, bound: int) -> int:
@@ -448,141 +571,6 @@ def _plus_term(p: list[int], k: int, c: int) -> list[int]:
     out = p + [0] * (k + 1 - len(p))
     out[k] += c
     return univariate.normalize(out)
-
-
-# the prefix color of a point whose values do not share one; colors are >= 0
-_MIXED = -1
-
-
-def _prefix_color(table, point: tuple[int, ...]) -> Optional[int]:
-    """The color every value of the grid point shares, `_MIXED` if they
-    differ; None without a table or without a point (nothing to match)."""
-    if table is None or not point:
-        return None
-    c = table[point[0]]
-    for x in point[1:]:
-        if table[x] != c:
-            return _MIXED
-    return c
-
-
-def _enumerate_isolated(poly: Polynomial, bound: int,
-                        iso: tuple[int, int, int], table,
-                        tally: Optional[list[int]]) -> Iterator[tuple[int, ...]]:
-    """`_walk` for a poly with an isolated variable (`_pick_isolated`).
-
-    With a color table a prefix point whose values do not share a color is
-    skipped before its inner walk, since no completion of it is
-    monochromatic; each inner value is tested against the prefix color, the
-    solved value next, and only then is a tuple built.  The tally counts
-    the progression's length on the affine branch with exponent 1, so a
-    skipped prefix walks nothing; elsewhere it counts the solutions as they
-    are walked.
-    """
-    sv, se, smono = iso
-    n = len(poly.variables)
-    others = [v for v in range(n) if v != sv]
-    rest = [m for i, m in enumerate(poly.monomials) if i != smono]
-    mono = poly.monomials[smono]
-    mono_others = [(v, e) for v, e in mono.exponents if v != sv]
-    # the solved variable takes the value v where its power q = v^se lies in
-    # `powers`: v = q when se == 1, else v = powers[q]
-    powers = (range(1, bound + 1) if se == 1
-              else {t ** se: t for t in range(1, bound + 1)})
-
-    if not others:
-        q, r = divmod(-sum(m.coeff for m in rest), mono.coeff)
-        if not r and q in powers:
-            if tally is not None:
-                tally[0] += 1
-            yield (q if se == 1 else powers[q],)
-        return
-
-    inner = others[-1]
-    prefix_vars = others[:-1]
-    # the inner variable's exponent in the solved monomial, 0 if absent
-    inner_exp = next((e for w, e in mono_others if w == inner), 0)
-    hi_q = bound if se == 1 else bound ** se
-    budget = _window_budget(poly.monomials, inner, bound)
-
-    values = [0] * n
-    for point in itertools.product(range(1, bound + 1), repeat=len(prefix_vars)):
-        c = _prefix_color(table, point)
-        if c == _MIXED and tally is None:
-            continue
-        for v, val in zip(prefix_vars, point):
-            values[v] = val
-        den_const = mono.coeff
-        for v, e in mono_others:
-            if v != inner:
-                den_const *= values[v] ** e
-        num = [-a for a in _restrict(rest, values, inner)]
-
-        if not inner_exp and len(num) <= 2:
-            alpha = num[1] if len(num) == 2 else 0
-            beta = num[0] if num else 0
-            ts = _progression(alpha, beta, den_const, 1, hi_q, bound)
-            # along ts the power (alpha*t + beta)/den_const is an integer in
-            # [1, hi_q] that steps by alpha*step/den_const, exactly
-            qs = itertools.count((alpha * ts.start + beta) // den_const,
-                                 alpha * ts.step // den_const)
-            pairs = zip(ts, qs)
-            counted = se == 1
-            if counted and tally is not None:
-                tally[0] += len(ts)
-            if se != 1:
-                pairs = ((t, powers[q]) for t, q in pairs if q in powers)
-        else:
-            walk = range(1, bound + 1)
-            if bound > budget:
-                # 1 <= num(t) / (den_const * t^k) <= hi_q, both sides scaled
-                # by |den_const| * t^k > 0
-                d = abs(den_const)
-                scaled = num if den_const > 0 else [-a for a in num]
-                walk = _windows_walk(
-                    [_plus_term(scaled, inner_exp, -d),
-                     _plus_term([-a for a in scaled], inner_exp, hi_q * d)],
-                    bound, budget)
-            if tally is None and c is not None:
-                # the inner value's color first, before evaluating there
-                walk = (t for t in walk if table[t] == c)
-            pairs = _solved(num, den_const, inner_exp, powers, se, walk)
-            counted = False
-
-        if tally is not None and not counted:
-            pairs = list(pairs)
-            tally[0] += len(pairs)
-        if c == _MIXED:
-            continue
-        if table is None:
-            for t, s in pairs:
-                values[inner] = t
-                values[sv] = s
-                yield tuple(values)
-        elif c is None:
-            # no prefix: the inner value sets the color
-            for t, s in pairs:
-                if table[t] == table[s]:
-                    values[inner] = t
-                    values[sv] = s
-                    yield tuple(values)
-        else:
-            for t, s in pairs:
-                if table[t] == c and table[s] == c:
-                    values[inner] = t
-                    values[sv] = s
-                    yield tuple(values)
-
-
-def _solved(num: list[int], den_const: int, inner_exp: int, powers, se: int,
-            walk: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """The (t, v) with t from the walk for which num(t) / (den_const *
-    t^inner_exp) is the power v^se of a v in range."""
-    for t in walk:
-        den = den_const * t ** inner_exp if inner_exp else den_const
-        q, r = divmod(univariate.evaluate(num, t), den)
-        if not r and q in powers:
-            yield t, (q if se == 1 else powers[q])
 
 
 # ---------------------------------------------------------------------------
@@ -643,15 +631,15 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
     3-variable linear homogeneous equations walk each inner progression in
     closed form, once for the whole family.  Every other equation takes one
     walk per coloring that builds only its monochromatic solutions (see
-    `_enumerate_isolated`); the first walk also counts every solution.
+    `_walk`); the first walk also counts every solution.  A coloring listed
+    more than once is censused once, and each listing gets its own copy.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
     if not specs:
         return []
     poly = eq.poly
-    params = [{"bound": bound, "N": N, "coloring": s.spec_string()}
-              for s in specs]
+    distinct = list(dict.fromkeys(specs))
     # the closed-form path needs one color array per coloring, and
     # `color_array` caps the bound.  With |c| <= 2^20 and bound, N <=
     # BOUND_CAP = 2^25 its largest int64 intermediate is
@@ -660,25 +648,26 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
             and len(poly.variables) == 3
             and max(map(abs, poly.linear_coefficients())) <= 2 ** 20):
         per_spec, total = _census3_linear(
-            poly.linear_coefficients(), specs, bound, N
+            poly.linear_coefficients(), distinct, bound, N
         )
-        return [ProfileCensus(counts, total, p)
-                for counts, p in zip(per_spec, params)]
-    per_spec = []
-    tally = [0]
-    for spec in specs:
-        counts: dict[tuple[int, ...], int] = {}
-        table = _color_lookup(spec, bound)
-        for assignment in _walk(poly, bound, table,
-                                None if per_spec else tally):
-            if _valid(assignment, N):
-                ranks = _ranks(assignment, N)
-                counts[ranks] = counts.get(ranks, 0) + 1
-        per_spec.append(counts)
-    total = tally[0]
-    # tallied by rank tuple; one partition per distinct profile
-    return [ProfileCensus({_partition(r): n for r, n in counts.items()},
-                          total, p) for counts, p in zip(per_spec, params)]
+    else:
+        per_spec = []
+        tally = [0]
+        for spec in distinct:
+            counts: dict[tuple[int, ...], int] = {}
+            table = _color_lookup(spec, bound)
+            for assignment in _walk(poly, bound, table,
+                                    None if per_spec else tally):
+                if _valid(assignment, N):
+                    ranks = _ranks(assignment, N)
+                    counts[ranks] = counts.get(ranks, 0) + 1
+            # tallied by rank tuple; one partition per distinct profile
+            per_spec.append({_partition(r): n for r, n in counts.items()})
+        total = tally[0]
+    by_spec = dict(zip(distinct, per_spec))
+    return [ProfileCensus(dict(by_spec[s]), total,
+                          {"bound": bound, "N": N, "coloring": s.spec_string()})
+            for s in specs]
 
 
 # vectorized census for 3-variable linear homogeneous equations -------------

@@ -136,24 +136,18 @@ def _leading_terms(poly: Polynomial) -> Optional[dict[int, tuple[int, int]]]:
     """
     if not poly.variables:
         return None
-    if all(m.is_univariate() for m in poly.monomials):
-        leading: dict[int, tuple[int, int]] = {}
-        for m in poly.monomials:
-            if m.is_constant():
-                continue
-            (i, e), = m.exponents
-            if i not in leading or e > leading[i][0]:
-                leading[i] = (e, m.coeff)
-        return leading or None
-    leading = {}
-    rest_degree = -1
+    # the highest pure power of each variable, with its coefficient
+    leading: dict[int, tuple[int, int]] = {}
     for m in poly.monomials:
         if len(m.exponents) == 1:
             (i, e), = m.exponents
             if i not in leading or e > leading[i][0]:
                 leading[i] = (e, m.coeff)
+    if all(m.is_univariate() for m in poly.monomials):
+        return leading or None
     if len(leading) != len(poly.variables):
         return None
+    rest_degree = -1
     for m in poly.monomials:
         if len(m.exponents) == 1:
             (i, e), = m.exponents

@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -287,6 +288,20 @@ class TestEnumerateSolutions:
                 len(poly.variables), 9)
             assert set(enumerate_solutions(eq, 9)) == expected
 
+    def test_first_solution_in_bounded_memory(self):
+        # the prefix grid never copies its range into a tuple, and a
+        # one-variable equation walks the roots of its polynomial rather
+        # than a table of the bound's powers
+        for text in ["x + y = z", "x^2 = 4"]:
+            eq = parse(text)
+            tracemalloc.start()
+            try:
+                assert next(enumerate_solutions(eq, 2 ** 20))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4_000_000, (text, peak)
+
     def test_solutions_actually_solve(self):
         for text in ["x + 2y = z", "x*y = z"]:
             eq = parse(text)
@@ -518,16 +533,24 @@ class TestProfileCensus:
                 assert census.counts == counts, (eqtext, bound, N, cname)
                 assert census.total_solutions == total
 
-    def test_general_path_many_matches_per_spec_scans(self):
-        # one solution pass serves the whole family, duplicates included
+    def test_general_path_many_matches_per_spec_scans(self, monkeypatch):
+        # one walk per distinct coloring serves the whole family, so the
+        # second mod:2 builds no color table and walks nothing
         names = ["mod:2", "mod:3", "random:5:3", "logband:2:2", "digit:3",
                  "mod:2"]
         specs = [ColoringSpec.parse(s) for s in names]
+        lookups = []
+        build = coloring._color_lookup
+        monkeypatch.setattr(coloring, "_color_lookup", lambda spec, bound: (
+            lookups.append(spec) or build(spec, bound)))
         for eqtext, bound in [("x + y + z = w", 24), ("x*y = z", 120),
                               ("x + y = z + 1", 80)]:
             eq = parse(eqtext)
+            lookups.clear()
             many = profile_census_many(eq, specs, bound, 3)
+            assert lookups == specs[:-1], eqtext
             assert [c.params["coloring"] for c in many] == names
+            assert many[0].counts is not many[-1].counts
             for spec, census in zip(specs, many):
                 counts, total = _scan_census(eq, spec, bound, 3)
                 assert census.counts == counts, (eqtext, spec)
@@ -553,9 +576,13 @@ class TestProfileCensus:
                 ("x = y + 1", 300),              # no prefix
                 ("x = 2y", 300),
                 ("x^2 = 4", 5),                  # one variable
+                ("x^2 = 4", 10 ** 5),
+                ("3x = 7", 10 ** 5),
                 ("x^2 - 2x*y + y^2 = x + y", 150),   # full grid
+                ("x^2 - 2x*y + y^2 = x + y", 2000),
                 ("x^2*y + y^2 = x*y*z + z^2", 30),
-                ("x^2 + x = 6", 9)]:
+                ("x^2 + x = 6", 9),
+                ("x^2 + x = 6", 10 ** 5)]:
             eq = parse(text)
             many = profile_census_many(eq, specs, bound, 10)
             total = sum(1 for _ in enumerate_solutions(eq, bound))
@@ -719,16 +746,22 @@ class TestFilteredWalk:
     COLORINGS = ["mod:2", "mod:3", "mod:7", "digit:3", "digit:10",
                  "logband:2:1", "logband:2:3", "logband:3:2", "random:7:3",
                  "random:11:4", "mod:18446744073709551617"]
+    # the first case of a one-variable or two-variable full-grid equation
+    # walks its roots at a bound far past the window budget
+    LARGE = {"x^2 = 4": 10 ** 6, "3x = 7": 10 ** 6, "x^2 + x = 6": 10 ** 6,
+             "x^2 - 2x*y + y^2 = x + y": 2000}
 
     def corpus(self, seed, size):
         rng = random.Random(seed)
         for text in self.EQUATIONS:
             eq = parse(text)
             small = len(eq.poly.variables) > 3
-            for _ in range(size):
-                yield (eq, ColoringSpec.parse(rng.choice(self.COLORINGS)),
-                       rng.choice([1, 2, 7, 24] if small else [1, 3, 40, 150]),
-                       rng)
+            for i in range(size):
+                spec = ColoringSpec.parse(rng.choice(self.COLORINGS))
+                bound = rng.choice([1, 2, 7, 24] if small else [1, 3, 40, 150])
+                if i == 0:
+                    bound = self.LARGE.get(text, bound)
+                yield eq, spec, bound, rng
 
     def test_solutions_in_order(self):
         for eq, spec, bound, _ in self.corpus(61, 4):
@@ -772,6 +805,25 @@ class TestFilteredWalk:
         census = profile_census(eq, spec, 30, 10)
         assert census.counts == {} and census.total_solutions == 4060
         assert lookups[0] == 2 * 30 ** 2
+
+    def test_skipped_prefixes_take_no_step(self, monkeypatch):
+        # a search drops a mixed prefix before its inner step restricts the
+        # equation, in every shape: under the 2^64 + 1 modulus only the 30
+        # prefixes of two equal values are stepped
+        calls = [0]
+        restrict = coloring._restrict
+
+        def counted(*args):
+            calls[0] += 1
+            return restrict(*args)
+
+        monkeypatch.setattr(coloring, "_restrict", counted)
+        spec = ColoringSpec.parse("mod:18446744073709551617")
+        for text in ["x + y + z = w", "x^2 + y^2 - z^2 = w",
+                     "x^2*y + y^2 = x*y*z + z^2"]:
+            calls[0] = 0
+            list(iter_monochromatic(parse(text), spec, 30))
+            assert calls[0] == 30, text
 
     def test_witnesses(self):
         for eq, _, bound, rng in self.corpus(63, 4):
