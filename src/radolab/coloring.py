@@ -631,15 +631,15 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
     3-variable linear homogeneous equations walk each inner progression in
     closed form, once for the whole family.  Every other equation takes one
     walk per coloring that builds only its monochromatic solutions (see
-    `_walk`); the first walk also counts every solution.  A coloring listed
-    more than once is censused once, and each listing gets its own copy.
+    `_walk`); the first walk also counts every solution.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
     if not specs:
         return []
     poly = eq.poly
-    distinct = list(dict.fromkeys(specs))
+    params = [{"bound": bound, "N": N, "coloring": s.spec_string()}
+              for s in specs]
     # the closed-form path needs one color array per coloring, and
     # `color_array` caps the bound.  With |c| <= 2^20 and bound, N <=
     # BOUND_CAP = 2^25 its largest int64 intermediate is
@@ -648,26 +648,25 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
             and len(poly.variables) == 3
             and max(map(abs, poly.linear_coefficients())) <= 2 ** 20):
         per_spec, total = _census3_linear(
-            poly.linear_coefficients(), distinct, bound, N
+            poly.linear_coefficients(), specs, bound, N
         )
-    else:
-        per_spec = []
-        tally = [0]
-        for spec in distinct:
-            counts: dict[tuple[int, ...], int] = {}
-            table = _color_lookup(spec, bound)
-            for assignment in _walk(poly, bound, table,
-                                    None if per_spec else tally):
-                if _valid(assignment, N):
-                    ranks = _ranks(assignment, N)
-                    counts[ranks] = counts.get(ranks, 0) + 1
-            # tallied by rank tuple; one partition per distinct profile
-            per_spec.append({_partition(r): n for r, n in counts.items()})
-        total = tally[0]
-    by_spec = dict(zip(distinct, per_spec))
-    return [ProfileCensus(dict(by_spec[s]), total,
-                          {"bound": bound, "N": N, "coloring": s.spec_string()})
-            for s in specs]
+        return [ProfileCensus(counts, total, p)
+                for counts, p in zip(per_spec, params)]
+    per_spec = []
+    tally = [0]
+    for spec in specs:
+        counts: dict[tuple[int, ...], int] = {}
+        table = _color_lookup(spec, bound)
+        for assignment in _walk(poly, bound, table,
+                                None if per_spec else tally):
+            if _valid(assignment, N):
+                ranks = _ranks(assignment, N)
+                counts[ranks] = counts.get(ranks, 0) + 1
+        per_spec.append(counts)
+    total = tally[0]
+    # tallied by rank tuple; one partition per distinct profile
+    return [ProfileCensus({_partition(r): n for r, n in counts.items()},
+                          total, p) for counts, p in zip(per_spec, params)]
 
 
 # vectorized census for 3-variable linear homogeneous equations -------------

@@ -533,24 +533,16 @@ class TestProfileCensus:
                 assert census.counts == counts, (eqtext, bound, N, cname)
                 assert census.total_solutions == total
 
-    def test_general_path_many_matches_per_spec_scans(self, monkeypatch):
-        # one walk per distinct coloring serves the whole family, so the
-        # second mod:2 builds no color table and walks nothing
+    def test_general_path_many_matches_per_spec_scans(self):
+        # one solution pass serves the whole family, duplicates included
         names = ["mod:2", "mod:3", "random:5:3", "logband:2:2", "digit:3",
                  "mod:2"]
         specs = [ColoringSpec.parse(s) for s in names]
-        lookups = []
-        build = coloring._color_lookup
-        monkeypatch.setattr(coloring, "_color_lookup", lambda spec, bound: (
-            lookups.append(spec) or build(spec, bound)))
         for eqtext, bound in [("x + y + z = w", 24), ("x*y = z", 120),
                               ("x + y = z + 1", 80)]:
             eq = parse(eqtext)
-            lookups.clear()
             many = profile_census_many(eq, specs, bound, 3)
-            assert lookups == specs[:-1], eqtext
             assert [c.params["coloring"] for c in many] == names
-            assert many[0].counts is not many[-1].counts
             for spec, census in zip(specs, many):
                 counts, total = _scan_census(eq, spec, bound, 3)
                 assert census.counts == counts, (eqtext, spec)
@@ -564,6 +556,14 @@ class TestProfileCensus:
         names = ["mod:2", "mod:3", "random:7:3", "digit:10", "logband:2:3",
                  "mod:18446744073709551617"]
         specs = [ColoringSpec.parse(s) for s in names]
+        # the solutions at the large bounds, found by hand: (x - y)^2 = x + y
+        # is x = d(d + 1)/2, y = d(d - 1)/2 for d = x - y, |d| >= 2
+        known = {("x^2 = 4", 10 ** 5): [(2,)], ("3x = 7", 10 ** 5): [],
+                 ("x^2 + x = 6", 10 ** 5): [(2,)],
+                 ("x^2 - 2x*y + y^2 = x + y", 2000): sorted(
+                     p for d in range(2, 63)
+                     for p in [(d * (d + 1) // 2, d * (d - 1) // 2),
+                               (d * (d - 1) // 2, d * (d + 1) // 2)])}
         for text, bound in [
                 ("x + y + z = w", 40),           # affine, two-value prefix
                 ("x + y = z + 1", 120),          # affine, one-value prefix
@@ -586,6 +586,9 @@ class TestProfileCensus:
             eq = parse(text)
             many = profile_census_many(eq, specs, bound, 10)
             total = sum(1 for _ in enumerate_solutions(eq, bound))
+            if (text, bound) in known:
+                assert (list(enumerate_solutions(eq, bound))
+                        == known[text, bound]), text
             for spec, census in zip(specs, many):
                 counts = {}
                 for sol, _ in oracle_monochromatic(eq, spec, bound):
@@ -746,8 +749,8 @@ class TestFilteredWalk:
     COLORINGS = ["mod:2", "mod:3", "mod:7", "digit:3", "digit:10",
                  "logband:2:1", "logband:2:3", "logband:3:2", "random:7:3",
                  "random:11:4", "mod:18446744073709551617"]
-    # the first case of a one-variable or two-variable full-grid equation
-    # walks its roots at a bound far past the window budget
+    # one more case each for the one-variable and two-variable full-grid
+    # equations, whose roots are walked at a bound far past the window budget
     LARGE = {"x^2 = 4": 10 ** 6, "3x = 7": 10 ** 6, "x^2 + x = 6": 10 ** 6,
              "x^2 - 2x*y + y^2 = x + y": 2000}
 
@@ -756,12 +759,13 @@ class TestFilteredWalk:
         for text in self.EQUATIONS:
             eq = parse(text)
             small = len(eq.poly.variables) > 3
-            for i in range(size):
-                spec = ColoringSpec.parse(rng.choice(self.COLORINGS))
-                bound = rng.choice([1, 2, 7, 24] if small else [1, 3, 40, 150])
-                if i == 0:
-                    bound = self.LARGE.get(text, bound)
-                yield eq, spec, bound, rng
+            for _ in range(size):
+                yield (eq, ColoringSpec.parse(rng.choice(self.COLORINGS)),
+                       rng.choice([1, 2, 7, 24] if small else [1, 3, 40, 150]),
+                       rng)
+        for text, bound in self.LARGE.items():
+            yield (parse(text), ColoringSpec.parse(rng.choice(self.COLORINGS)),
+                   bound, rng)
 
     def test_solutions_in_order(self):
         for eq, spec, bound, _ in self.corpus(61, 4):
