@@ -31,14 +31,14 @@ from .linear import (
     NotLinearError,
     NotPRError,
     _candidate_classes,
-    asymptotic_candidates_linear,
+    _pr_linear_coefficients,
     hl_conventional_shape,
     hl_shape,
     verify_hl_choice,
 )
 from .model import Equation
 from .parser import ParseError, parse, pretty
-from .results import OrderedPartition, Status
+from .results import Status
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -118,10 +118,6 @@ def _emit(payload: dict) -> None:
     print(_dumps(payload))
 
 
-def _partition_json(partition: OrderedPartition, eq: Equation) -> list[list[str]]:
-    return partition.named(eq.poly.variables)
-
-
 def _filter_json(result) -> dict:
     return {
         "name": result.filter_name,
@@ -180,28 +176,29 @@ def cmd_analyze(args) -> int:
 
 def cmd_asymptotic(args) -> int:
     eq = parse(args.equation)
-    poly = eq.poly
     try:
-        candidates = asymptotic_candidates_linear(eq)
+        coeffs = _pr_linear_coefficients(eq)
     except (NotLinearError, NotPRError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCOPE
     if args.N < 2:
         raise ValueError("N must be at least 2")
-    coeffs = poly.linear_coefficients()
+    variables = eq.poly.variables
     n = len(coeffs)
+    shape = list(hl_shape(n))
+    conventional = list(hl_conventional_shape(n))
     report = _base_report(eq, args.equation, {"N": args.N})
     entries = []
-    for partition in candidates:
-        entry: dict = {"classes": _partition_json(partition, eq)}
-        if len(partition.classes) == 2:
-            first = sorted(partition.classes[0])
-            rest = sorted(partition.classes[1])
-            arranged = [coeffs[i] for i in first + rest]
-            cert = verify_hl_choice(arranged, len(first), args.N)
-            entry["arranged_variables"] = [poly.variables[i] for i in first + rest]
-            entry["matrix_shape"] = list(hl_shape(n))
-            entry["matrix_shape_conventional"] = list(hl_conventional_shape(n))
+    # each class is an ascending index tuple
+    for classes in _candidate_classes(coeffs, range(n)):
+        entry: dict = {"classes": [[variables[i] for i in c] for c in classes]}
+        if len(classes) == 2:
+            order = classes[0] + classes[1]
+            cert = verify_hl_choice([coeffs[i] for i in order],
+                                    len(classes[0]), args.N)
+            entry["arranged_variables"] = [variables[i] for i in order]
+            entry["matrix_shape"] = shape
+            entry["matrix_shape_conventional"] = conventional
             entry["certificate"] = (
                 None if cert is None
                 else {"blocks": [[c + 1 for c in block] for block in cert.blocks]}
@@ -261,7 +258,7 @@ def cmd_search(args) -> int:
         report["census"] = {
             "entries": sorted(
                 (
-                    {"classes": _partition_json(p, eq), "count": c}
+                    {"classes": p.named(eq.poly.variables), "count": c}
                     for p, c in census.counts.items()
                 ),
                 key=lambda e: (-e["count"], e["classes"]),

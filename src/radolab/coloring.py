@@ -340,9 +340,10 @@ def enumerate_solutions(eq: Equation, bound: int) -> Iterator[tuple[int, ...]]:
     A variable occurring in exactly one monomial is solved for exactly
     (divisibility, range and integer-root table checks).  The grid runs over
     the other variables but the innermost, which walks the exact arithmetic
-    progression of `_progression` (the engine the three-variable census
-    shares) when the solved value is affine in it, and otherwise only the
-    exact integer windows on which the solved value lies in its range.
+    progression of `_progression` (whose terms the three-variable census
+    recomputes as int64 arrays) when the solved value is affine in it, and
+    otherwise only the exact integer windows on which the solved value lies
+    in its range.
     Without such a variable, and in a one-variable equation, the innermost
     variable walks the exact integer roots of its restriction.  Solutions
     come out in lexicographic order of the grid point, then of the innermost
@@ -862,6 +863,11 @@ class HeadCensus:
     params: dict
 
 
+# the most bins a head census takes: its histogram and report hold one
+# entry per bin
+BIN_CAP = 2 ** 20
+
+
 def head_census(eq: Equation, spec: ColoringSpec, bound: int, base: int,
                 bin_count: int = 16) -> HeadCensus:
     """Histogram over [1, base) of the standard heads of every coordinate of
@@ -871,6 +877,9 @@ def head_census(eq: Equation, spec: ColoringSpec, bound: int, base: int,
         raise ValueError("base must be at least 2")
     if bin_count < 1:
         raise ValueError("bin count must be positive")
+    if bin_count > BIN_CAP:
+        raise CapExceededError(
+            BIN_CAP, f"bin count {bin_count} exceeds the cap ({BIN_CAP})")
     bins = [0] * bin_count
     bin_of: dict[int, int] = {}  # per value, filled on first sight
     total = 0

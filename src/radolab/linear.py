@@ -116,14 +116,21 @@ def asymptotic_candidates_linear(eq: Equation) -> list[OrderedPartition]:
     one two-class partition (I1 = J, I2 = rest) per nonempty zero-sum proper
     subset J of the coefficients, plus the single-class partition when the
     full coefficient set sums to zero."""
+    coeffs = _pr_linear_coefficients(eq)
+    return [OrderedPartition(tuple(map(frozenset, classes)))
+            for classes in _candidate_classes(coeffs, range(len(coeffs)))]
+
+
+def _pr_linear_coefficients(eq: Equation) -> list[int]:
+    """The coefficients of a PR linear homogeneous equation; NotLinearError
+    or NotPRError for any other equation."""
     poly = eq.poly
     if not poly.is_linear() or poly.constant_term() != 0:
         raise NotLinearError("equation is not linear homogeneous")
     coeffs = poly.linear_coefficients()
     if rado_condition(coeffs) is None:
         raise NotPRError("equation is not partition regular")
-    return [OrderedPartition(tuple(map(frozenset, classes)))
-            for classes in _candidate_classes(coeffs, range(len(coeffs)))]
+    return coeffs
 
 
 def _candidate_classes(coeffs: Sequence[int],
@@ -170,7 +177,7 @@ def hl_matrix(coeffs: Sequence[int], k: int, N: int,
     ratio rows anchored at x_1 (N*x_1 - x_i - q*z and -x_1 + N*x_i - q*z'),
     the same for each suffix variable j in k+2..n anchored at x_{k+1}, and a
     final separation row x_1 - x_{k+1} - q*z''.  Every slack variable gets a
-    fresh column, appended in construction order.  Coefficients, N and
+    fresh column, in the order of `hl_slack_pairs`.  Coefficients, N and
     weights are integers, so the rows are integer rows as they stand.
     """
     n = len(coeffs)
@@ -183,36 +190,24 @@ def hl_matrix(coeffs: Sequence[int], k: int, N: int,
     if N < 2:
         raise ValueError("N must be at least 2")
     pairs = hl_slack_pairs(k, n)
-    slack_col = {pair: n + idx for idx, pair in enumerate(pairs)}
-    for pair in pairs:
+    ncols = n + len(pairs)
+    entries = [0] * ((len(pairs) + 1) * ncols)
+    entries[:n] = coeffs
+    last = len(pairs) - 1
+    for t, pair in enumerate(pairs):
         q = weights.get(pair)
         if q is None:
             raise ValueError(f"missing slack weight for {pair}")
         if q <= 0:
             raise ValueError(f"slack weight for {pair} must be positive")
-    ncols = n + len(pairs)
-    rows = [list(coeffs) + [0] * len(pairs)]
-
-    def ratio_row(big: int, small: int):
-        # N*x_big - x_small - q*z > 0 in slack form (1-based positions)
-        row = [0] * ncols
-        row[big - 1] = N
-        row[small - 1] = -1
-        row[slack_col[(big, small)]] = -weights[(big, small)]
-        rows.append(row)
-
-    for i in range(2, k + 1):
-        ratio_row(1, i)
-        ratio_row(i, 1)
-    for j in range(k + 2, n + 1):
-        ratio_row(k + 1, j)
-        ratio_row(j, k + 1)
-    sep = [0] * ncols
-    sep[0] = 1
-    sep[k] = -1
-    sep[slack_col[(1, k + 1)]] = -weights[(1, k + 1)]
-    rows.append(sep)
-    return QMatrix(len(rows), ncols, tuple(x for row in rows for x in row))
+        # slack t is column n + t of row t + 1: N*x_a - x_b - q*z, or the
+        # separation row x_1 - x_{k+1} - q*z'' for the last pair
+        a, b = pair
+        row = (t + 1) * ncols
+        entries[row + a - 1] = 1 if t == last else N
+        entries[row + b - 1] = -1
+        entries[row + n + t] = -q
+    return QMatrix(len(pairs) + 1, ncols, tuple(entries))
 
 
 def hl_shape(n: int) -> tuple[int, int]:
@@ -230,10 +225,10 @@ def _fast_path_blocks(k: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]
     """Predicted certificate: the first class's variable columns, their
     ratio slacks, and the separation slack sum to zero; everything else is
     one further block (0-based columns)."""
-    ncols = 3 * n - 3
-    d1 = list(range(k)) + list(range(n, n + 2 * (k - 1))) + [ncols - 1]
-    d2 = [c for c in range(ncols) if c not in set(d1)]
-    return tuple(d1), tuple(d2)
+    suffix = n + 2 * (k - 1)  # the first suffix ratio slack
+    separation = 3 * n - 4
+    return ((*range(k), *range(n, suffix), separation),
+            (*range(k, n), *range(suffix, separation)))
 
 
 def verify_hl_choice(coeffs: Sequence[int], k: int, N: int) -> Optional[ColumnsCertificate]:

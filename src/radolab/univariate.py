@@ -119,18 +119,6 @@ def _sign_variations(values: list[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots_in(p: list[int], a: int, b: int) -> int:
-    """Number of distinct real roots of p in (a, b]; requires p(a), p(b) != 0.
-
-    Valid for non-square-free p as well: the canonical chain ends at a
-    multiple of gcd(p, p') and still counts distinct roots.
-    """
-    chain = sturm_chain(p)
-    va = _sign_variations([evaluate(q, a) for q in chain])
-    vb = _sign_variations([evaluate(q, b) for q in chain])
-    return va - vb
-
-
 def _forward_difference(p: list[int]) -> list[int]:
     """Coefficients of p(t + 1) - p(t), one degree lower than p: p(t + 1)
     by a Taylor shift in additions only, then p subtracted."""
@@ -225,4 +213,10 @@ def has_positive_root(p: list[int]) -> bool:
     q, _ = strip_zero_roots(p)
     if len(q) == 1:
         return False
-    return count_roots_in(q, 0, positive_root_bound(q)) > 0
+    # Sturm's theorem on (0, +inf): q(0) != 0, so the chain's signs at 0 are
+    # its constant terms and at +inf its leading coefficients.  The count is
+    # of distinct roots, for non-square-free q too: the chain ends at a
+    # multiple of gcd(q, q'), which does not vanish at 0.
+    chain = sturm_chain(q)
+    return (_sign_variations([f[0] for f in chain])
+            > _sign_variations([f[-1] for f in chain]))

@@ -11,7 +11,8 @@ piece table of the 3-variable census.  The maximal-root filter's reference
 tries every monomial subset, and reports are checked against the standard
 library's indented JSON dump.  Asymptotic candidates are built the way
 they once were: each zero-sum mask picked bit by bit, wrapped in an
-`OrderedPartition` and named.  The columns condition is decided by the
+`OrderedPartition` and named.  The Hindman-Leader matrix is built row by
+row, with its weights validated before the first row.  The columns condition is decided by the
 memoized depth-first search over ordered column partitions that the greedy
 decision replaced.  Equations are parsed by the recursive-descent class
 with one-token lookahead and no end token that the stateless grammar
@@ -33,7 +34,14 @@ from math import comb
 import numpy as np
 
 from radolab.coloring import enumerate_solutions
-from radolab.linalg import ColumnsCertificate, _Basis, _pick, _zero_sum_masks
+from radolab.linalg import (
+    ColumnsCertificate,
+    QMatrix,
+    _Basis,
+    _pick,
+    _zero_sum_masks,
+)
+from radolab.linear import hl_slack_pairs
 from radolab.model import Equation, Polynomial, collapse_to_univariate
 from radolab.parser import ParseError
 from radolab.results import OrderedPartition
@@ -346,6 +354,56 @@ def oracle_candidate_names(coeffs, variables) -> list[list[list[str]]]:
         classes = (chosen,) if chosen == everything else (chosen, everything - chosen)
         out.append(OrderedPartition(classes).named(variables))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the Hindman-Leader matrix row by row
+
+
+def oracle_hl_matrix(coeffs, k: int, N: int, weights) -> QMatrix:
+    """`hl_matrix` as it was built before its one pass over the slack
+    pairs: every weight validated first, then the ratio rows from two loops
+    that restate the pair order, each slack column looked up by pair, and
+    the separation row appended on its own."""
+    n = len(coeffs)
+    if not all(isinstance(x, int) for x in (*coeffs, N, *weights.values())):
+        raise ValueError("coefficients, N and weights must be integers")
+    if any(c == 0 for c in coeffs):
+        raise ValueError("coefficients must be nonzero")
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    if N < 2:
+        raise ValueError("N must be at least 2")
+    pairs = hl_slack_pairs(k, n)
+    slack_col = {pair: n + idx for idx, pair in enumerate(pairs)}
+    for pair in pairs:
+        q = weights.get(pair)
+        if q is None:
+            raise ValueError(f"missing slack weight for {pair}")
+        if q <= 0:
+            raise ValueError(f"slack weight for {pair} must be positive")
+    ncols = n + len(pairs)
+    rows = [list(coeffs) + [0] * len(pairs)]
+
+    def ratio_row(big: int, small: int):
+        row = [0] * ncols
+        row[big - 1] = N
+        row[small - 1] = -1
+        row[slack_col[(big, small)]] = -weights[(big, small)]
+        rows.append(row)
+
+    for i in range(2, k + 1):
+        ratio_row(1, i)
+        ratio_row(i, 1)
+    for j in range(k + 2, n + 1):
+        ratio_row(k + 1, j)
+        ratio_row(j, k + 1)
+    sep = [0] * ncols
+    sep[0] = 1
+    sep[k] = -1
+    sep[slack_col[(1, k + 1)]] = -weights[(1, k + 1)]
+    rows.append(sep)
+    return QMatrix(len(rows), ncols, tuple(x for row in rows for x in row))
 
 
 # ---------------------------------------------------------------------------

@@ -219,10 +219,20 @@ class TestAsymptotic:
         assert len(entries) == 1
         assert entries[0]["certificate"] is None and "note" in entries[0]
 
-    def test_N_below_two_exit_2_for_every_candidate_shape(self, capsys):
+    def test_N_below_two_exit_2_for_every_candidate_shape(self, capsys,
+                                                          monkeypatch):
         # "x - y = 0" has only a single-class candidate, which never reaches
-        # hl_matrix's own check; out-of-scope equations keep exit 4
-        for text in ("x - y = 0", "x + y = z"):
+        # hl_matrix's own check; out-of-scope equations keep exit 4.  N is
+        # checked before any candidate is listed, so the 184755 candidates
+        # of the 20-variable balanced equation are never walked.
+        def unreachable(*args):
+            raise AssertionError("candidates listed before the N check")
+
+        monkeypatch.setattr(linear, "_candidate_classes", unreachable)
+        monkeypatch.setattr(cli, "_candidate_classes", unreachable)
+        balanced = (" + ".join(f"x{i}" for i in range(10)) + " = "
+                    + " + ".join(f"y{i}" for i in range(10)))
+        for text in ("x - y = 0", "x + y = z", balanced):
             for N in ("1", "-5"):
                 code, out, _ = run_cli(capsys, "asymptotic", text, "--N", N)
                 assert code == 2 and out == "", (text, N)
@@ -382,6 +392,22 @@ class TestSearch:
                                  "--bound", "3")
         assert code == 3 and out == ""
         assert f"exceeds the cap ({filters.DEGREE_CAP})" in err
+
+    def test_bins_past_cap_exit_3(self, capsys, monkeypatch):
+        # the bin cap is checked before the solution walk starts
+        monkeypatch.setattr(coloring, "BIN_CAP", 8)
+        argv = ["search", "x*y = z", "--coloring", "logband:2:3", "--bound",
+                "300", "--mode", "heads", "--base", "2", "--bins"]
+        code, report, _ = run_json(capsys, *argv, "8")
+        assert code == 0 and report["heads"]["bin_count"] == 8
+
+        def unreachable(*args):
+            raise AssertionError("solutions walked past the bin cap")
+
+        monkeypatch.setattr(coloring, "iter_monochromatic", unreachable)
+        code, out, err = run_cli(capsys, *argv, "9")
+        assert code == 3 and out == ""
+        assert err == "cap exceeded: bin count 9 exceeds the cap (8)\n"
 
     def test_huge_bound_exit_3(self, capsys):
         # the bound cap stops every mode before a color table is built,

@@ -107,6 +107,18 @@ class TestSturm:
             while coeffs[-1] == 0:
                 coeffs[-1] = rng.randint(-20, 20)
             assert sturm_positive_root(coeffs) == oracle_positive_root(coeffs)
+        # repeated roots, and two roots between consecutive integers
+        for coeffs, rooted in [
+            ([1, -4, 4], True),                 # (2x - 1)^2
+            ([4, 4, -4, -4, 1, 1], True),       # (x^2 - 2)^2 (x + 1)
+            ([143, -240, 100], True),           # (10x - 11)(10x - 13)
+            ([1, 4, 4], False),                 # (2x + 1)^2
+            ([4, 4, 4, 4, 1, 1], False),        # (x^2 + 2)^2 (x + 1)
+            ([143, 240, 100], False),           # (10x + 11)(10x + 13)
+            ([4, -8, 8, -4, 1], False),         # (x^2 - 2x + 2)^2
+        ]:
+            assert sturm_positive_root(coeffs) is rooted, coeffs
+            assert oracle_positive_root(coeffs) is rooted, coeffs
 
 
 class TestMaximalRoot:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import oracle_candidate_names
+from _oracles import oracle_candidate_names, oracle_hl_matrix
 from radolab.errors import CapExceededError
 from radolab.linalg import QMatrix, columns_condition, verify_certificate
 from radolab.linear import (
@@ -15,6 +15,7 @@ from radolab.linear import (
     hl_conventional_shape,
     hl_matrix,
     hl_shape,
+    hl_slack_pairs,
     linear_pr_verdict,
     rado_condition,
     verify_hl_choice,
@@ -234,6 +235,42 @@ class TestHLMatrix:
             [-1, 2, 0, 0, -1, 0],
             [1, 0, -1, 0, 0, -1],
         ]
+
+    def test_matches_oracle_on_seeded_corpus(self):
+        rng = random.Random(15)
+        nonzero = [c for c in range(-9, 10) if c]
+        for n in range(2, 9):
+            for k in range(1, n):
+                for N in range(2, 11):
+                    coeffs = [rng.choice(nonzero) for _ in range(n)]
+                    weights = {pair: rng.randint(1, 12)
+                               for pair in hl_slack_pairs(k, n)}
+                    m = hl_matrix(coeffs, k, N, weights)
+                    assert m == oracle_hl_matrix(coeffs, k, N, weights), \
+                        (coeffs, k, N, weights)
+                    assert (m.rows, m.cols) == hl_shape(n)
+
+    def test_weight_errors_match_oracle(self):
+        # two spoiled weights per case: the error names the first in slack
+        # order, and a non-integer weight is reported before either
+        rng = random.Random(16)
+        for n in range(2, 9):
+            for k in range(1, n):
+                pairs = hl_slack_pairs(k, n)
+                for _ in range(6):
+                    weights = {pair: rng.randint(1, 12) for pair in pairs}
+                    for pair in rng.sample(pairs, min(2, len(pairs))):
+                        bad = rng.choice([None, 0, -3, Fraction(3, 2), 2.0])
+                        if bad is None:
+                            del weights[pair]
+                        else:
+                            weights[pair] = bad
+                    coeffs = [rng.choice([-2, -1, 1, 3]) for _ in range(n)]
+                    with pytest.raises(ValueError) as want:
+                        oracle_hl_matrix(coeffs, k, 4, weights)
+                    with pytest.raises(ValueError) as got:
+                        hl_matrix(coeffs, k, 4, weights)
+                    assert str(got.value) == str(want.value), (k, n, weights)
 
     def test_fast_path_block_structure(self):
         cert = verify_hl_choice([1, -1, 1], 2, 2)
