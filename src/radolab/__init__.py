@@ -12,7 +12,6 @@ from .coloring import (
     ColoringSpec,
     HeadCensus,
     ProfileCensus,
-    SolutionRecord,
     asymptotic_profile,
     enumerate_solutions,
     head_census,
@@ -71,7 +70,7 @@ __all__ = [
     "FILTER_CATALOGUE", "FermatCatalanShape", "FilterResult", "HeadCensus",
     "MissingVariableError", "Monomial", "NotLinearError", "NotPRError",
     "OrderedPartition", "ParseError", "Polynomial", "ProfileCensus",
-    "QMatrix", "SolutionRecord", "Status", "Verdict", "ZeroPolynomialError",
+    "QMatrix", "Status", "Verdict", "ZeroPolynomialError",
     "asymptotic_candidates_linear", "asymptotic_profile",
     "collapse_to_univariate", "columns_condition",
     "default_hl_weights", "enumerate_solutions", "evaluate",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
 from itertools import repeat
@@ -19,9 +18,13 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import __version__
 from .coloring import (
     ColoringSpec,
+    _classes,
+    _ranks,
+    _valid,
     head_census,
-    iter_records,
+    iter_monochromatic,
     profile_census,
+    standard_head,
     witness_search,
 )
 from .errors import CapExceededError
@@ -216,23 +219,6 @@ def cmd_asymptotic(args) -> int:
     return EXIT_OK
 
 
-def _record_json(record) -> dict:
-    partition, N, valid = record.profile
-    out = {
-        "assignment": list(record.assignment),
-        "color": record.color,
-        "profile": {
-            "classes": partition.as_lists(),
-            "N": N,
-            "valid": valid,
-        },
-    }
-    if record.heads:
-        out["heads"] = {str(p): [str(h) for h in hs]
-                        for p, hs in record.heads.items()}
-    return out
-
-
 def cmd_search(args) -> int:
     eq = parse(args.equation)
     specs = [ColoringSpec.parse(s) for s in (args.coloring or ["mod:2"])]
@@ -242,11 +228,29 @@ def cmd_search(args) -> int:
         "mode": args.mode, "colorings": [s.spec_string() for s in specs],
     }
     if args.mode == "solutions":
+        N, base = args.N, args.base
+        if N < 2:
+            raise ValueError("N must be at least 2")
+        if base is not None and base < 2:
+            raise ValueError("base must be at least 2")
+        # each line is json.dumps(record, sort_keys=True) of the record
+        # {assignment, color, heads: {base: [head, ...]} (with --base),
+        # profile: {N, classes, valid}}
+        head_of: dict[int, str] = {}  # quoted head per value, on first sight
         count = 0
-        for record in iter_records(eq, specs[0], args.bound, N=args.N,
-                                   bases=[args.base] if args.base else ()):
-            print(json.dumps(_record_json(record), sort_keys=True,
-                             default=_json_default))
+        for assignment, color in iter_monochromatic(eq, specs[0], args.bound):
+            heads = ""
+            if base is not None:
+                for x in assignment:
+                    if x not in head_of:
+                        head_of[x] = f'"{standard_head(x, base)}"'
+                heads = ", ".join(map(head_of.__getitem__, assignment))
+                heads = f'"heads": {{"{base}": [{heads}]}}, '
+            classes = _classes(_ranks(assignment, N))
+            valid = "true" if _valid(assignment, N) else "false"
+            print(f'{{"assignment": {list(assignment)}, "color": {color}, '
+                  f'{heads}"profile": {{"N": {N}, "classes": {classes}, '
+                  f'"valid": {valid}}}}}')
             count += 1
         print(f"{pretty(eq)}: {count} monochromatic solution(s) streamed",
               file=sys.stderr)

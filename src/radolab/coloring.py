@@ -15,10 +15,11 @@ the grid of prefix values for every shape of equation, with an inner step
 chosen once per walk (an isolated variable solved for exactly, or the
 integer roots of the innermost variable).  Given a coloring's table it
 skips each prefix whose values do not share a color and builds a tuple only
-for a monochromatic solution.  Records, head censuses, witness searches and
-the general profile census run it once per distinct coloring;
-`enumerate_solutions` runs it without a table.  Searches take bounds up to
-`BOUND_CAP`, past which a color table no longer fits in reasonable memory.
+for a monochromatic solution.  The solutions stream (`iter_monochromatic`),
+head censuses, witness searches and the general profile census run it once
+per coloring; `enumerate_solutions` runs it without a table.  Searches take
+bounds up to `BOUND_CAP`, past which a color table no longer fits in
+reasonable memory.
 """
 
 from __future__ import annotations
@@ -274,12 +275,17 @@ def _valid(values: Sequence[int], N: int) -> bool:
     return True
 
 
-def _partition(ranks: Sequence[int]) -> OrderedPartition:
-    """The ordered partition whose class r holds the positions of rank r."""
+def _classes(ranks: Sequence[int]) -> list[list[int]]:
+    """Class r's positions, ascending, for each rank r from 0."""
     classes: list[list[int]] = [[] for _ in range(max(ranks, default=-1) + 1)]
     for i, r in enumerate(ranks):
         classes[r].append(i)
-    return OrderedPartition(tuple(map(frozenset, classes)))
+    return classes
+
+
+def _partition(ranks: Sequence[int]) -> OrderedPartition:
+    """The ordered partition whose class r holds the positions of rank r."""
+    return OrderedPartition(tuple(map(frozenset, _classes(ranks))))
 
 
 # ---------------------------------------------------------------------------
@@ -575,15 +581,7 @@ def _plus_term(p: list[int], k: int, c: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# monochromatic records and censuses
-
-
-@dataclass
-class SolutionRecord:
-    assignment: tuple[int, ...]
-    color: int
-    profile: tuple[OrderedPartition, int, bool]
-    heads: dict[int, list[Fraction]]
+# monochromatic solutions and censuses
 
 
 def iter_monochromatic(eq: Equation, spec: ColoringSpec,
@@ -593,19 +591,6 @@ def iter_monochromatic(eq: Equation, spec: ColoringSpec,
     table = _color_lookup(spec, bound)
     for assignment in _walk(eq.poly, bound, table):
         yield assignment, table[assignment[0]]
-
-
-def iter_records(eq: Equation, spec: ColoringSpec, bound: int, N: int,
-                 bases: Sequence[int] = ()) -> Iterator[SolutionRecord]:
-    """Monochromatic solutions annotated with profiles and standard heads."""
-    if N < 2:
-        raise ValueError("N must be at least 2")
-    for assignment, c in iter_monochromatic(eq, spec, bound):
-        partition, valid = asymptotic_profile(assignment, N)
-        heads = {
-            p: [standard_head(x, p) for x in assignment] for p in bases
-        }
-        yield SolutionRecord(assignment, c, (partition, N, valid), heads)
 
 
 @dataclass

@@ -40,9 +40,6 @@ class OrderedPartition:
     def size(self) -> int:
         return sum(len(c) for c in self.classes)
 
-    def as_lists(self) -> list[list[int]]:
-        return [sorted(c) for c in self.classes]
-
     def named(self, variables: tuple[str, ...]) -> list[list[str]]:
         return [[variables[i] for i in sorted(c)] for c in self.classes]
 

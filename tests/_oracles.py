@@ -20,7 +20,9 @@ functions replaced, and monomials are ordered by dense exponent vectors.
 Coloring searches are checked against the enumerate-then-filter loop that
 the color-testing walk replaced: every solution is built as a tuple, then
 the scalar colors of its coordinates are compared, and a witness search
-serves the whole family from one shared pass over the solutions.
+serves the whole family from one shared pass over the solutions.  The
+solutions stream is checked against records built as objects, with heads as
+`Fraction`s found by repeated multiplication, and written by `json.dumps`.
 """
 
 from __future__ import annotations
@@ -648,3 +650,27 @@ def oracle_witness_search(eq: Equation, family, bound: int) -> list:
             if not pending:
                 break
     return [family[i] for i in pending]
+
+
+def oracle_record_lines(eq: Equation, spec, bound: int, N: int, base=None):
+    """The lines of `search --mode solutions`, without their newlines, the
+    way they were once built: one record object per monochromatic solution
+    (its profile from `oracle_asymptotic_profile`, each head a `Fraction`),
+    turned into a dict and written by `json.dumps(sort_keys=True)`."""
+    for assignment, color in oracle_monochromatic(eq, spec, bound):
+        partition, valid = oracle_asymptotic_profile(assignment, N)
+        record = {
+            "assignment": list(assignment),
+            "color": color,
+            "profile": {"classes": [sorted(c) for c in partition.classes],
+                        "N": N, "valid": valid},
+        }
+        if base is not None:
+            heads = []
+            for x in assignment:
+                scale = 1
+                while scale * base <= x:
+                    scale *= base
+                heads.append(str(Fraction(x, scale)))
+            record["heads"] = {str(base): heads}
+        yield json.dumps(record, sort_keys=True)

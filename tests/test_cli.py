@@ -337,14 +337,34 @@ class TestSearch:
     def test_solutions_stream(self, capsys):
         code, out, err = run_cli(
             capsys, "search", "x + y = z", "--coloring", "mod:2",
-            "--bound", "12", "--mode", "solutions", "--N", "5")
+            "--bound", "12", "--mode", "solutions", "--N", "5",
+            "--base", "2")
         assert code == 0
         records = [json.loads(line) for line in out.splitlines()]
         assert records
         for rec in records:
             x, y, z = rec["assignment"]
             assert x + y == z
+            assert all(v % 2 == rec["color"] for v in rec["assignment"])
             assert rec["profile"]["N"] == 5
+            assert sorted(sum(rec["profile"]["classes"], [])) == [0, 1, 2]
+            heads = rec["heads"]["2"]
+            assert len(heads) == 3
+            assert all(1 <= Fraction(h) < 2 for h in heads)
+
+    def test_solutions_base_below_two_exit_2_before_the_walk(self, capsys,
+                                                             monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("solutions walked with a bad base")
+
+        monkeypatch.setattr(cli, "iter_monochromatic", unreachable)
+        for bound in ["1", "5"]:
+            for base in ["1", "0", "-2"]:
+                code, out, err = run_cli(
+                    capsys, "search", "x + y = z", "--mode", "solutions",
+                    "--bound", bound, "--base", base)
+                assert code == 2 and out == "", (bound, base)
+                assert err == "error: base must be at least 2\n"
 
     def test_N_below_two_exit_2(self, capsys):
         code, out, _ = run_cli(capsys, "search", "x + y = z", "--N", "1")
@@ -512,7 +532,8 @@ class TestColumnsCondition:
         assert "NONE" in err
 
 
-# every command of the README, with its matrix file
+# every report command of the README, with its matrix file (the solutions
+# stream writes lines, not a report, and has its own oracle test)
 README_COMMANDS = [
     ["analyze", "x + y = z"],
     ["analyze", "x^2 - y^2 = z^5"],

@@ -1,3 +1,4 @@
+import json
 import random
 import subprocess
 import sys
@@ -16,10 +17,11 @@ from _oracles import (
     oracle_asymptotic_profile,
     oracle_monochromatic,
     oracle_profile_valid,
+    oracle_record_lines,
     oracle_solution_grid,
     oracle_witness_search,
 )
-from radolab import coloring, univariate
+from radolab import cli, coloring, univariate
 from radolab.coloring import (
     ColoringSpec,
     _color_lookup,
@@ -27,14 +29,13 @@ from radolab.coloring import (
     enumerate_solutions,
     head_census,
     iter_monochromatic,
-    iter_records,
     profile_census,
     profile_census_many,
     standard_head,
     witness_search,
 )
 from radolab.model import ZeroPolynomialError, evaluate
-from radolab.parser import parse
+from radolab.parser import parse, pretty
 from radolab.results import OrderedPartition
 
 
@@ -131,13 +132,16 @@ class TestColoringSpec:
     def test_searches_do_not_load_numpy(self):
         src = str(Path(radolab.__file__).resolve().parents[1])
         code = (
-            "import sys\n"
+            "import contextlib, io, sys\n"
+            "from radolab import cli\n"
             "from radolab.coloring import *\n"
             "from radolab.parser import parse\n"
             "specs = [ColoringSpec.parse(s) for s in "
             "('mod:3', 'digit:10', 'logband:2:3', 'random:9:5')]\n"
-            "list(iter_records(parse('x + y = z'), specs[0], 30, N=3, "
-            "bases=(2,)))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['search', 'x + y = z', '--coloring', 'mod:3', "
+            "'--bound', '30', '--N', '3', '--mode', 'solutions', "
+            "'--base', '2'])\n"
             "head_census(parse('x*y = z'), specs[1], 60, 3)\n"
             "profile_census_many(parse('x + y + z = w'), specs, 12, 3)\n"
             "witness_search(parse('x = y + 1'), specs, 50)\n"
@@ -837,24 +841,54 @@ class TestFilteredWalk:
                     == oracle_witness_search(eq, family, bound)), \
                 (eq.poly, family, bound)
 
+    def test_solution_records(self, capsys):
+        # every coloring kind, N from 2 to past the bound, with and without
+        # a base: the stream's lines against records written by json.dumps
+        records = 0
+        for k, (eq, _, bound, _) in enumerate(self.corpus(64, 3)):
+            spec = self.COLORINGS[k % len(self.COLORINGS)]
+            N = [2, 3, 10, 10 ** 30][k % 4]
+            base = [None, 2, 3, 10][k // 4 % 4]
+            argv = ["search", pretty(eq), "--coloring", spec, "--bound",
+                    str(bound), "--N", str(N), "--mode", "solutions"]
+            if base is not None:
+                argv += ["--base", str(base)]
+            assert cli.main(argv) == 0, argv
+            lines = list(oracle_record_lines(
+                eq, ColoringSpec.parse(spec), bound, N, base))
+            assert capsys.readouterr().out == "".join(
+                line + "\n" for line in lines), argv
+            records += len(lines)
+        assert records > 1000
+
 
 class TestRecords:
-    def test_record_invariants(self):
+    # the solution records are written by `search --mode solutions`
+    def test_record_invariants(self, capsys):
         eq = parse("x + y = z")
         spec = ColoringSpec.parse("mod:2")
-        records = list(iter_records(eq, spec, 60, N=10, bases=(2, 10)))
+        assert cli.main(["search", "x + y = z", "--coloring", "mod:2",
+                         "--bound", "60", "--N", "10", "--mode",
+                         "solutions", "--base", "10"]) == 0
+        records = [json.loads(line)
+                   for line in capsys.readouterr().out.splitlines()]
         assert records
         for rec in records:
-            assignment = dict(zip(eq.poly.variables, rec.assignment))
+            assignment = dict(zip(eq.poly.variables, rec["assignment"]))
             assert evaluate(eq.poly, assignment) == 0
-            assert all(spec.color(v) == rec.color for v in rec.assignment)
-            partition, N, valid = rec.profile
-            assert N == 10 and partition.size() == 3
-            assert set(rec.heads) == {2, 10}
-            for p, heads in rec.heads.items():
-                assert all(1 <= h < p for h in heads)
+            assert all(spec.color(v) == rec["color"]
+                       for v in rec["assignment"])
+            profile = rec["profile"]
+            assert profile["N"] == 10
+            assert sorted(sum(profile["classes"], [])) == [0, 1, 2]
+            assert set(rec["heads"]) == {"10"}
+            assert all(1 <= Fraction(h) < 10 for h in rec["heads"]["10"])
 
-    def test_N_below_two_rejected_before_the_first_solution(self):
-        spec = ColoringSpec.parse("mod:2")
-        with pytest.raises(ValueError, match="N must be at least 2"):
-            list(iter_records(parse("x + y = z"), spec, 1, N=1))
+    def test_N_below_two_rejected_before_the_first_solution(self, capsys):
+        # solutions exist up to 60, yet N is rejected before any is written
+        assert cli.main(["search", "x + y = z", "--coloring", "mod:2",
+                         "--bound", "60", "--N", "1", "--mode",
+                         "solutions"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: N must be at least 2\n"
