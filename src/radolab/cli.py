@@ -3,13 +3,16 @@
 JSON goes to stdout, human-readable prose to stderr, so reports compose in
 pipelines.  Exit codes: 0 = analysis completed (whatever the verdict),
 2 = malformed input, 3 = a size cap was exceeded, 4 = the asymptotic
-command was given an equation outside its scope.
+command was given an equation outside its scope, 141 = stdout was closed
+before the output was written (`... | head`), quietly, as a shell reports a
+writer ended by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 from itertools import repeat
@@ -47,6 +50,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_SCOPE = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 
 def _json_default(obj):
@@ -385,7 +389,11 @@ def main(argv=None) -> int:
                "search": cmd_search,
                "columns-condition": cmd_columns_condition}[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        # a report small enough to sit in stdout's buffer is written here,
+        # not at exit, so a closed stdout is caught below for every command
+        sys.stdout.flush()
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -395,6 +403,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so the flush at exit
+        # cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ reasonable memory.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass
@@ -49,6 +50,10 @@ if TYPE_CHECKING:
 # the largest bound a coloring search takes: its color table holds bound + 1
 # entries, and the three-variable census's int64 arithmetic is exact up to it
 BOUND_CAP = 2 ** 25
+
+
+# entries of the largest temporary array `ColoringSpec._table` builds
+_CHUNK = 2 ** 16
 
 
 def _check_bound(bound: int) -> None:
@@ -130,11 +135,9 @@ class ColoringSpec:
             p, r = self.params
             return _int_log(x, p) % r
         seed, colors = self.params
-        data = x.to_bytes((x.bit_length() + 7) // 8 or 1, "little")
-        digest = hashlib.blake2b(
-            data, digest_size=8, key=str(seed).encode()
-        ).digest()
-        return int.from_bytes(digest, "little") % colors
+        h = _keyed_state(seed).copy()
+        h.update(x.to_bytes((x.bit_length() + 7) // 8 or 1, "little"))
+        return int.from_bytes(h.digest(), "little") % colors
 
     def _table(self, bound: int) -> array:
         """Colors of 0..bound (index 0 is padding) in the smallest unsigned
@@ -149,12 +152,26 @@ class ColoringSpec:
         top = min(top, 2 ** 64 - 1 if kind == "random" else bound)
         code = next(c for c in "BHIQ" if top < 1 << 8 * array(c).itemsize)
         if kind == "mod":
-            # x % m == x for x <= bound < m, and m may not fit in 64 bits
+            # x % m == x for x <= bound < m, and m may not fit in 64 bits.
+            # The table is allocated at its final length and filled in
+            # place: the first period in chunks, the rest by doubling the
+            # filled prefix
             m = min(p[0], bound + 1)
-            return (array(code, range(m)) * _ceil_div(bound + 1, m))[:bound + 1]
+            out = array(code, [0]) * (bound + 1)
+            with memoryview(out) as view:
+                for lo in range(0, m, _CHUNK):
+                    hi = min(lo + _CHUNK, m)
+                    view[lo:hi] = array(code, range(lo, hi))
+                filled = m
+                while filled <= bound:
+                    size = min(filled, bound + 1 - filled)
+                    view[filled:filled + size] = view[:size]
+                    filled += size
+            return out
         out = array(code, [0])
         if kind == "random":
-            return out + array(code, map(self.color, range(1, bound + 1)))
+            out.extend(map(self.color, range(1, bound + 1)))
+            return out
         # level L of base p covers [p^L, p^(L+1)): one logband color, or
         # leading digit d on [d*p^L, (d+1)*p^L)
         base, level, scale = p[0], 0, 1
@@ -176,6 +193,14 @@ class ColoringSpec:
 
         table = self._table(bound)
         return np.frombuffer(table, dtype=table.typecode)
+
+
+@functools.lru_cache(maxsize=64)
+def _keyed_state(seed: int):
+    """A random coloring's blake2b state, keyed by its seed and fed no
+    value yet: each color hashes a copy of it, which skips hashing the key
+    block again."""
+    return hashlib.blake2b(digest_size=8, key=str(seed).encode())
 
 
 class _HashedColors(dict):
@@ -614,22 +639,25 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
                         bound: int, N: int) -> list[ProfileCensus]:
     """Censuses for several colorings.
 
-    3-variable linear homogeneous equations walk each inner progression in
-    closed form, once for the whole family.  Every other equation takes one
-    walk per coloring that builds only its monochromatic solutions (see
-    `_walk`); the first walk also counts every solution.
+    3-variable linear homogeneous equations split each inner progression
+    into valid pieces in closed form, once for the whole family, and count
+    each coloring's monochromatic terms with its kind's kernel (see
+    `_census3_linear`).  Every other equation takes one walk per coloring
+    that builds only its monochromatic solutions (see `_walk`); the first
+    walk also counts every solution.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
     if not specs:
         return []
+    _check_bound(bound)
     poly = eq.poly
     params = [{"bound": bound, "N": N, "coloring": s.spec_string()}
               for s in specs]
-    # the closed-form path needs one color array per coloring, and
-    # `color_array` caps the bound.  With |c| <= 2^20 and bound, N <=
-    # BOUND_CAP = 2^25 its largest int64 intermediate is
-    # N*b + (N+1)*b' <= 2^25*2^25 + (2^25+1)*2^25 < 2^52.
+    # with |c| <= 2^20 and bound, N <= BOUND_CAP = 2^25 the closed-form
+    # path's largest int64 intermediates are the piece table's
+    # N*b + (N+1)*b' <= 2^25*2^25 + (2^25+1)*2^25 < 2^52 and the mod
+    # kernel's CRT products, below (BOUND_CAP + 1)^2 < 2^51
     if (poly.is_linear() and poly.constant_term() == 0
             and len(poly.variables) == 3
             and max(map(abs, poly.linear_coefficients())) <= 2 ** 20):
@@ -767,18 +795,21 @@ def _piece_table(slopes: tuple[int, int, int], slots: tuple[int, int, int],
 _BLOCK = 1024
 
 
-def _census3_linear(coeffs: list[int], specs: Sequence[ColoringSpec],
-                    bound: int, N: int) -> tuple[list, int]:
-    """Censuses for c0*x0 + c1*x1 + c2*x2 = 0 without materializing the
-    solution list.
+def _census3_pieces(coeffs: list[int], bound: int, N: int):
+    """The valid pieces of the solutions of c0*x0 + c1*x1 + c2*x2 = 0,
+    a block of values of the first free variable at a time.
 
     For each value u of the first free variable, the second free variable
     runs over the exact arithmetic progression of
     `_progression(-cv, -cu*u, cs, 1, bound, bound)` and the solved variable
     over the matching progression; both are closed-form in u, so a block of
-    u is handled with int64 array operations.  `_piece_table` splits each
-    progression into the pieces whose profile is valid, and only those
-    pieces are sliced out of the color arrays and compared per coloring.
+    u is handled with int64 array operations, and `_piece_table` splits
+    each progression into the pieces whose profile is valid.
+
+    Returns (vstep, wstep, blocks).  Each block is (total, code, x, v, w,
+    n): the number of solutions in the block, and per piece its profile
+    code, its value x of u, and the first values v, w and number n of its
+    terms v + vstep*i, w + wstep*i for i in [0, n).
     """
     import numpy as np
 
@@ -796,41 +827,195 @@ def _census3_linear(coeffs: list[int], specs: Sequence[ColoringSpec],
     inv = pow(alpha // g, -1, vstep)
     wstep = -cv * vstep // cs
     slopes, slots = (0, vstep, wstep), (free[0], free[1], solve)
-    colors2d = np.stack([s.color_array(bound) for s in specs])
+
+    def blocks():
+        for start in range(1, bound + 1, _BLOCK):
+            u = np.arange(start, min(start + _BLOCK, bound + 1),
+                          dtype=np.int64)
+            beta = -cu * sign * u
+            residue = (-(beta // g)) % vstep * inv % vstep
+            # den*1 <= alpha*t + beta <= den*bound
+            t_lo, t_hi = den - beta, den * bound - beta
+            if alpha < 0:
+                t_lo, t_hi = t_hi, t_lo
+            t_lo = np.maximum(-(-t_lo // alpha), 1)
+            t_hi = np.minimum(t_hi // alpha, bound)
+            v_first = t_lo + (residue - t_lo) % vstep
+            count = np.maximum((t_hi - v_first) // vstep + 1, 0)
+            count[beta % g != 0] = 0
+            keep = count > 0
+            u, v_first, count = u[keep], v_first[keep], count[keep]
+            w_first = (-cu * u - cv * v_first) // cs
+            row, lo, hi, code = _piece_table(
+                slopes, slots, np.stack([u, v_first, w_first]), count, N)
+            yield (int(count.sum()), code, u[row], v_first[row] + vstep * lo,
+                   w_first[row] + wstep * lo, hi - lo)
+
+    return vstep, wstep, blocks()
+
+
+def _census3_linear(coeffs: list[int], specs: Sequence[ColoringSpec],
+                    bound: int, N: int) -> tuple[list, int]:
+    """Censuses for c0*x0 + c1*x1 + c2*x2 = 0 without materializing the
+    solution list.
+
+    `_census3_pieces` gives the valid pieces, and counting kernels count
+    the monochromatic terms of every piece of a block at once: one per mod,
+    logband or digit coloring, in closed form and with no color table
+    (`_closed_counter`), and one for all the random colorings together,
+    which slices a stack of their tables once per piece (`_slice_counter`).
+    """
+    import numpy as np
+
+    vstep, wstep, blocks = _census3_pieces(coeffs, bound, N)
+    kernels = [([k], _closed_counter(s, bound, vstep, wstep))
+               for k, s in enumerate(specs) if s.kind != "random"]
+    random = [k for k, s in enumerate(specs) if s.kind == "random"]
+    if random:
+        kernels.append((random, _slice_counter(
+            np.stack([specs[k].color_array(bound) for k in random]),
+            vstep, wstep)))
     counts = np.zeros((27, len(specs)), dtype=np.int64)
     total = 0
-    for start in range(1, bound + 1, _BLOCK):
-        u = np.arange(start, min(start + _BLOCK, bound + 1), dtype=np.int64)
-        beta = -cu * sign * u
-        residue = (-(beta // g)) % vstep * inv % vstep
-        # den*1 <= alpha*t + beta <= den*bound
-        t_lo, t_hi = den - beta, den * bound - beta
-        if alpha < 0:
-            t_lo, t_hi = t_hi, t_lo
-        t_lo = np.maximum(-(-t_lo // alpha), 1)
-        t_hi = np.minimum(t_hi // alpha, bound)
-        v_first = t_lo + (residue - t_lo) % vstep
-        count = np.maximum((t_hi - v_first) // vstep + 1, 0)
-        count[beta % g != 0] = 0
-        keep = count > 0
-        u, v_first, count = u[keep], v_first[keep], count[keep]
-        total += int(count.sum())
-        w_first = (-cu * u - cv * v_first) // cs
-        row, lo, hi, code = _piece_table(
-            slopes, slots, np.stack([u, v_first, w_first]), count, N)
-        sums = np.empty((len(row), len(specs)), dtype=np.int64)
-        for k, (x, v, w, n) in enumerate(zip(
-                u[row].tolist(), (v_first[row] + vstep * lo).tolist(),
-                (w_first[row] + wstep * lo).tolist(), (hi - lo).tolist())):
-            color = colors2d[:, x:x + 1]
-            w_stop = w + wstep * n
-            mono = ((colors2d[:, v:v + vstep * n:vstep] == color)
-                    & (colors2d[:, w:(w_stop if w_stop >= 0 else None):wstep]
-                       == color))
-            sums[k] = mono.sum(axis=1)
-        np.add.at(counts, code, sums)
+    for block_total, code, x, v, w, n in blocks:
+        total += block_total
+        for rows, count in kernels:
+            np.add.at(counts, (code[:, None], rows),
+                      count(x, v, w, n).reshape(len(code), len(rows)))
     return [{_partition((code // 9, code // 3 % 3, code % 3)): int(n)
              for code, n in enumerate(acc) if n} for acc in counts.T], total
+
+
+def _closed_counter(spec: ColoringSpec, bound: int, vstep: int,
+                    wstep: int):
+    """A mod, logband or digit coloring's census kernel: maps piece arrays
+    (x, v, w, n) to the number of i in [0, n) at which x, v + vstep*i and
+    w + wstep*i share a color, per piece.  vstep > 0 and wstep != 0; every
+    value lies in [1, bound]."""
+    if spec.kind == "mod":
+        # x % m == x for x <= bound < m, as in `_table`
+        return _mod_counter(min(spec.params[0], bound + 1), vstep, wstep)
+    return _run_counter(spec, bound, vstep, wstep)
+
+
+def _mod_counter(m: int, vstep: int, wstep: int):
+    """Residues mod m.  A piece is monochromatic at i iff
+    vstep*i = x - v and wstep*i = x - w (mod m).  Each congruence holds on
+    one class of i or none, and the two combine by the Chinese remainder
+    theorem into one class r mod L, or none, so the count is the number of
+    i = r (mod L) in [0, n).  The inverses are scalars; with m <= BOUND_CAP
+    + 1, every product is below m^2 < 2^51."""
+    import numpy as np
+
+    def congruence(a):
+        # a*i = b (mod m) iff g | b and i = (b/g)*inv (mod m/g)
+        g = gcd(a % m, m)
+        return g, m // g, pow(a % m // g, -1, m // g)
+
+    (g1, m1, inv1), (g2, m2, inv2) = congruence(vstep), congruence(wstep)
+    g = gcd(m1, m2)
+    inv = pow(m1 // g, -1, m2 // g)
+    period = m1 * (m2 // g)
+
+    def count(x, v, w, n):
+        b1, b2 = (x - v) % m, (x - w) % m
+        r1, r2 = b1 // g1 * inv1 % m1, b2 // g2 * inv2 % m2
+        r = r1 + m1 * ((r2 - r1) // g % (m2 // g) * inv % (m2 // g))
+        ok = (b1 % g1 == 0) & (b2 % g2 == 0) & ((r2 - r1) % g == 0)
+        return np.where(ok, np.maximum((n - 1 - r) // period + 1, 0), 0)
+
+    return count
+
+
+def _run_counter(spec: ColoringSpec, bound: int, vstep: int, wstep: int):
+    """logband and digit.  A color is constant on runs of consecutive
+    values: the levels [p^L, p^(L+1)) of logband, the values of leading
+    digit d at each level of digit, so a color has at most one run per
+    level.  v and w are monotone in i, so each run is one interval of i for
+    v and one for w, and the count is the total overlap of the intervals of
+    the runs of x's color: O(levels^2) array work per block."""
+    import numpy as np
+
+    p = spec.params[0]
+    scales = [1]
+    while scales[-1] * p <= bound:
+        scales.append(scales[-1] * p)
+    levels = len(scales)
+    # level L is [edges[L], edges[L + 1]), and edges[levels] ends the range
+    edges = np.array(scales + [bound + 1], dtype=np.int64)
+    scale = edges[:-1]
+
+    def runs(x):
+        """The runs of each x's color, as (start, stop) arrays of one row
+        per piece and one column per run, empty runs padded with
+        start == stop."""
+        level = np.searchsorted(edges, x, side="right") - 1
+        if spec.kind == "logband":
+            # levels c, c + period, ... of color c = level % period; level <
+            # levels, so clamping the period changes no color and keeps it
+            # in int64
+            period = min(spec.params[1], levels)
+            lv = np.minimum((level % period)[:, None]
+                            + period * np.arange(_ceil_div(levels, period)),
+                            levels)
+            return edges[lv], edges[np.minimum(lv + 1, levels)]
+        # digit d = x // p^level covers [d*p^L, (d+1)*p^L) at each level L
+        start = (x // scale[level])[:, None] * scale
+        return np.minimum(start, bound + 1), np.minimum(start + scale,
+                                                         bound + 1)
+
+    def interval(first, step, start, stop, n):
+        """The i in [0, n) with start <= first + step*i < stop, as
+        [lo, hi), empty when lo >= hi."""
+        if step > 0:
+            lo, hi = start - first, stop - first
+        else:
+            lo, hi = first - stop + 1, first - start + 1
+        size = abs(step)
+        return np.clip(-(-lo // size), 0, n), np.clip(-(-hi // size), 0, n)
+
+    def count(x, v, w, n):
+        start, stop = runs(x)
+        n = n[:, None]
+        v_lo, v_hi = interval(v[:, None], vstep, start, stop, n)
+        w_lo, w_hi = interval(w[:, None], wstep, start, stop, n)
+        total = np.zeros(len(x), dtype=np.int64)
+        for k in range(start.shape[1]):
+            overlap = (np.minimum(v_hi[:, k:k + 1], w_hi)
+                       - np.maximum(v_lo[:, k:k + 1], w_lo))
+            total += np.maximum(overlap, 0).sum(axis=1)
+        return total
+
+    return count
+
+
+def _slice_counter(stack: np.ndarray, vstep: int, wstep: int):
+    """random: no closed form, so each piece slices the random colorings'
+    tables, the rows of `stack`, once for v and once for w.  Maps piece
+    arrays (x, v, w, n) to the counts of each piece, one per coloring.  The
+    loop over pieces is shared, so its cost grows little with the number of
+    random colorings; a single one slices its 1-D table, which costs less
+    per piece than a one-row stack."""
+    import numpy as np
+
+    one = len(stack) == 1
+    table = stack[0] if one else stack
+
+    def count(x, v, w, n):
+        # x's color per piece: a scalar, or a column against the stack
+        colors = table[x] if one else stack[:, x].T[:, :, None]
+        out = []
+        for color, b, c, size in zip(colors, v.tolist(), w.tolist(),
+                                     n.tolist()):
+            stop = c + wstep * size
+            mono = table[..., b:b + vstep * size:vstep] == color
+            mono &= table[..., c:(stop if stop >= 0 else None):wstep] == color
+            # per row, as count_nonzero is far faster than sum(axis=1)
+            out.append(np.count_nonzero(mono) if one
+                       else list(map(np.count_nonzero, mono)))
+        return np.array(out, dtype=np.int64)
+
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,13 @@ memoized depth-first search over ordered column partitions that the greedy
 decision replaced.  Equations are parsed by the recursive-descent class
 with one-token lookahead and no end token that the stateless grammar
 functions replaced, and monomials are ordered by dense exponent vectors.
-Coloring searches are checked against the enumerate-then-filter loop that
-the color-testing walk replaced: every solution is built as a tuple, then
-the scalar colors of its coordinates are compared, and a witness search
-serves the whole family from one shared pass over the solutions.  The
+The 3-variable census's counting kernels are checked against the loop
+they replaced, which sliced every valid piece out of one stacked 2-D color
+array.  Coloring searches are checked against the enumerate-then-filter
+loop that the color-testing walk replaced: every solution is built as a
+tuple, then the scalar colors of its coordinates are compared, and a
+witness search serves the whole family from one shared pass over the
+solutions.  The
 solutions stream is checked against records built as objects, with heads as
 `Fraction`s found by repeated multiplication, and written by `json.dumps`.
 """
@@ -35,7 +38,7 @@ from math import comb
 
 import numpy as np
 
-from radolab.coloring import enumerate_solutions
+from radolab.coloring import _census3_pieces, enumerate_solutions
 from radolab.linalg import (
     ColumnsCertificate,
     QMatrix,
@@ -623,6 +626,41 @@ def oracle_grlex_key(mono, nvars: int):
 
 # ---------------------------------------------------------------------------
 # coloring searches by enumerate-then-filter
+
+
+def oracle_census3_counts(coeffs, specs, bound: int, N: int):
+    """The three-variable census the way it once counted: every valid
+    piece of `_census3_pieces` is sliced out of one stacked 2-D color array,
+    a row per coloring from `color_array`, and compared element by element
+    with the color of its first value.  Returns the profile counts per
+    coloring and the number of solutions, as `_census3_linear` does."""
+    vstep, wstep, blocks = _census3_pieces(coeffs, bound, N)
+    colors2d = np.stack([s.color_array(bound) for s in specs])
+    counts = np.zeros((27, len(specs)), dtype=np.int64)
+    total = 0
+    for block_total, code, x, v, w, n in blocks:
+        total += block_total
+        sums = np.empty((len(code), len(specs)), dtype=np.int64)
+        for k, (a, b, c, size) in enumerate(zip(
+                x.tolist(), v.tolist(), w.tolist(), n.tolist())):
+            color = colors2d[:, a:a + 1]
+            stop = c + wstep * size
+            mono = ((colors2d[:, b:b + vstep * size:vstep] == color)
+                    & (colors2d[:, c:(stop if stop >= 0 else None):wstep]
+                       == color))
+            sums[k] = mono.sum(axis=1)
+        np.add.at(counts, code, sums)
+    out = []
+    for acc in counts.T:
+        census = {}
+        for code, n in enumerate(acc.tolist()):
+            if n:
+                ranks = (code // 9, code // 3 % 3, code % 3)
+                census[OrderedPartition.of(*(
+                    [i for i in range(3) if ranks[i] == r]
+                    for r in range(max(ranks) + 1)))] = n
+        out.append(census)
+    return out, total
 
 
 def oracle_monochromatic(eq: Equation, spec, bound: int):

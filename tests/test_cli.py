@@ -1,10 +1,13 @@
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -446,6 +449,48 @@ class TestSearch:
                                str(coloring.BOUND_CAP), "--mode", "witness",
                                "--coloring", "random:7:3")
         assert code == 0 and json.loads(out)["witnesses"]["found"] == []
+
+    def test_closed_stdout_exits_quietly(self):
+        # `search --mode solutions | head -1`: the reader closes the pipe
+        # after one line, and the stream stops with EXIT_PIPE and no
+        # traceback, also from the flush at exit
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "radolab.cli", "search", "x + y = z",
+             "--coloring", "mod:3", "--bound", "300", "--mode", "solutions",
+             "--base", "10"],
+            cwd=src, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141
+        assert json.loads(first)["assignment"] == [3, 3, 6]
+        assert err == b""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "x + y = z"],
+        ["search", "x + y = z", "--coloring", "mod:3", "--bound", "50"],
+    ])
+    def test_report_to_closed_stdout_exits_quietly(self, argv):
+        # a report small enough to stay in stdout's buffer, written to a
+        # pipe whose reader is already gone, also exits with EXIT_PIPE and
+        # no traceback.  stdout is block-buffered, as in a shell pipeline
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items()
+               if k != "PYTHONUNBUFFERED"}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "radolab.cli", *argv], cwd=src,
+                env=env, stdout=write, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write)
+        assert proc.returncode == cli.EXIT_PIPE
+        # stderr holds the report's prose summary and nothing else
+        assert b"Traceback" not in proc.stderr
+        assert b"BrokenPipeError" not in proc.stderr
 
 
 def test_parser_built_once_dispatches_rebound_commands(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import subprocess
@@ -15,6 +16,7 @@ import radolab
 from _oracles import (
     _valid_pieces,
     oracle_asymptotic_profile,
+    oracle_census3_counts,
     oracle_monochromatic,
     oracle_profile_valid,
     oracle_record_lines,
@@ -95,9 +97,18 @@ class TestColoringSpec:
         # the search tables and color_array against the scalar coloring, at
         # bounds 0, 1 and p^k - 1, p^k, p^k + 1 around each level edge of the
         # kind's base (the modulus for mod); digit:257 has a color, 256, past
-        # 8 bits, and mod:2^64+1 a modulus past 64 bits
+        # 8 bits, and mod:2^64+1 a modulus past 64 bits.  Random colors,
+        # with 2- and 4-byte tables and a negative seed, also match the
+        # documented one-shot keyed blake2b hash
+        def one_shot(seed, colors, x):
+            data = x.to_bytes((x.bit_length() + 7) // 8 or 1, "little")
+            digest = hashlib.blake2b(data, digest_size=8,
+                                     key=str(seed).encode()).digest()
+            return int.from_bytes(digest, "little") % colors
+
         for name in ["mod:3", "mod:7", "digit:3", "digit:10", "digit:257",
                      "logband:2:3", "logband:3:2", "random:9:5",
+                     "random:3:300", "random:-4:70000",
                      "mod:18446744073709551617"]:
             spec = ColoringSpec.parse(name)
             p = min(spec.params[0], 300) if spec.kind != "random" else 5
@@ -107,12 +118,30 @@ class TestColoringSpec:
                     bounds |= {p ** k - 1, p ** k, p ** k + 1}
             for bound in sorted(bounds):
                 expected = [spec.color(x) for x in range(1, bound + 1)]
+                if spec.kind == "random":
+                    assert expected == [one_shot(*spec.params, x)
+                                        for x in range(1, bound + 1)]
                 table = _color_lookup(spec, bound)
                 assert [table[x] for x in range(1, bound + 1)] == expected, \
                     (name, bound)
                 arr = spec.color_array(bound)
                 assert len(arr) == bound + 1
                 assert arr[1:].tolist() == expected, (name, bound)
+
+    def test_mod_table_built_at_final_length(self):
+        # the period is written in place, so building the table never holds
+        # a second table's worth of memory, with a small modulus or one past
+        # the bound
+        for name in ["mod:3", "mod:1000", "mod:18446744073709551617"]:
+            tracemalloc.start()
+            try:
+                table = ColoringSpec.parse(name)._table(2 ** 20)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            nbytes = len(table) * table.itemsize
+            assert len(table) == 2 ** 20 + 1
+            assert peak < 1.25 * nbytes, (name, peak, nbytes)
 
     def test_random_table_hashes_on_demand(self, monkeypatch):
         # a witness search that stops at the first solutions must not hash
@@ -504,6 +533,66 @@ def _scan_census(eq, spec, bound, N):
             if valid:
                 counts[partition] = counts.get(partition, 0) + 1
     return counts, total
+
+
+def test_census_kernels_match_stacked_slice_oracle():
+    # each coloring kind's counting kernel against the stacked 2-D slice
+    # loop it replaced and against a scan of the solutions, on seeded
+    # equations covering vstep > 1, a decreasing solved variable, moduli
+    # above the bound, logband periods past the number of levels and past
+    # 64 bits, 2- and 4-byte random tables, N >= bound and the smallest
+    # bounds.  Each coloring is also counted alone, so random colorings
+    # take both the stacked and the single-table slice path
+    from radolab.coloring import _census3_linear, _census3_pieces
+    rng = random.Random(1717)
+    steps = set()
+    nonzero = [c for c in range(-7, 8) if c]
+    for case in range(48):
+        coeffs = [rng.choice(nonzero) for _ in range(3)]
+        if min(coeffs) > 0 or max(coeffs) < 0:
+            coeffs[rng.randrange(3)] *= -1
+        bound = (1, 2)[case] if case < 2 else rng.randint(3, 120)
+        N = rng.choice([2, 3, 7, bound, 10 ** 30])
+        names = [f"mod:{rng.randint(2, 12)}",
+                 f"mod:{bound + rng.randint(1, 40)}",
+                 "mod:18446744073709551617",
+                 f"logband:{rng.randint(2, 4)}:{rng.randint(1, 3)}",
+                 f"logband:{rng.randint(2, 4)}:{rng.randint(8, 40)}",
+                 f"logband:{rng.randint(2, 4)}:{2 ** 64 + rng.randint(0, 9)}",
+                 f"digit:{rng.choice([3, 10, 1000])}",
+                 f"random:{rng.randint(-9, 9)}:{rng.choice([2, 3])}",
+                 f"random:{rng.randint(-9, 9)}:{rng.choice([300, 70000])}"]
+        specs = [ColoringSpec.parse(s) for s in names]
+        vstep, wstep, _ = _census3_pieces(coeffs, bound, N)
+        steps.add((vstep > 1, wstep < 0))
+        per_spec, total = _census3_linear(coeffs, specs, bound, N)
+        assert (per_spec, total) == oracle_census3_counts(
+            coeffs, specs, bound, N), (coeffs, bound, N)
+        eq = parse(" + ".join(f"{c}{v}" for c, v in zip(coeffs, "xyz"))
+                   .replace("+ -", "- ") + " = 0")
+        for spec, counts in zip(specs, per_spec):
+            assert (counts, total) == _scan_census(eq, spec, bound, N), \
+                (coeffs, bound, N, spec)
+            # alone, a random coloring takes the one-table slice path
+            assert _census3_linear(coeffs, [spec], bound, N) == (
+                [counts], total), (coeffs, bound, N, spec)
+    assert {(True, False), (False, True), (True, True)} <= steps
+
+
+def test_closed_form_census_builds_no_color_table(monkeypatch):
+    # mod, logband and digit censuses count in closed form and build no
+    # table of bound + 1 colors, which at the bound cap has 2^25 entries
+    def refuse(self, bound):
+        raise AssertionError(f"{self.spec_string()} built a color table")
+
+    specs = [ColoringSpec.parse(s)
+             for s in ["mod:3", "mod:18446744073709551617", "logband:2:3",
+                       "digit:10"]]
+    eq = parse("x + y = z")
+    expected, _ = oracle_census3_counts([1, 1, -1], specs, 3000, 10)
+    monkeypatch.setattr(ColoringSpec, "_table", refuse)
+    many = profile_census_many(eq, specs, 3000, 10)
+    assert [census.counts for census in many] == expected
 
 
 class TestProfileCensus:
