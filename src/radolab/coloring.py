@@ -16,16 +16,19 @@ chosen once per walk (an isolated variable solved for exactly, or the
 integer roots of the innermost variable).  Given a coloring's table it
 skips each prefix whose values do not share a color and builds a tuple only
 for a monochromatic solution.  The solutions stream (`iter_monochromatic`),
-head censuses, witness searches and the general profile census run it once
-per coloring; `enumerate_solutions` runs it without a table.  Searches take
-bounds up to `BOUND_CAP`, past which a color table no longer fits in
-reasonable memory.
+head censuses, witness searches and the profile census of every equation
+but a linear homogeneous one run it once per coloring;
+`enumerate_solutions` runs it without a table.  A linear homogeneous
+equation in three or more variables is censused in closed form instead:
+one piece table splits every inner progression of a block of prefix points
+into valid-profile pieces (`_piece_sweep`), and one kernel per coloring
+kind counts their monochromatic terms.  Searches take bounds up to
+`BOUND_CAP`, past which a color table no longer fits in reasonable memory.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,7 +51,7 @@ if TYPE_CHECKING:
 
 
 # the largest bound a coloring search takes: its color table holds bound + 1
-# entries, and the three-variable census's int64 arithmetic is exact up to it
+# entries, and the linear census's int64 arithmetic is exact up to it
 BOUND_CAP = 2 ** 25
 
 
@@ -94,6 +97,12 @@ class ColoringSpec:
         elif kind == "random":
             if len(p) != 2 or p[1] < 2:
                 raise ValueError("random coloring needs a seed and colors >= 2")
+            # the seed's decimal form keys blake2b, which takes 64 bytes
+            if len(str(p[0])) > 64:
+                raise ValueError(
+                    f"random coloring {self.spec_string()}: the seed's "
+                    f"decimal form is longer than 64 bytes, the blake2b key "
+                    f"limit")
         else:
             raise ValueError(f"unknown coloring kind {kind!r}")
 
@@ -200,6 +209,8 @@ def _keyed_state(seed: int):
     """A random coloring's blake2b state, keyed by its seed and fed no
     value yet: each color hashes a copy of it, which skips hashing the key
     block again."""
+    import hashlib  # not loaded by import radolab
+
     return hashlib.blake2b(digest_size=8, key=str(seed).encode())
 
 
@@ -285,9 +296,10 @@ def _valid(values: Sequence[int], N: int) -> bool:
     cross-class condition N*a_j < a_i holds for all pairs iff it holds at
     each cut, between the last value of one class and the first of the
     next: min(C_t) > N*max(C_{t+1}) >= N*min(C_{t+1}) > N^2*max(C_{t+2}).
-    `_piece_table`'s four cases are this rule for three items.  The test
-    stops at the first failing cut, and a census asks for ranks only when
-    it passes: most monochromatic tuples have invalid profiles.
+    `_piece_sweep` applies this rule, with the within-class bound of each
+    run, to affine values.  The test stops at the first failing cut, and a
+    census asks for ranks only when it passes: most monochromatic tuples
+    have invalid profiles.
     """
     ordered = sorted(values, reverse=True)
     anchor = last = ordered[0] if ordered else 0
@@ -371,7 +383,7 @@ def enumerate_solutions(eq: Equation, bound: int) -> Iterator[tuple[int, ...]]:
     A variable occurring in exactly one monomial is solved for exactly
     (divisibility, range and integer-root table checks).  The grid runs over
     the other variables but the innermost, which walks the exact arithmetic
-    progression of `_progression` (whose terms the three-variable census
+    progression of `_progression` (whose terms the linear census
     recomputes as int64 arrays) when the solved value is affine in it, and
     otherwise only the exact integer windows on which the solved value lies
     in its range.
@@ -639,12 +651,12 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
                         bound: int, N: int) -> list[ProfileCensus]:
     """Censuses for several colorings.
 
-    3-variable linear homogeneous equations split each inner progression
-    into valid pieces in closed form, once for the whole family, and count
-    each coloring's monochromatic terms with its kind's kernel (see
-    `_census3_linear`).  Every other equation takes one walk per coloring
-    that builds only its monochromatic solutions (see `_walk`); the first
-    walk also counts every solution.
+    Linear homogeneous equations in 3 to 512 variables with coefficients
+    up to 2^20 split each inner progression into valid pieces in closed
+    form, once for the whole family, and count each coloring's
+    monochromatic terms with its kind's kernel (see `_census_linear`).  Every other equation takes one walk per
+    coloring that builds only its monochromatic solutions (see `_walk`);
+    the first walk also counts every solution.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
@@ -654,14 +666,17 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
     poly = eq.poly
     params = [{"bound": bound, "N": N, "coloring": s.spec_string()}
               for s in specs]
-    # with |c| <= 2^20 and bound, N <= BOUND_CAP = 2^25 the closed-form
-    # path's largest int64 intermediates are the piece table's
+    # with |c| <= 2^20, bound, N <= BOUND_CAP = 2^25 and n <= 512 variables
+    # (so one row fits a piece table's `_CELLS`) the closed-form path's
+    # largest int64 intermediates are the prefix sum, at most
+    # (n - 2)*2^20*2^25 < 2^54, the piece table's
     # N*b + (N+1)*b' <= 2^25*2^25 + (2^25+1)*2^25 < 2^52 and the mod
     # kernel's CRT products, below (BOUND_CAP + 1)^2 < 2^51
-    if (poly.is_linear() and poly.constant_term() == 0
-            and len(poly.variables) == 3
+    n = len(poly.variables)
+    if (bound >= 1 and poly.is_linear() and poly.constant_term() == 0
+            and 3 <= n and 4 * n * n <= _CELLS
             and max(map(abs, poly.linear_coefficients())) <= 2 ** 20):
-        per_spec, total = _census3_linear(
+        per_spec, total = _census_linear(
             poly.linear_coefficients(), specs, bound, N
         )
         return [ProfileCensus(counts, total, p)
@@ -683,7 +698,7 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
                           total, p) for counts, p in zip(per_spec, params)]
 
 
-# vectorized census for 3-variable linear homogeneous equations -------------
+# vectorized census for linear homogeneous equations ----------------------
 
 
 def _lt_zero(alpha, beta, lo, hi):
@@ -700,139 +715,170 @@ def _lt_zero(alpha, beta, lo, hi):
     return new_lo, new_hi
 
 
-def _ge_zero(alpha, beta, lo, hi):
-    """Row by row, the integer subinterval of [lo, hi) where
-    alpha*i + beta >= 0, that is -alpha*i - beta - 1 < 0."""
-    return _lt_zero(-alpha, -beta - 1, lo, hi)
-
-
-def _piece_table(slopes: tuple[int, int, int], slots: tuple[int, int, int],
-                 starts: np.ndarray, count: np.ndarray, N: int):
+def _piece_sweep(slopes: Sequence[int], starts: np.ndarray,
+                 count: np.ndarray, N: int):
     """Exact decomposition of every row's index range [0, count) into
     valid-profile pieces, all rows at once in int64.
 
-    Row r carries three affine values slopes[k]*i + starts[k, r] over the
-    index i, of the variables in slots[k]; the slopes are shared by every
-    row.  Returns arrays (row, lo, hi, code) of disjoint pieces [lo, hi)
-    covering exactly the indices whose triple has a valid profile; code
-    encodes the ordered partition of the slots (class(slot0)*9 +
-    class(slot1)*3 + class(slot2)).
+    Row r carries one affine value slopes[j]*i + starts[j, r] over the
+    index i per item j, the items in slot order; the slopes are shared by
+    every row.  Returns arrays (row, lo, hi, ranks) of disjoint pieces
+    [lo, hi) covering exactly the indices whose values have a valid
+    profile, with ranks[p, j] the class of item j in piece p, 0 the top.
 
-    Every profile condition is affine in i once the value ordering is fixed,
-    so after splitting at the pairwise value crossings, each greedy-grouping
-    case contributes one exactly-solved subinterval per segment.
+    Between the pairwise value crossings the (-value, slot) order of the
+    items is fixed.  There, the profile is valid with exactly the runs of
+    that order as classes iff N*first - (N+1)*last < 0 in each run and
+    N*next - last < 0 at each cut, all affine in i.  One sweep down the
+    sorted positions keeps the live (segment, interval, open run) entries:
+    at each position an entry extends its run (near its first item) or
+    cuts it (apart from the previous item).  The two exclude each other,
+    so at most one entry holds each i, and empty ones are dropped.
     """
     import numpy as np
 
-    # segment cuts: 0, count, and both sides of each pairwise crossing;
-    # a cut outside (0, count) becomes 0 and only adds an empty segment
-    pairs = [(p, q) for p, q in ((0, 1), (0, 2), (1, 2))
-             if slopes[p] != slopes[q]]
-    cuts = np.zeros((len(count), 2 + 2 * len(pairs)), dtype=np.int64)
-    cuts[:, 1] = count
-    for k, (p, q) in enumerate(pairs):
-        f = (starts[q] - starts[p]) // (slopes[p] - slopes[q])
-        for c, col in ((f, 2 + 2 * k), (f + 1, 3 + 2 * k)):
-            np.copyto(cuts[:, col], c, where=(0 < c) & (c < count))
+    n = len(slopes)
+    # segment cuts: 0, count, and both sides of each crossing of two items
+    # of different slopes; a cut outside (0, count) becomes 0 and only adds
+    # an empty segment
+    groups: dict[int, list[int]] = {}
+    for j, s in enumerate(slopes):
+        groups.setdefault(s, []).append(j)
+    cuts = [np.zeros((1, len(count)), dtype=np.int64), count[None]]
+    for (s, p), (t, q) in itertools.combinations(groups.items(), 2):
+        f = ((starts[q][:, None] - starts[p]) // (s - t)).reshape(
+            len(q) * len(p), len(count))
+        cuts += [np.where((0 < f) & (f < count), f, 0),
+                 np.where((0 <= f) & (f < count - 1), f + 1, 0)]
+    cuts = np.concatenate(cuts).T
     cuts.sort(axis=1)
     row, seg = np.nonzero(cuts[:, :-1] < cuts[:, 1:])
-    a, b = cuts[row, seg], cuts[row, seg + 1]
+    lo, hi = cuts[row, seg], cuts[row, seg + 1]
     del cuts, seg
-    starts = starts[:, row]
 
-    # rank the items by (-value at the segment start, slot)
-    value = [slopes[k] * a + starts[k] for k in range(3)]
-
-    def precedes(p, q):
-        if slots[p] < slots[q]:
-            return value[p] >= value[q]
-        return value[p] > value[q]
-
-    b01, b02, b12 = precedes(0, 1), precedes(0, 2), precedes(1, 2)
-    del value
-    top = np.where(b01 & b02, 0, np.where(b12 & ~b01, 1, 2))
-    low = np.where(b02 & b12, 2, np.where(b01 & ~b12, 1, 0))
-    mid = 3 - top - low
-    del b01, b02, b12
+    # the items in (-value at the segment start, slot) order: the stable
+    # sort keeps equal values in slot order
     slope = np.asarray(slopes, dtype=np.int64)
-    weight = np.asarray([(9, 3, 1)[s] for s in slots], dtype=np.int64)
-    hi, md, lo = ((slope[k], np.choose(k, starts)) for k in (top, mid, low))
-    wm, wl = weight[mid], weight[low]
-    del top, mid, low, starts
+    start = starts.T[row]
+    order = np.argsort(-(slope * lo[:, None] + start), axis=1, kind="stable")
+    sl = slope[order].T
+    st = np.take_along_axis(start, order, axis=1).T
+    del start
 
-    # each condition is (alpha, beta) of alpha*i + beta < 0
-    def near(p, q):
-        """p within the ratio bound of q: N*(p - q) < q."""
-        return N * p[0] - (N + 1) * q[0], N * p[1] - (N + 1) * q[1]
+    # each condition is (alpha, beta) of alpha*i + beta < 0; `trail` keeps
+    # each position's (parent entry, class) for the ranks
+    seg = np.arange(len(row))
+    first = np.zeros_like(seg)
+    cls = np.zeros_like(seg)
+    trail = []
+    for pos in range(1, n):
+        a, b = sl[pos][seg], st[pos][seg]
+        # near: N*(first - x) < x; apart: N*x < previous
+        near = _lt_zero(N * sl[first, seg] - (N + 1) * a,
+                        N * st[first, seg] - (N + 1) * b, lo, hi)
+        apart = _lt_zero(N * a - sl[pos - 1][seg], N * b - st[pos - 1][seg],
+                         lo, hi)
+        lo, hi = np.concatenate([near[0], apart[0]]), np.concatenate(
+            [near[1], apart[1]])
+        keep = np.flatnonzero(lo < hi)
+        parent = keep % len(seg)
+        first = np.concatenate([first, np.full_like(first, pos)])[keep]
+        cls = np.concatenate([cls, cls + 1])[keep]
+        seg, lo, hi = seg[parent], lo[keep], hi[keep]
+        trail.append((parent, cls))
+    ranks = np.zeros((len(seg), n), dtype=np.min_scalar_type(n))
+    entry = np.arange(len(seg))
+    for pos in range(n - 1, 0, -1):
+        parent, cls = trail[pos - 1]
+        ranks[:, pos] = cls[entry]
+        entry = parent[entry]
+    out = np.empty_like(ranks)
+    np.put_along_axis(out, order[seg], ranks, axis=1)
+    return row[seg], lo, hi, out
 
-    def apart(p, q):
-        """p separated from q by a factor N: N*q < p."""
-        return N * q[0] - p[0], N * q[1] - p[1]
 
-    out = []
-
-    def emit(span, code):
-        keep = span[0] < span[1]
-        out.append((row[keep], span[0][keep], span[1][keep],
-                    np.broadcast_to(code, keep.shape)[keep]))
-
-    # one class: extremes within the ratio bound (forces the rest)
-    emit(_lt_zero(*near(hi, lo), a, b), 0)
-    # two classes {hi, mid} >> {lo}
-    span = _ge_zero(*near(hi, lo), *_lt_zero(*near(hi, md), a, b))
-    emit(_lt_zero(*apart(md, lo), *span), wl)
-    # two classes {hi} >> {mid, lo}
-    split = _ge_zero(*near(hi, md), a, b)
-    span = _lt_zero(*near(md, lo), *split)
-    emit(_lt_zero(*apart(hi, md), *span), wm + wl)
-    # three classes
-    span = _lt_zero(*apart(hi, md), *_ge_zero(*near(md, lo), *split))
-    emit(_lt_zero(*apart(md, lo), *span), wm + 2 * wl)
-    return tuple(np.concatenate(col) for col in zip(*out))
-
-
-# values of u per piece table: bounds its temporaries at large bounds
+# prefix points per piece table: bounds the kernels' temporaries, which
+# grow with the pieces, at large bounds
 _BLOCK = 1024
 
+# entries of a piece table's (segment, item) arrays per block.  A row of n
+# items has at most min(4n, bound) segments, so one row fits if 4n^2 does
+_CELLS = 2 ** 20
 
-def _census3_pieces(coeffs: list[int], bound: int, N: int):
-    """The valid pieces of the solutions of c0*x0 + c1*x1 + c2*x2 = 0,
-    a block of values of the first free variable at a time.
 
-    For each value u of the first free variable, the second free variable
-    runs over the exact arithmetic progression of
-    `_progression(-cv, -cu*u, cs, 1, bound, bound)` and the solved variable
-    over the matching progression; both are closed-form in u, so a block of
-    u is handled with int64 array operations, and `_piece_table` splits
-    each progression into the pieces whose profile is valid.
+def _prefix_blocks(k: int, bound: int, rows: int) -> Iterator[np.ndarray]:
+    """The points of [1, bound]^k, k >= 1, as int64 arrays of shape
+    (k, r) with r <= rows.  The innermost variables whose grid fits in a
+    block go whole into every block, the next one in chunks, and the outer
+    ones one point at a time; no array holds a flat grid index, which can
+    pass 2^63."""
+    import numpy as np
 
-    Returns (vstep, wstep, blocks).  Each block is (total, code, x, v, w,
-    n): the number of solutions in the block, and per piece its profile
-    code, its value x of u, and the first values v, w and number n of its
-    terms v + vstep*i, w + wstep*i for i in [0, n).
+    tail = np.empty((0, 1), dtype=np.int64)
+    while len(tail) < k and tail.shape[1] * bound <= rows:
+        tail = np.concatenate([
+            np.repeat(np.arange(1, bound + 1), tail.shape[1])[None],
+            np.tile(tail, bound)])
+    inner, size = tail.shape
+    if inner == k:
+        yield tail
+        return
+    step = rows // size
+    for head in _grid(bound, k - inner - 1):
+        for lo in range(1, bound + 1, step):
+            mid = np.arange(lo, min(lo + step, bound + 1))
+            yield np.concatenate([
+                np.broadcast_to(np.array(head, dtype=np.int64)[:, None],
+                                (len(head), len(mid) * size)),
+                np.repeat(mid, size)[None], np.tile(tail, len(mid))])
+
+
+def _linear_pieces(coeffs: list[int], bound: int, N: int):
+    """The valid pieces of the solutions of c0*x0 + ... + c(n-1)*x(n-1) = 0,
+    n >= 3, a block of prefix points at a time.
+
+    One variable is solved for and one is inner; the other n - 2 are the
+    prefix.  For each prefix point the inner variable runs over the exact
+    arithmetic progression of `_progression` and the solved variable over
+    the matching one; both are closed-form in the prefix sum, so a block of
+    points is handled with int64 array operations, and `_piece_sweep`
+    splits each progression into the pieces whose profile is valid.
+
+    Returns (vstep, wstep, blocks).  blocks(mono, tally) adds the number of
+    solutions to `tally`, a one-item list, and yields per block with valid
+    pieces (ranks, keep, x, v, w, n), per piece: its ranks (by variable),
+    whether its prefix is monochromatic under each coloring, the first
+    prefix value x, and the first values v, w and number n of its terms
+    v + vstep*i, w + wstep*i for i in [0, n).  `mono` maps prefix values
+    of shape (n - 2, rows) to a (rows, colorings) bool array, and rows
+    with none are dropped before the piece table; with one prefix
+    variable, keep is None, as a single value always shares its color.
     """
     import numpy as np
 
-    solve = max(range(3), key=lambda i: (abs(coeffs[i]) == 1, i))
-    free = [i for i in range(3) if i != solve]
-    cu, cv, cs = coeffs[free[0]], coeffs[free[1]], coeffs[solve]
+    n = len(coeffs)
+    solve = max(range(n), key=lambda i: (abs(coeffs[i]) == 1, i))
+    *prefix, inner = [i for i in range(n) if i != solve]
+    cv, cs = coeffs[inner], coeffs[solve]
     # every coordinate lies in [1, bound], so each profile comparison
     # (N*(a - b) < b, N*b >= a) answers the same for every N >= bound
     N = min(N, bound)
-    # `_progression` term by term, as arrays over u: only beta depends on u
+    # `_progression` term by term, as arrays over the prefix points: only
+    # beta depends on them
     sign = 1 if cs > 0 else -1
     alpha, den = -cv * sign, cs * sign
     g = gcd(alpha, den)
     vstep = den // g
     inv = pow(alpha // g, -1, vstep)
     wstep = -cv * vstep // cs
-    slopes, slots = (0, vstep, wstep), (free[0], free[1], solve)
+    slopes = [0] * n
+    slopes[inner], slopes[solve] = vstep, wstep
+    cu = np.array([coeffs[i] for i in prefix], dtype=np.int64)
+    rows = min(_BLOCK, _CELLS // (n * min(4 * n, bound)))
 
-    def blocks():
-        for start in range(1, bound + 1, _BLOCK):
-            u = np.arange(start, min(start + _BLOCK, bound + 1),
-                          dtype=np.int64)
-            beta = -cu * sign * u
+    def blocks(mono, tally):
+        for u in _prefix_blocks(len(prefix), bound, rows):
+            beta = -sign * (cu @ u)
             residue = (-(beta // g)) % vstep * inv % vstep
             # den*1 <= alpha*t + beta <= den*bound
             t_lo, t_hi = den - beta, den * bound - beta
@@ -843,55 +889,105 @@ def _census3_pieces(coeffs: list[int], bound: int, N: int):
             v_first = t_lo + (residue - t_lo) % vstep
             count = np.maximum((t_hi - v_first) // vstep + 1, 0)
             count[beta % g != 0] = 0
-            keep = count > 0
-            u, v_first, count = u[keep], v_first[keep], count[keep]
-            w_first = (-cu * u - cv * v_first) // cs
-            row, lo, hi, code = _piece_table(
-                slopes, slots, np.stack([u, v_first, w_first]), count, N)
-            yield (int(count.sum()), code, u[row], v_first[row] + vstep * lo,
-                   w_first[row] + wstep * lo, hi - lo)
+            tally[0] += int(count.sum())
+            live = count > 0
+            keep = mono(u) if len(prefix) > 1 else None
+            if keep is not None:
+                live &= keep.any(axis=1)
+                keep = keep[live]
+            u, v_first, count = u[:, live], v_first[live], count[live]
+            if not len(count):
+                continue
+            starts = np.empty((n, len(count)), dtype=np.int64)
+            starts[prefix] = u
+            starts[inner] = v_first
+            starts[solve] = (sign * beta[live] - cv * v_first) // cs
+            row, lo, hi, ranks = _piece_sweep(slopes, starts, count, N)
+            if len(row):
+                yield (ranks, None if keep is None else keep[row], u[0, row],
+                       v_first[row] + vstep * lo,
+                       starts[solve, row] + wstep * lo, hi - lo)
 
-    return vstep, wstep, blocks()
+    return vstep, wstep, blocks
 
 
-def _census3_linear(coeffs: list[int], specs: Sequence[ColoringSpec],
-                    bound: int, N: int) -> tuple[list, int]:
-    """Censuses for c0*x0 + c1*x1 + c2*x2 = 0 without materializing the
-    solution list.
+def _census_linear(coeffs: list[int], specs: Sequence[ColoringSpec],
+                   bound: int, N: int) -> tuple[list, int]:
+    """Censuses for a linear homogeneous equation in n >= 3 variables
+    without materializing the solution list.
 
-    `_census3_pieces` gives the valid pieces, and counting kernels count
-    the monochromatic terms of every piece of a block at once: one per mod,
+    `_linear_pieces` gives the valid pieces of the rows whose prefix values
+    share a color under some coloring, and counting kernels count the
+    monochromatic terms of every piece of a block at once: one per mod,
     logband or digit coloring, in closed form and with no color table
     (`_closed_counter`), and one for all the random colorings together,
     which slices a stack of their tables once per piece (`_slice_counter`).
+    Each kernel also gives its colorings' colors of the prefix values.
     """
     import numpy as np
 
-    vstep, wstep, blocks = _census3_pieces(coeffs, bound, N)
-    kernels = [([k], _closed_counter(s, bound, vstep, wstep))
+    vstep, wstep, blocks = _linear_pieces(coeffs, bound, N)
+    kernels = [([k], *_closed_counter(s, bound, vstep, wstep))
                for k, s in enumerate(specs) if s.kind != "random"]
     random = [k for k, s in enumerate(specs) if s.kind == "random"]
     if random:
-        kernels.append((random, _slice_counter(
+        kernels.append((random, *_slice_counter(
             np.stack([specs[k].color_array(bound) for k in random]),
             vstep, wstep)))
-    counts = np.zeros((27, len(specs)), dtype=np.int64)
-    total = 0
-    for block_total, code, x, v, w, n in blocks:
-        total += block_total
-        for rows, count in kernels:
-            np.add.at(counts, (code[:, None], rows),
-                      count(x, v, w, n).reshape(len(code), len(rows)))
-    return [{_partition((code // 9, code // 3 % 3, code % 3)): int(n)
-             for code, n in enumerate(acc) if n} for acc in counts.T], total
+
+    def mono(u):
+        out = np.empty((u.shape[1], len(specs)), dtype=bool)
+        for cols, colors, _ in kernels:
+            c = colors(u)
+            out[:, cols] = (c == c[..., :1, :]).all(axis=-2).reshape(
+                len(cols), -1).T
+        return out
+
+    counts: dict[tuple[int, ...], np.ndarray] = {}
+    tally = [0]
+    for ranks, keep, x, v, w, n in blocks(mono, tally):
+        profiles, which = _distinct_rows(ranks)
+        acc = np.zeros((len(profiles), len(specs)), dtype=np.int64)
+        for cols, _, count in kernels:
+            sel, on = slice(None), True
+            if keep is not None:
+                on = keep[:, cols]
+                sel = np.flatnonzero(on.any(axis=1))
+                on = on[sel]
+            got = count(x[sel], v[sel], w[sel], n[sel])
+            np.add.at(acc, (which[sel, None], cols),
+                      got.reshape(-1, len(cols)) * on)
+        for key, row in zip(map(tuple, profiles.tolist()), acc):
+            counts[key] = counts.get(key, 0) + row
+    return [{_partition(key): int(row[k]) for key, row in counts.items()
+             if row[k]} for k in range(len(specs))], tally[0]
+
+
+def _distinct_rows(ranks: np.ndarray):
+    """The distinct rows of a rank array, ascending, and each row's position
+    among them.  Each row is coded as one base-n digit per column, and the
+    codes are renumbered densely before one could pass 2^62, so no width
+    overflows int64."""
+    import numpy as np
+
+    n = max(ranks.shape[1], 2)
+    code, top = np.zeros(len(ranks), dtype=np.int64), 0
+    for column in ranks.T:
+        if (top + 1) * n > 2 ** 62:
+            distinct, code = np.unique(code, return_inverse=True)
+            top = len(distinct) - 1
+        code, top = code * n + column, top * n + n - 1
+    _, first, which = np.unique(code, return_index=True, return_inverse=True)
+    return ranks[first], which
 
 
 def _closed_counter(spec: ColoringSpec, bound: int, vstep: int,
                     wstep: int):
-    """A mod, logband or digit coloring's census kernel: maps piece arrays
-    (x, v, w, n) to the number of i in [0, n) at which x, v + vstep*i and
-    w + wstep*i share a color, per piece.  vstep > 0 and wstep != 0; every
-    value lies in [1, bound]."""
+    """A mod, logband or digit coloring's census kernel, as (colors,
+    count): colors maps an array of values to their colors, and count maps
+    piece arrays (x, v, w, n) to the number of i in [0, n) at which x,
+    v + vstep*i and w + wstep*i share a color, per piece.  vstep > 0 and
+    wstep != 0; every value lies in [1, bound]."""
     if spec.kind == "mod":
         # x % m == x for x <= bound < m, as in `_table`
         return _mod_counter(min(spec.params[0], bound + 1), vstep, wstep)
@@ -924,7 +1020,7 @@ def _mod_counter(m: int, vstep: int, wstep: int):
         ok = (b1 % g1 == 0) & (b2 % g2 == 0) & ((r2 - r1) % g == 0)
         return np.where(ok, np.maximum((n - 1 - r) // period + 1, 0), 0)
 
-    return count
+    return (lambda x: x % m), count
 
 
 def _run_counter(spec: ColoringSpec, bound: int, vstep: int, wstep: int):
@@ -945,22 +1041,29 @@ def _run_counter(spec: ColoringSpec, bound: int, vstep: int, wstep: int):
     edges = np.array(scales + [bound + 1], dtype=np.int64)
     scale = edges[:-1]
 
+    # level < levels, so clamping a logband period changes no color and
+    # keeps it in int64
+    period = min(spec.params[-1], levels)
+
+    def colors(x):
+        """logband: the level mod the period; digit: the leading digit."""
+        level = np.searchsorted(edges, x, side="right") - 1
+        if spec.kind == "logband":
+            return level % period
+        return x // scale[level]
+
     def runs(x):
         """The runs of each x's color, as (start, stop) arrays of one row
         per piece and one column per run, empty runs padded with
         start == stop."""
-        level = np.searchsorted(edges, x, side="right") - 1
+        c = colors(x)[:, None]
         if spec.kind == "logband":
-            # levels c, c + period, ... of color c = level % period; level <
-            # levels, so clamping the period changes no color and keeps it
-            # in int64
-            period = min(spec.params[1], levels)
-            lv = np.minimum((level % period)[:, None]
-                            + period * np.arange(_ceil_div(levels, period)),
+            # levels c, c + period, ... of color c
+            lv = np.minimum(c + period * np.arange(_ceil_div(levels, period)),
                             levels)
             return edges[lv], edges[np.minimum(lv + 1, levels)]
-        # digit d = x // p^level covers [d*p^L, (d+1)*p^L) at each level L
-        start = (x // scale[level])[:, None] * scale
+        # digit c covers [c*p^L, (c+1)*p^L) at each level L
+        start = c * scale
         return np.minimum(start, bound + 1), np.minimum(start + scale,
                                                          bound + 1)
 
@@ -986,13 +1089,14 @@ def _run_counter(spec: ColoringSpec, bound: int, vstep: int, wstep: int):
             total += np.maximum(overlap, 0).sum(axis=1)
         return total
 
-    return count
+    return colors, count
 
 
 def _slice_counter(stack: np.ndarray, vstep: int, wstep: int):
     """random: no closed form, so each piece slices the random colorings'
-    tables, the rows of `stack`, once for v and once for w.  Maps piece
-    arrays (x, v, w, n) to the counts of each piece, one per coloring.  The
+    tables, the rows of `stack`, once for v and once for w.  Returns
+    (colors, count) as `_closed_counter` does, with one color and one count
+    per coloring.  The
     loop over pieces is shared, so its cost grows little with the number of
     random colorings; a single one slices its 1-D table, which costs less
     per piece than a one-row stack."""
@@ -1015,7 +1119,7 @@ def _slice_counter(stack: np.ndarray, vstep: int, wstep: int):
                        else list(map(np.count_nonzero, mono)))
         return np.array(out, dtype=np.int64)
 
-    return count
+    return (lambda x: stack[:, x]), count
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ rescan of the descending order per class and re-testing the defining
 inequalities pair by pair.  Forward differences come from the binomial
 expansion, and the scalar valid-piece decomposition
 (`_valid_pieces`) is the one-progression-at-a-time reference for the array
-piece table of the 3-variable census.  The maximal-root filter's reference
+piece table of the linear census, as is the three-item table with one
+hand-written case per profile shape that the n-item sweep replaced.  The
+maximal-root filter's reference
 tries every monomial subset, and reports are checked against the standard
 library's indented JSON dump.  Asymptotic candidates are built the way
 they once were: each zero-sum mask picked bit by bit, wrapped in an
@@ -17,7 +19,7 @@ memoized depth-first search over ordered column partitions that the greedy
 decision replaced.  Equations are parsed by the recursive-descent class
 with one-token lookahead and no end token that the stateless grammar
 functions replaced, and monomials are ordered by dense exponent vectors.
-The 3-variable census's counting kernels are checked against the loop
+The linear census's counting kernels are checked against the loop
 they replaced, which sliced every valid piece out of one stacked 2-D color
 array.  Coloring searches are checked against the enumerate-then-filter
 loop that the color-testing walk replaced: every solution is built as a
@@ -38,7 +40,8 @@ from math import comb
 
 import numpy as np
 
-from radolab.coloring import _census3_pieces, enumerate_solutions
+from radolab.coloring import _linear_pieces, enumerate_solutions
+from radolab.coloring import _lt_zero as _rows_lt_zero
 from radolab.linalg import (
     ColumnsCertificate,
     QMatrix,
@@ -628,39 +631,126 @@ def oracle_grlex_key(mono, nvars: int):
 # coloring searches by enumerate-then-filter
 
 
-def oracle_census3_counts(coeffs, specs, bound: int, N: int):
-    """The three-variable census the way it once counted: every valid
-    piece of `_census3_pieces` is sliced out of one stacked 2-D color array,
-    a row per coloring from `color_array`, and compared element by element
-    with the color of its first value.  Returns the profile counts per
-    coloring and the number of solutions, as `_census3_linear` does."""
-    vstep, wstep, blocks = _census3_pieces(coeffs, bound, N)
+def _rows_ge_zero(alpha, beta, lo, hi):
+    """Row by row, the integer subinterval of [lo, hi) where
+    alpha*i + beta >= 0, that is -alpha*i - beta - 1 < 0."""
+    return _rows_lt_zero(-alpha, -beta - 1, lo, hi)
+
+
+def oracle_piece_table3(slopes, slots, starts, count, N):
+    """The three-item piece table with one hand-written case per shape of
+    profile: (row, lo, hi, code) arrays of the disjoint pieces [lo, hi) of
+    every row's range [0, count) whose triple has a valid profile, with
+    code = class(slot0)*9 + class(slot1)*3 + class(slot2).
+
+    Row r carries three affine values slopes[k]*i + starts[k, r] of the
+    variables in slots[k].  After splitting at the pairwise value
+    crossings, the value ordering is fixed, and each greedy-grouping case
+    contributes one exactly-solved subinterval per segment.
+    """
+    # segment cuts: 0, count, and both sides of each pairwise crossing;
+    # a cut outside (0, count) becomes 0 and only adds an empty segment
+    pairs = [(p, q) for p, q in ((0, 1), (0, 2), (1, 2))
+             if slopes[p] != slopes[q]]
+    cuts = np.zeros((len(count), 2 + 2 * len(pairs)), dtype=np.int64)
+    cuts[:, 1] = count
+    for k, (p, q) in enumerate(pairs):
+        f = (starts[q] - starts[p]) // (slopes[p] - slopes[q])
+        for c, col in ((f, 2 + 2 * k), (f + 1, 3 + 2 * k)):
+            np.copyto(cuts[:, col], c, where=(0 < c) & (c < count))
+    cuts.sort(axis=1)
+    row, seg = np.nonzero(cuts[:, :-1] < cuts[:, 1:])
+    a, b = cuts[row, seg], cuts[row, seg + 1]
+    starts = starts[:, row]
+
+    # rank the items by (-value at the segment start, slot)
+    value = [slopes[k] * a + starts[k] for k in range(3)]
+
+    def precedes(p, q):
+        if slots[p] < slots[q]:
+            return value[p] >= value[q]
+        return value[p] > value[q]
+
+    b01, b02, b12 = precedes(0, 1), precedes(0, 2), precedes(1, 2)
+    top = np.where(b01 & b02, 0, np.where(b12 & ~b01, 1, 2))
+    low = np.where(b02 & b12, 2, np.where(b01 & ~b12, 1, 0))
+    mid = 3 - top - low
+    slope = np.asarray(slopes, dtype=np.int64)
+    weight = np.asarray([(9, 3, 1)[s] for s in slots], dtype=np.int64)
+    hi, md, lo = ((slope[k], np.choose(k, starts)) for k in (top, mid, low))
+    wm, wl = weight[mid], weight[low]
+
+    # each condition is (alpha, beta) of alpha*i + beta < 0
+    def near(p, q):
+        """p within the ratio bound of q: N*(p - q) < q."""
+        return N * p[0] - (N + 1) * q[0], N * p[1] - (N + 1) * q[1]
+
+    def apart(p, q):
+        """p separated from q by a factor N: N*q < p."""
+        return N * q[0] - p[0], N * q[1] - p[1]
+
+    out = []
+
+    def emit(span, code):
+        keep = span[0] < span[1]
+        out.append((row[keep], span[0][keep], span[1][keep],
+                    np.broadcast_to(code, keep.shape)[keep]))
+
+    # one class: extremes within the ratio bound (forces the rest)
+    emit(_rows_lt_zero(*near(hi, lo), a, b), 0)
+    # two classes {hi, mid} >> {lo}
+    span = _rows_ge_zero(*near(hi, lo), *_rows_lt_zero(*near(hi, md), a, b))
+    emit(_rows_lt_zero(*apart(md, lo), *span), wl)
+    # two classes {hi} >> {mid, lo}
+    split = _rows_ge_zero(*near(hi, md), a, b)
+    span = _rows_lt_zero(*near(md, lo), *split)
+    emit(_rows_lt_zero(*apart(hi, md), *span), wm + wl)
+    # three classes
+    span = _rows_lt_zero(*apart(hi, md), *_rows_ge_zero(*near(md, lo), *split))
+    emit(_rows_lt_zero(*apart(md, lo), *span), wm + 2 * wl)
+    return tuple(np.concatenate(col) for col in zip(*out))
+
+
+def oracle_census_counts(coeffs, specs, bound: int, N: int):
+    """The linear census the way the three-variable one once counted:
+    every valid piece of `_linear_pieces` is sliced out of one stacked 2-D
+    color array, a row per coloring from `color_array`, and compared
+    element by element with the color of its first value.  A piece counts
+    for a coloring only if its prefix values share a color there, read
+    from the same array.  Returns the profile counts per coloring and the
+    number of solutions, as `_census_linear` does."""
+    vstep, wstep, blocks = _linear_pieces(coeffs, bound, N)
     colors2d = np.stack([s.color_array(bound) for s in specs])
-    counts = np.zeros((27, len(specs)), dtype=np.int64)
-    total = 0
-    for block_total, code, x, v, w, n in blocks:
-        total += block_total
-        sums = np.empty((len(code), len(specs)), dtype=np.int64)
+
+    def mono(u):
+        colors = colors2d[:, u]
+        return (colors == colors[:, :1]).all(axis=1).T
+
+    counts: dict = {}
+    tally = [0]
+    for ranks, keep, x, v, w, n in blocks(mono, tally):
         for k, (a, b, c, size) in enumerate(zip(
                 x.tolist(), v.tolist(), w.tolist(), n.tolist())):
             color = colors2d[:, a:a + 1]
             stop = c + wstep * size
-            mono = ((colors2d[:, b:b + vstep * size:vstep] == color)
-                    & (colors2d[:, c:(stop if stop >= 0 else None):wstep]
-                       == color))
-            sums[k] = mono.sum(axis=1)
-        np.add.at(counts, code, sums)
+            mono_terms = ((colors2d[:, b:b + vstep * size:vstep] == color)
+                          & (colors2d[:, c:(stop if stop >= 0 else None):wstep]
+                             == color))
+            sums = mono_terms.sum(axis=1)
+            if keep is not None:
+                sums = sums * keep[k]
+            key = tuple(ranks[k].tolist())
+            counts[key] = counts.get(key, 0) + sums
     out = []
-    for acc in counts.T:
+    for col in range(len(specs)):
         census = {}
-        for code, n in enumerate(acc.tolist()):
-            if n:
-                ranks = (code // 9, code // 3 % 3, code % 3)
+        for ranks, sums in counts.items():
+            if sums[col]:
                 census[OrderedPartition.of(*(
-                    [i for i in range(3) if ranks[i] == r]
-                    for r in range(max(ranks) + 1)))] = n
+                    [i for i in range(len(ranks)) if ranks[i] == r]
+                    for r in range(max(ranks) + 1)))] = int(sums[col])
         out.append(census)
-    return out, total
+    return out, tally[0]
 
 
 def oracle_monochromatic(eq: Equation, spec, bound: int):

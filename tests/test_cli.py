@@ -392,6 +392,19 @@ class TestSearch:
                              "--coloring", "digit:2")
         assert code == 2
 
+    def test_random_seed_past_key_limit_exit_2(self, capsys):
+        # refused when the coloring is parsed, not when the first color is
+        # hashed, with the coloring named
+        name = f"random:{10 ** 70}:3"
+        for mode in ["census", "witness"]:
+            code, out, err = run_cli(capsys, "search", "x + y = z",
+                                     "--coloring", name, "--bound", "10",
+                                     "--mode", mode)
+            assert code == 2 and out == "", mode
+            assert err == (f"error: random coloring {name}: the seed's "
+                           f"decimal form is longer than 64 bytes, the "
+                           f"blake2b key limit\n"), mode
+
     def test_degree_cap_exit_3(self, capsys):
         # the cap is checked before the first solution, with analyze's
         # message
@@ -434,8 +447,8 @@ class TestSearch:
 
     def test_huge_bound_exit_3(self, capsys):
         # the bound cap stops every mode before a color table is built,
-        # on the three-variable census path and the general walk alike
-        for text in ["x + y = w + z", "x + y = z"]:
+        # on the closed-form census path and the general walk alike
+        for text in ["x + y = w + z + 1", "x + y = w + z", "x + y = z"]:
             for mode in ["witness", "census", "solutions", "heads"]:
                 t0 = time.perf_counter()
                 code, out, err = run_cli(

@@ -16,8 +16,9 @@ import radolab
 from _oracles import (
     _valid_pieces,
     oracle_asymptotic_profile,
-    oracle_census3_counts,
+    oracle_census_counts,
     oracle_monochromatic,
+    oracle_piece_table3,
     oracle_profile_valid,
     oracle_record_lines,
     oracle_solution_grid,
@@ -42,11 +43,13 @@ from radolab.results import OrderedPartition
 
 
 def test_import_does_not_load_numpy():
+    # nor hashlib, which only random colorings use
     src = str(Path(radolab.__file__).resolve().parents[1])
-    code = "import sys, radolab; print('numpy' in sys.modules)"
+    code = ("import sys, radolab; "
+            "print('numpy' in sys.modules, 'hashlib' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "False False"
 
 
 def test_star_import_exports_each_name_once():
@@ -92,6 +95,19 @@ class TestColoringSpec:
                     "mystery:3", "mod:x"]:
             with pytest.raises(ValueError):
                 ColoringSpec.parse(bad)
+
+    def test_random_seed_past_key_limit_rejected(self):
+        # the seed's decimal form keys blake2b, which takes at most 64
+        # bytes: 64 are accepted and hash, 65 are refused up front, with
+        # the coloring named
+        for seed in [10 ** 64 - 1, -(10 ** 63 - 1)]:
+            assert 0 <= ColoringSpec.parse(f"random:{seed}:3").color(5) < 3
+        for seed in [10 ** 64, -(10 ** 63), 10 ** 70]:
+            name = f"random:{seed}:3"
+            with pytest.raises(ValueError, match=f"random coloring {name}: "
+                               "the seed's decimal form is longer than 64 "
+                               "bytes"):
+                ColoringSpec.parse(name)
 
     def test_color_array_matches_scalar(self):
         # the search tables and color_array against the scalar coloring, at
@@ -172,7 +188,7 @@ class TestColoringSpec:
             "'--bound', '30', '--N', '3', '--mode', 'solutions', "
             "'--base', '2'])\n"
             "head_census(parse('x*y = z'), specs[1], 60, 3)\n"
-            "profile_census_many(parse('x + y + z = w'), specs, 12, 3)\n"
+            "profile_census_many(parse('x + y + z = w + 1'), specs, 12, 3)\n"
             "witness_search(parse('x = y + 1'), specs, 50)\n"
             "print('numpy' in sys.modules)\n"
         )
@@ -439,14 +455,24 @@ def test_progression_matches_brute_force():
         assert all(b - a == stride for a, b in zip(quotients, quotients[1:]))
 
 
+def _three_item_table(slopes, slots, starts, count, N):
+    """The n-item `_piece_sweep` on three items given in `slots` order, as
+    the (row, lo, hi, code) of `oracle_piece_table3`."""
+    from radolab.coloring import _piece_sweep
+    order = np.argsort(slots)
+    row, lo, hi, ranks = _piece_sweep([slopes[k] for k in order],
+                                      starts[order], count, N)
+    code = ranks.astype(np.int64) @ np.array([9, 3, 1])
+    return row, lo, hi, code
+
+
 def _one_row_pieces(items, count, N):
-    """`_piece_table` on the single row given by three (slope, intercept,
+    """`_piece_sweep` on the single row given by three (slope, intercept,
     slot) items, as (start, stop, code) triples."""
-    from radolab.coloring import _piece_table
     slopes, starts, slots = zip(*items)
     starts = np.array(starts, dtype=np.int64).reshape(3, 1)
-    row, lo, hi, code = _piece_table(slopes, slots, starts,
-                                     np.array([count], dtype=np.int64), N)
+    row, lo, hi, code = _three_item_table(
+        slopes, slots, starts, np.array([count], dtype=np.int64), N)
     assert not row.any()
     return sorted(zip(lo.tolist(), hi.tolist(), code.tolist()))
 
@@ -486,9 +512,10 @@ def test_valid_piece_decomposition_matches_scalar_profiles():
 
 def test_piece_table_matches_scalar_oracle_row_by_row():
     # a block of u through the census's own progressions, slot orders and
-    # the N >= bound clamp, against the scalar decomposition at the true N;
-    # rows with count 0 and 1 and a decreasing solved variable included
-    from radolab.coloring import _piece_table, _progression
+    # the N >= bound clamp, against the scalar decomposition at the true N,
+    # for the n-item table and the three-item oracle alike; rows with count
+    # 0 and 1 and a decreasing solved variable included
+    from radolab.coloring import _progression
     counts, slot_orders = set(), set()
     for coeffs, bound in [((1, 1, -1), 60), ((1, -2, 4), 70), ((2, 3, -5), 80),
                           ((3, -2, 1), 50), ((2, -1, 3), 45)]:
@@ -509,17 +536,41 @@ def test_piece_table_matches_scalar_oracle_row_by_row():
         starts = np.array([r[:3] for r in rows], dtype=np.int64).T
         count = np.array([r[3] for r in rows], dtype=np.int64)
         for N in (2, 3, 7, 10 ** 30):
-            table = _piece_table((0, vstep, wstep), slots, starts, count,
-                                 min(N, bound))
-            got = {}
-            for r, lo, hi, code in zip(*(col.tolist() for col in table)):
-                got.setdefault(r, []).append((lo, hi, code))
-            for r, (u, v1, w1, n, _) in enumerate(rows):
-                items = [(0, u, slots[0]), (vstep, v1, slots[1]),
-                         (wstep, w1, slots[2])]
-                assert sorted(got.get(r, [])) == sorted(
-                    _valid_pieces(items, n, N)), (coeffs, u, N)
+            for table in (oracle_piece_table3, _three_item_table):
+                got = {}
+                for r, lo, hi, code in zip(*(col.tolist() for col in table(
+                        (0, vstep, wstep), slots, starts, count,
+                        min(N, bound)))):
+                    got.setdefault(r, []).append((lo, hi, code))
+                for r, (u, v1, w1, n, _) in enumerate(rows):
+                    items = [(0, u, slots[0]), (vstep, v1, slots[1]),
+                             (wstep, w1, slots[2])]
+                    assert sorted(got.get(r, [])) == sorted(
+                        _valid_pieces(items, n, N)), (coeffs, u, N, table)
     assert {0, 1} <= counts and len(slot_orders) == 3
+
+
+def test_piece_table_matches_three_item_oracle():
+    # the n-item table gives exactly the pieces of the hand-written
+    # three-item cases, on seeded blocks with equal, zero and negative
+    # slopes, every slot order, ties and crossings inside the range; every
+    # value stays positive, as a solution's do
+    rng = random.Random(19)
+    for _ in range(300):
+        slopes = [rng.choice([0, 0, 1, 2, 3, -1, -2]) for _ in range(3)]
+        slots = rng.sample(range(3), 3)
+        rows = rng.randint(0, 40)
+        starts = np.array([[rng.randint(1, 60) for _ in range(rows)]
+                           for _ in range(3)], dtype=np.int64).reshape(3, rows)
+        count = np.array([min([rng.randint(0, 30)] + [
+            (start - 1) // -slope + 1 for slope, start in zip(slopes, col)
+            if slope < 0]) for col in starts.T.tolist()], dtype=np.int64)
+        N = rng.choice([2, 3, 5, 60])
+        expected, got = (
+            sorted(zip(*(col.tolist() for col in table(
+                slopes, slots, starts, count, N))))
+            for table in (oracle_piece_table3, _three_item_table))
+        assert got == expected, (slopes, slots, N)
 
 
 def _scan_census(eq, spec, bound, N):
@@ -535,24 +586,22 @@ def _scan_census(eq, spec, bound, N):
     return counts, total
 
 
-def test_census_kernels_match_stacked_slice_oracle():
-    # each coloring kind's counting kernel against the stacked 2-D slice
-    # loop it replaced and against a scan of the solutions, on seeded
-    # equations covering vstep > 1, a decreasing solved variable, moduli
-    # above the bound, logband periods past the number of levels and past
-    # 64 bits, 2- and 4-byte random tables, N >= bound and the smallest
-    # bounds.  Each coloring is also counted alone, so random colorings
-    # take both the stacked and the single-table slice path
-    from radolab.coloring import _census3_linear, _census3_pieces
-    rng = random.Random(1717)
-    steps = set()
+def _census_corpus(seed, cases, widths, bounds):
+    """Seeded linear census cases (equation, coefficients, bound, N,
+    colorings): the first two at bounds 1 and 2, then bounds drawn from
+    `bounds`; N up to and past the bound; every coloring kind, with moduli
+    above the bound and past 64 bits, logband periods past the number of
+    levels and past 64 bits, digit:1000, and random colorings with 2-byte
+    and 4-byte tables and negative seeds."""
+    rng = random.Random(seed)
     nonzero = [c for c in range(-7, 8) if c]
-    for case in range(48):
-        coeffs = [rng.choice(nonzero) for _ in range(3)]
+    for case in range(cases):
+        n = rng.choice(widths)
+        coeffs = [rng.choice(nonzero) for _ in range(n)]
         if min(coeffs) > 0 or max(coeffs) < 0:
-            coeffs[rng.randrange(3)] *= -1
-        bound = (1, 2)[case] if case < 2 else rng.randint(3, 120)
-        N = rng.choice([2, 3, 7, bound, 10 ** 30])
+            coeffs[rng.randrange(n)] *= -1
+        bound = (1, 2)[case] if case < 2 else rng.randint(*bounds)
+        N = rng.choice([2, 3, 7, max(bound, 2), 10 ** 30])
         names = [f"mod:{rng.randint(2, 12)}",
                  f"mod:{bound + rng.randint(1, 40)}",
                  "mod:18446744073709551617",
@@ -562,37 +611,119 @@ def test_census_kernels_match_stacked_slice_oracle():
                  f"digit:{rng.choice([3, 10, 1000])}",
                  f"random:{rng.randint(-9, 9)}:{rng.choice([2, 3])}",
                  f"random:{rng.randint(-9, 9)}:{rng.choice([300, 70000])}"]
-        specs = [ColoringSpec.parse(s) for s in names]
-        vstep, wstep, _ = _census3_pieces(coeffs, bound, N)
-        steps.add((vstep > 1, wstep < 0))
-        per_spec, total = _census3_linear(coeffs, specs, bound, N)
-        assert (per_spec, total) == oracle_census3_counts(
-            coeffs, specs, bound, N), (coeffs, bound, N)
-        eq = parse(" + ".join(f"{c}{v}" for c, v in zip(coeffs, "xyz"))
+        eq = parse(" + ".join(f"{c}*x{i}" for i, c in enumerate(coeffs))
                    .replace("+ -", "- ") + " = 0")
-        for spec, counts in zip(specs, per_spec):
-            assert (counts, total) == _scan_census(eq, spec, bound, N), \
-                (coeffs, bound, N, spec)
-            # alone, a random coloring takes the one-table slice path
-            assert _census3_linear(coeffs, [spec], bound, N) == (
-                [counts], total), (coeffs, bound, N, spec)
+        yield (eq, eq.poly.linear_coefficients(), bound, N,
+               [ColoringSpec.parse(s) for s in names])
+
+
+def _check_census(eq, coeffs, bound, N, specs):
+    """The family census against the stacked slice oracle, each coloring
+    against a scan of the solutions and counted alone, so random colorings
+    take both the stacked and the single-table slice path; returns the
+    census's steps and solved coefficient."""
+    from radolab.coloring import _census_linear, _linear_pieces
+    per_spec, total = _census_linear(coeffs, specs, bound, N)
+    assert (per_spec, total) == oracle_census_counts(
+        coeffs, specs, bound, N), (coeffs, bound, N)
+    for spec, counts in zip(specs, per_spec):
+        assert (counts, total) == _scan_census(eq, spec, bound, N), \
+            (coeffs, bound, N, spec)
+        assert _census_linear(coeffs, [spec], bound, N) == (
+            [counts], total), (coeffs, bound, N, spec)
+    vstep, wstep, _ = _linear_pieces(coeffs, bound, N)
+    return vstep, wstep, max(coeffs, key=lambda c: (abs(c) == 1,
+                                                    coeffs.index(c)))
+
+
+def test_census_kernels_match_stacked_slice_oracle():
+    # three-variable equations: each coloring kind's counting kernel
+    # against the stacked 2-D slice loop it replaced and against a scan,
+    # covering vstep > 1 and a decreasing solved variable
+    steps = set()
+    for case in _census_corpus(1717, 48, [3], (3, 120)):
+        vstep, wstep, _ = _check_census(*case)
+        steps.add((vstep > 1, wstep < 0))
     assert {(True, False), (False, True), (True, True)} <= steps
 
 
+def test_wide_census_matches_scan():
+    # four and five variables: prefix values of one color under some
+    # colorings and not others, rows dropped before the piece table, and
+    # solved coefficients negative and not units
+    steps, solved = set(), set()
+    for case in _census_corpus(1919, 40, [4, 5], (3, 14)):
+        vstep, wstep, cs = _check_census(*case)
+        steps.add((vstep > 1, wstep < 0))
+        solved.add((cs < 0, abs(cs) > 1))
+    assert {(True, False), (False, True), (True, True)} <= steps
+    assert {(True, True), (True, False), (False, True)} <= solved
+
+
+def test_sixteen_variable_census_matches_scan():
+    # a profile code of one base-16 digit per variable would pass 2^63.
+    # At bound 2 only the constant solutions have valid profiles
+    eq = parse("x0 + x1 + x2 + x3 + x4 + x5 + x6 + x7"
+               " = y0 + y1 + y2 + y3 + y4 + y5 + y6 + y7")
+    specs = [ColoringSpec.parse(s) for s in ["mod:2", "random:3:3"]]
+    for N in (2, 10):
+        for spec, census in zip(specs, profile_census_many(eq, specs, 2, N)):
+            assert (census.counts, census.total_solutions) == _scan_census(
+                eq, spec, 2, N), (spec, N)
+            assert census.counts == {OrderedPartition.of(range(16)): 2}
+            assert census.total_solutions == 12870
+
+
+def test_distinct_rank_rows_past_int64_codes():
+    # rows of up to 40 columns of ranks below the width, as a base-width
+    # code per row would need up to 40^40: equal rows and only equal rows
+    # share a position, and the distinct rows come in ascending order
+    from radolab.coloring import _distinct_rows
+    rng = np.random.default_rng(5)
+    for width in [1, 3, 16, 17, 40]:
+        base = rng.integers(0, width, size=(12, width), dtype=np.uint8)
+        # rows that differ in one column only, first and last included
+        base[1], base[2] = base[0], base[0]
+        base[1, 0] = (base[0, 0] + 1) % width
+        base[2, -1] = (base[0, -1] + 1) % width
+        ranks = base[rng.integers(0, 12, size=300)]
+        distinct, which = _distinct_rows(ranks)
+        assert (distinct[which] == ranks).all(), width
+        assert len({row.tobytes() for row in distinct}) == len(distinct)
+        assert [tuple(r) for r in distinct.tolist()] == sorted(
+            tuple(r) for r in distinct.tolist()), width
+
+
+def test_widest_closed_form_census():
+    # 512 variables, the most whose piece-table row fits its budget: at
+    # bound 1 the one solution has one class, and its prefix grid of 510
+    # variables is built without a 510-dimensional array
+    text = " + ".join(f"x{i}" for i in range(256)) + " = " + " + ".join(
+        f"y{i}" for i in range(256))
+    spec = ColoringSpec.parse("random:3:3")
+    census = profile_census(parse(text), spec, 1, 2)
+    assert census.counts == {OrderedPartition.of(range(512)): 1}
+    assert census.total_solutions == 1
+
+
 def test_closed_form_census_builds_no_color_table(monkeypatch):
-    # mod, logband and digit censuses count in closed form and build no
-    # table of bound + 1 colors, which at the bound cap has 2^25 entries
+    # mod, logband and digit censuses count in closed form and compare
+    # prefix colors with the kernels' arithmetic, building no table of
+    # bound + 1 colors, which at the bound cap has 2^25 entries
     def refuse(self, bound):
         raise AssertionError(f"{self.spec_string()} built a color table")
 
     specs = [ColoringSpec.parse(s)
              for s in ["mod:3", "mod:18446744073709551617", "logband:2:3",
                        "digit:10"]]
-    eq = parse("x + y = z")
-    expected, _ = oracle_census3_counts([1, 1, -1], specs, 3000, 10)
-    monkeypatch.setattr(ColoringSpec, "_table", refuse)
-    many = profile_census_many(eq, specs, 3000, 10)
-    assert [census.counts for census in many] == expected
+    for text, bound in [("x + y = z", 3000), ("x + y + z = w", 60)]:
+        eq = parse(text)
+        expected, _ = oracle_census_counts(eq.poly.linear_coefficients(),
+                                           specs, bound, 10)
+        with monkeypatch.context() as patch:
+            patch.setattr(ColoringSpec, "_table", refuse)
+            many = profile_census_many(eq, specs, bound, 10)
+        assert [census.counts for census in many] == expected
 
 
 class TestProfileCensus:
@@ -627,7 +758,8 @@ class TestProfileCensus:
                 assert census.total_solutions == total
 
     def test_general_path_many_matches_per_spec_scans(self):
-        # one solution pass serves the whole family, duplicates included
+        # one solution pass serves the whole family, duplicates included;
+        # x + y + z = w takes the closed form, the others the walk
         names = ["mod:2", "mod:3", "random:5:3", "logband:2:2", "digit:3",
                  "mod:2"]
         specs = [ColoringSpec.parse(s) for s in names]
@@ -645,7 +777,9 @@ class TestProfileCensus:
         # the first coloring's walk counts every solution: in closed form on
         # the affine branch with exponent 1, as it walks elsewhere, and past
         # prefixes it skips (two-value prefixes under mod:2, and under the
-        # 2^64 + 1 modulus, where only equal values share a color)
+        # 2^64 + 1 modulus, where only equal values share a color).
+        # x + y + z = w takes the closed-form census, which drops the same
+        # prefixes before its piece table
         names = ["mod:2", "mod:3", "random:7:3", "digit:10", "logband:2:3",
                  "mod:18446744073709551617"]
         specs = [ColoringSpec.parse(s) for s in names]
@@ -658,7 +792,8 @@ class TestProfileCensus:
                      for p in [(d * (d + 1) // 2, d * (d - 1) // 2),
                                (d * (d - 1) // 2, d * (d + 1) // 2)])}
         for text, bound in [
-                ("x + y + z = w", 40),           # affine, two-value prefix
+                ("x + y + z = w", 40),           # closed form
+                ("x + y + z = w + 1", 40),       # affine, two-value prefix
                 ("x + y = z + 1", 120),          # affine, one-value prefix
                 ("x*y + x*w + y*w = z^2", 30),   # affine, solved square
                 ("x^2*y + y = z^2", 60),
@@ -715,6 +850,12 @@ class TestProfileCensus:
         census = profile_census(parse("x = y + 1"),
                                 ColoringSpec.parse("mod:2"), 2000, 10)
         assert census.counts == {}
+        # bounds below 1 leave no solutions, and no blocks to build
+        for text in ["x + y = z", "x + y + z = w", "x + y + z = w + 1"]:
+            for bound in (0, -5):
+                census = profile_census(parse(text),
+                                        ColoringSpec.parse("mod:2"), bound, 3)
+                assert (census.counts, census.total_solutions) == ({}, 0)
 
     def test_colors_past_sixteen_bits(self):
         # x = y = z (mod m) with x + y = z forces every coordinate to be a
@@ -735,10 +876,10 @@ class TestProfileCensus:
         assert census.total_solutions == bound * (bound - 1) // 2
 
     def test_N_below_two_rejected_on_both_paths(self):
-        # "x + y = z" takes the 3-variable closed-form path, the 4-variable
-        # equation the general one
+        # the linear homogeneous equations take the closed-form path, the
+        # inhomogeneous one the general walk
         spec = ColoringSpec.parse("mod:2")
-        for text in ["x + y = z", "x + y + z = w"]:
+        for text in ["x + y = z", "x + y + z = w", "x + y + z = w + 1"]:
             for N in (1, 0, -3):
                 with pytest.raises(ValueError):
                     profile_census(parse(text), spec, 50, N)
@@ -883,7 +1024,9 @@ class TestFilteredWalk:
         # the prefixes (w, x) of x + y + z = w only those with w == x pass,
         # and none of them completes (z = -y).  Each prefix costs two color
         # lookups, and a skipped one none more: not in a search, and not in
-        # a census, which counts its solutions in closed form
+        # the census of x + y + z = w + 1 (z = 1 - y), whose walk counts its
+        # solutions in closed form.  The census of x + y + z = w takes no
+        # lookup at all
         lookups = [0]
 
         class Counted(list):
@@ -901,6 +1044,9 @@ class TestFilteredWalk:
         lookups[0] = 0
         census = profile_census(eq, spec, 30, 10)
         assert census.counts == {} and census.total_solutions == 4060
+        assert lookups[0] == 0
+        census = profile_census(parse("x + y + z = w + 1"), spec, 30, 10)
+        assert census.counts == {} and census.total_solutions == 4495
         assert lookups[0] == 2 * 30 ** 2
 
     def test_skipped_prefixes_take_no_step(self, monkeypatch):
