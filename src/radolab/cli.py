@@ -15,7 +15,7 @@ import functools
 import os
 import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
@@ -32,7 +32,12 @@ from .coloring import (
 )
 from .errors import CapExceededError
 from .filters import FILTER_CATALOGUE, check_degree_cap, decide
-from .linalg import columns_condition, parse_matrix_text
+from .linalg import (
+    _picker,
+    _zero_sum_masks,
+    columns_condition,
+    parse_matrix_text,
+)
 from .linear import (
     NotLinearError,
     NotPRError,
@@ -125,6 +130,39 @@ def _emit(payload: dict) -> None:
     print(_dumps(payload))
 
 
+_CHUNK = 1024  # candidates per write
+
+
+def _emit_candidates(report: dict, coeffs: list[int], names) -> None:
+    """`_emit` of the report with "asymptotic_candidates" set to
+    `_candidate_classes(coeffs, names)`, streamed from the zero-sum masks.
+
+    The key sorts before every other key of the report, so its list is
+    written first, _CHUNK candidates at a time, then the rest of the
+    report.  Each class is one join of the quoted names at the list's fixed
+    depth; no list of masks, classes or the whole report is built."""
+    rest = _dumps(report)[1:]
+    # a PR equation has a zero-sum subset (Rado), so there is a first mask;
+    # taking it checks the column cap before any byte is written
+    masks = _zero_sum_masks([(c,) for c in coeffs])
+    masks = chain((next(masks),), masks)
+    pick = _picker(map(_quote, names))
+    full = (1 << len(coeffs)) - 1
+    sep = ",\n        "
+    write = sys.stdout.write
+    write('{\n  "asymptotic_candidates": [\n    ')
+    lead = ""
+    while chunk := [
+            f"[\n      [\n        {sep.join(pick(mask))}\n      ]\n    ]"
+            if mask == full else
+            f"[\n      [\n        {sep.join(pick(mask))}\n      ],\n"
+            f"      [\n        {sep.join(pick(full ^ mask))}\n      ]\n    ]"
+            for mask in islice(masks, _CHUNK)]:
+        write(lead + ",\n    ".join(chunk))
+        lead = ",\n    "
+    write(f"\n  ],{rest}\n")
+
+
 def _filter_json(result) -> dict:
     return {
         "name": result.filter_name,
@@ -169,9 +207,10 @@ def cmd_analyze(args) -> int:
     report["filter_catalogue"] = FILTER_CATALOGUE
     if (eq.poly.is_linear() and eq.poly.constant_term() == 0
             and verdict.status is Status.PR):
-        report["asymptotic_candidates"] = _candidate_classes(
-            eq.poly.linear_coefficients(), eq.poly.variables)
-    _emit(report)
+        _emit_candidates(report, eq.poly.linear_coefficients(),
+                         eq.poly.variables)
+    else:
+        _emit(report)
     summary = verdict.status.value
     if verdict.reasons:
         summary += " (" + ", ".join(r.filter_name for r in verdict.reasons) + ")"

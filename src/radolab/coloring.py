@@ -463,13 +463,27 @@ def _walk(poly: Polynomial, bound: int, table=None,
 
 def _grid(bound: int, k: int) -> Iterator[tuple[int, ...]]:
     """The points of [1, bound]^k in lexicographic order.  Unlike
-    `itertools.product`, it never copies the range into a tuple."""
+    `itertools.product`, it never copies the range into a tuple; the first
+    k - 1 coordinates advance as an odometer over one list, so no frame is
+    held per coordinate."""
     if not k:
         yield ()
         return
-    for head in _grid(bound, k - 1):
-        for x in range(1, bound + 1):
-            yield (*head, x)
+    if bound < 1:
+        return
+    head = [1] * (k - 1)
+    xs = range(1, bound + 1)
+    while True:
+        point = tuple(head)
+        for x in xs:
+            yield (*point, x)
+        i = k - 2
+        while i >= 0 and head[i] == bound:
+            head[i] = 1
+            i -= 1
+        if i < 0:
+            return
+        head[i] += 1
 
 
 def _inner_step(poly: Polynomial, bound: int):

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -251,8 +254,10 @@ class TestCandidateBytes:
     def corpus():
         rng = random.Random(88)
         out = ["2x + 3y = 5z", "x + y = z"]
-        for _ in range(60):
-            n = rng.randint(2, 17)
+        # 60 of 2 to 17 variables, then three past the bench pools' widest,
+        # whose candidate lists take many of the streamed chunks
+        for n in [*[None] * 60, 18, 18, 19]:
+            n = n or rng.randint(2, 17)
             coeffs = [rng.choice([c for c in range(-9, 10) if c]) for _ in range(n)]
             text = " + ".join(f"{c}*w{i}" for i, c in enumerate(coeffs))
             out.append(text.replace("+ -", "- ") + " = 0")
@@ -269,6 +274,8 @@ class TestCandidateBytes:
             report = json.loads(out)
             eq = parse(text)
             if report["verdict"]["status"] == "PR":
+                # the streamed list is written first: its key sorts first
+                assert min(report) == "asymptotic_candidates", text
                 report["asymptotic_candidates"] = oracle_candidate_names(
                     eq.poly.linear_coefficients(), eq.poly.variables)
                 listed += 1
@@ -298,6 +305,58 @@ class TestCandidateBytes:
             assert code == 0 and self.digest(out) == self.digest(expected), text
             listed += 1
         assert listed > 20
+
+
+def _balanced(half: int) -> str:
+    """x0 + ... + x(half-1) = y0 + ... + y(half-1)."""
+    return " + ".join(f"x{i}" for i in range(half)) + " = " + " + ".join(
+        f"y{i}" for i in range(half))
+
+
+class TestWideReport:
+    """`analyze` of the 20-variable balanced equation: 184,755 candidates,
+    a 60 MB report, streamed from the zero-sum masks."""
+
+    DIGEST = "7c8926d8e4f8411836ab71d2ec59b22fc20e966ba66d0bbf1ff65fdedc1eb9c0"
+
+    def test_bounded_memory(self):
+        class Sink:
+            def __init__(self):
+                self.hash = hashlib.sha256()
+
+            def write(self, text):
+                self.hash.update(text.encode())
+                return len(text)
+
+            def flush(self):
+                pass
+
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(["analyze", _balanced(10)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.hash.hexdigest() == self.DIGEST
+        assert peak < 16_000_000, peak
+
+    def test_closed_stdout_exits_quietly(self):
+        # `analyze ... | head -1`: the pipe closes mid-stream
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "radolab.cli", "analyze", _balanced(10)],
+            cwd=src, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141
+        assert first == b"{\n"
+        assert b"Traceback" not in err
 
 
 class TestSearch:
@@ -505,6 +564,22 @@ class TestSearch:
         assert b"Traceback" not in proc.stderr
         assert b"BrokenPipeError" not in proc.stderr
 
+    def test_many_prefix_variables(self, capsys):
+        # the prefix grid keeps no frame per variable: 1000 prefix
+        # variables in a witness walk, 1199 in a census walk (past the
+        # closed form's 512), both at bound 1
+        text = " + ".join(f"x{i}" for i in range(1000)) + " = y + 1"
+        code, report, _ = run_json(capsys, "search", text, "--bound", "1",
+                                   "--mode", "witness")
+        assert code == 0 and report["witnesses"]["found"] == ["mod:2"]
+        eq = parse(_balanced(600))
+        code, report, _ = run_json(capsys, "search", _balanced(600),
+                                   "--bound", "1", "--mode", "census")
+        assert code == 0
+        assert report["census"] == {
+            "entries": [{"classes": [sorted(eq.poly.variables)], "count": 1}],
+            "total_solutions": 1, "valid_profiles": 1}
+
 
 def test_parser_built_once_dispatches_rebound_commands(capsys, monkeypatch):
     run_cli(capsys, "analyze", "x + y = z")
@@ -672,7 +747,16 @@ class TestReportWriter:
             emitted.append(payload)
             emit(payload)
 
+        emit_candidates = cli._emit_candidates
+
+        def spy_candidates(report, coeffs, names):
+            # the streamed list, as the oracle lists it
+            emitted.append({**report, "asymptotic_candidates":
+                            oracle_candidate_names(coeffs, names)})
+            emit_candidates(report, coeffs, names)
+
         monkeypatch.setattr(cli, "_emit", spy)
+        monkeypatch.setattr(cli, "_emit_candidates", spy_candidates)
         for argv in README_COMMANDS:
             emitted.clear()
             code, out, _ = run_cli(capsys, *argv)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import subprocess
@@ -433,6 +434,17 @@ class TestWindowedWalk:
         sols = list(enumerate_solutions(parse("x^2 - y^2 = z"), 2000))
         assert len(sols) == 3858
         assert calls[0] < 200_000
+
+
+def test_grid_matches_product():
+    # lexicographic, as itertools.product, and lazy: a grid of 10^3000
+    # points with 1000 coordinates yields its first points at once
+    for bound in range(4):
+        for k in range(5):
+            assert list(coloring._grid(bound, k)) == list(
+                itertools.product(range(1, bound + 1), repeat=k)), (bound, k)
+    wide = coloring._grid(10, 1000)
+    assert [next(wide)[-2:] for _ in range(11)][-2:] == [(1, 10), (2, 1)]
 
 
 def test_progression_matches_brute_force():
