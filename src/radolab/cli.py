@@ -315,7 +315,7 @@ def cmd_search(args) -> int:
         }
         summary = f"{len(census.counts)} distinct valid profile(s)"
     elif args.mode == "heads":
-        if not args.base:
+        if args.base is None:
             print("error: --mode heads requires --base", file=sys.stderr)
             return EXIT_PARSE
         census = head_census(eq, specs[0], args.bound, args.base,

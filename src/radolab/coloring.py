@@ -22,7 +22,8 @@ but a linear homogeneous one run it once per coloring;
 equation in three or more variables is censused in closed form instead:
 one piece table splits every inner progression of a block of prefix points
 into valid-profile pieces (`_piece_sweep`), and one kernel per coloring
-kind counts their monochromatic terms.  Searches take bounds up to
+counts their monochromatic terms: in closed form for mod, logband and
+digit, by slicing its color table for random.  Searches take bounds up to
 `BOUND_CAP`, past which a color table no longer fits in reasonable memory.
 """
 
@@ -110,13 +111,15 @@ class ColoringSpec:
     def parse(text: str) -> "ColoringSpec":
         """Colon-delimited literals: mod:5, digit:10, logband:2:3,
         random:seed:colors."""
-        parts = text.split(":")
-        kind = parts[0]
-        try:
-            params = tuple(int(x) for x in parts[1:])
-        except ValueError as exc:
-            raise ValueError(f"bad coloring spec {text!r}: {exc}") from exc
-        return ColoringSpec(kind, params)
+        kind, *fields = text.split(":")
+        for x in fields:
+            # [+-]?[0-9]+ only: int() also takes "_", spaces and non-ASCII
+            # digits
+            digits = x[1:] if x[:1] in ("+", "-") else x
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(
+                    f"bad coloring spec {text!r}: {x!r} is not an integer")
+        return ColoringSpec(kind, tuple(map(int, fields)))
 
     def spec_string(self) -> str:
         return ":".join([self.kind, *map(str, self.params)])
@@ -668,9 +671,10 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
     Linear homogeneous equations in 3 to 512 variables with coefficients
     up to 2^20 split each inner progression into valid pieces in closed
     form, once for the whole family, and count each coloring's
-    monochromatic terms with its kind's kernel (see `_census_linear`).  Every other equation takes one walk per
-    coloring that builds only its monochromatic solutions (see `_walk`);
-    the first walk also counts every solution.
+    monochromatic terms with its own kernel (see `_census_linear`).  Every
+    other equation takes one walk per coloring that builds only its
+    monochromatic solutions (see `_walk`); the first walk also counts every
+    solution.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
@@ -931,30 +935,20 @@ def _census_linear(coeffs: list[int], specs: Sequence[ColoringSpec],
     without materializing the solution list.
 
     `_linear_pieces` gives the valid pieces of the rows whose prefix values
-    share a color under some coloring, and counting kernels count the
-    monochromatic terms of every piece of a block at once: one per mod,
-    logband or digit coloring, in closed form and with no color table
-    (`_closed_counter`), and one for all the random colorings together,
-    which slices a stack of their tables once per piece (`_slice_counter`).
-    Each kernel also gives its colorings' colors of the prefix values.
+    share a color under some coloring, and each coloring's kernel
+    (`_counter`) counts the monochromatic terms of every piece of a block
+    at once, and gives the colors of the prefix values.
     """
     import numpy as np
 
     vstep, wstep, blocks = _linear_pieces(coeffs, bound, N)
-    kernels = [([k], *_closed_counter(s, bound, vstep, wstep))
-               for k, s in enumerate(specs) if s.kind != "random"]
-    random = [k for k, s in enumerate(specs) if s.kind == "random"]
-    if random:
-        kernels.append((random, *_slice_counter(
-            np.stack([specs[k].color_array(bound) for k in random]),
-            vstep, wstep)))
+    kernels = [_counter(s, bound, vstep, wstep) for s in specs]
 
     def mono(u):
         out = np.empty((u.shape[1], len(specs)), dtype=bool)
-        for cols, colors, _ in kernels:
+        for k, (colors, _) in enumerate(kernels):
             c = colors(u)
-            out[:, cols] = (c == c[..., :1, :]).all(axis=-2).reshape(
-                len(cols), -1).T
+            out[:, k] = (c == c[0]).all(axis=0)
         return out
 
     counts: dict[tuple[int, ...], np.ndarray] = {}
@@ -962,15 +956,10 @@ def _census_linear(coeffs: list[int], specs: Sequence[ColoringSpec],
     for ranks, keep, x, v, w, n in blocks(mono, tally):
         profiles, which = _distinct_rows(ranks)
         acc = np.zeros((len(profiles), len(specs)), dtype=np.int64)
-        for cols, _, count in kernels:
-            sel, on = slice(None), True
-            if keep is not None:
-                on = keep[:, cols]
-                sel = np.flatnonzero(on.any(axis=1))
-                on = on[sel]
-            got = count(x[sel], v[sel], w[sel], n[sel])
-            np.add.at(acc, (which[sel, None], cols),
-                      got.reshape(-1, len(cols)) * on)
+        for k, (_, count) in enumerate(kernels):
+            sel = slice(None) if keep is None else np.flatnonzero(keep[:, k])
+            np.add.at(acc[:, k], which[sel],
+                      count(x[sel], v[sel], w[sel], n[sel]))
         for key, row in zip(map(tuple, profiles.tolist()), acc):
             counts[key] = counts.get(key, 0) + row
     return [{_partition(key): int(row[k]) for key, row in counts.items()
@@ -995,16 +984,17 @@ def _distinct_rows(ranks: np.ndarray):
     return ranks[first], which
 
 
-def _closed_counter(spec: ColoringSpec, bound: int, vstep: int,
-                    wstep: int):
-    """A mod, logband or digit coloring's census kernel, as (colors,
-    count): colors maps an array of values to their colors, and count maps
-    piece arrays (x, v, w, n) to the number of i in [0, n) at which x,
-    v + vstep*i and w + wstep*i share a color, per piece.  vstep > 0 and
-    wstep != 0; every value lies in [1, bound]."""
+def _counter(spec: ColoringSpec, bound: int, vstep: int, wstep: int):
+    """A coloring's census kernel, as (colors, count): colors maps an
+    array of values to their colors, and count maps piece arrays
+    (x, v, w, n) to the number of i in [0, n) at which x, v + vstep*i and
+    w + wstep*i share a color, per piece.  vstep > 0 and wstep != 0; every
+    value lies in [1, bound]."""
     if spec.kind == "mod":
         # x % m == x for x <= bound < m, as in `_table`
         return _mod_counter(min(spec.params[0], bound + 1), vstep, wstep)
+    if spec.kind == "random":
+        return _slice_counter(spec.color_array(bound), vstep, wstep)
     return _run_counter(spec, bound, vstep, wstep)
 
 
@@ -1106,34 +1096,22 @@ def _run_counter(spec: ColoringSpec, bound: int, vstep: int, wstep: int):
     return colors, count
 
 
-def _slice_counter(stack: np.ndarray, vstep: int, wstep: int):
-    """random: no closed form, so each piece slices the random colorings'
-    tables, the rows of `stack`, once for v and once for w.  Returns
-    (colors, count) as `_closed_counter` does, with one color and one count
-    per coloring.  The
-    loop over pieces is shared, so its cost grows little with the number of
-    random colorings; a single one slices its 1-D table, which costs less
-    per piece than a one-row stack."""
+def _slice_counter(table: np.ndarray, vstep: int, wstep: int):
+    """random: no closed form, so each piece slices the coloring's table
+    once for v and once for w."""
     import numpy as np
 
-    one = len(stack) == 1
-    table = stack[0] if one else stack
-
     def count(x, v, w, n):
-        # x's color per piece: a scalar, or a column against the stack
-        colors = table[x] if one else stack[:, x].T[:, :, None]
         out = []
-        for color, b, c, size in zip(colors, v.tolist(), w.tolist(),
+        for color, b, c, size in zip(table[x], v.tolist(), w.tolist(),
                                      n.tolist()):
             stop = c + wstep * size
-            mono = table[..., b:b + vstep * size:vstep] == color
-            mono &= table[..., c:(stop if stop >= 0 else None):wstep] == color
-            # per row, as count_nonzero is far faster than sum(axis=1)
-            out.append(np.count_nonzero(mono) if one
-                       else list(map(np.count_nonzero, mono)))
+            mono = table[b:b + vstep * size:vstep] == color
+            mono &= table[c:(stop if stop >= 0 else None):wstep] == color
+            out.append(np.count_nonzero(mono))
         return np.array(out, dtype=np.int64)
 
-    return (lambda x: stack[:, x]), count
+    return (lambda x: table[x]), count
 
 
 # ---------------------------------------------------------------------------

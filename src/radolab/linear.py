@@ -235,8 +235,15 @@ def verify_hl_choice(coeffs: Sequence[int], k: int, N: int) -> Optional[ColumnsC
     """Build the augmented matrix with the standard weight choice and return
     a columns-condition certificate.
 
-    The predicted two-block structure is checked first; the exhaustive
-    search runs only if that fast path fails.
+    The predicted two-block certificate of `_fast_path_blocks` holds for
+    every valid input.  Its first block D1 (x_1..x_k, their ratio slacks
+    and the separation slack) sums to zero: to the prefix sum in row 0, to
+    N - 1 - (N - 1) in each ratio row and to 1 - 1 in the separation row.
+    The second block sums to (c_{k+1} + ... + c_n)*e_0 - e_sep, and
+    span(D1) holds e_sep (the separation slack), each prefix ratio row's
+    unit vector (its slack, as N - 1 != 0) and so e_0 (x_1's column less
+    those, as c_1 != 0).  The prediction is still checked, and the
+    exhaustive search runs if it fails.
     """
     n = len(coeffs)
     if not 1 <= k < n:

@@ -396,6 +396,14 @@ class TestSearch:
         code, _, err = run_cli(capsys, "search", "x*y = z", "--mode", "heads")
         assert code == 2
 
+    def test_heads_base_below_two_names_the_base(self, capsys):
+        # a given base of 0 is not a missing one
+        for base in ["0", "1"]:
+            code, out, err = run_cli(capsys, "search", "x*y = z", "--mode",
+                                     "heads", "--base", base)
+            assert code == 2 and out == "", base
+            assert err == "error: base must be at least 2\n", base
+
     def test_solutions_stream(self, capsys):
         code, out, err = run_cli(
             capsys, "search", "x + y = z", "--coloring", "mod:2",
@@ -450,6 +458,13 @@ class TestSearch:
         code, _, _ = run_cli(capsys, "search", "x + y = z",
                              "--coloring", "digit:2")
         assert code == 2
+
+    def test_coloring_fields_ascii_integers_exit_2(self, capsys):
+        for name in ["mod:1_0", "mod:\uff11\uff10", "random: 7:3"]:
+            code, out, err = run_cli(capsys, "search", "x + y = z",
+                                     "--mode", "witness", "--coloring", name)
+            assert code == 2 and out == "", name
+            assert err.startswith(f"error: bad coloring spec {name!r}"), name
 
     def test_random_seed_past_key_limit_exit_2(self, capsys):
         # refused when the coloring is parsed, not when the first color is

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -196,6 +197,19 @@ class TestColoringSpec:
         out = subprocess.run([sys.executable, "-c", code], cwd=src,
                              check=True, capture_output=True, text=True).stdout
         assert out.strip() == "False"
+
+    def test_fields_are_ascii_integers(self):
+        # int() alone would also take "_" separators, surrounding spaces
+        # and non-ASCII digits, and report the spec as mod:10 or random:7:3
+        for bad in ["mod:1_0", "mod:\uff11\uff10", "random: 7:3", "mod:",
+                    "mod:+", "mod:5 ", "logband:2:\u00b3"]:
+            name = re.escape(f"bad coloring spec {bad!r}")
+            with pytest.raises(ValueError, match=name):
+                ColoringSpec.parse(bad)
+        for good, params in [("random:-3:2", (-3, 2)),
+                             ("random:+3:2", (3, 2)),
+                             ("mod:007", (7,))]:
+            assert ColoringSpec.parse(good).params == params
 
     def test_spec_string_round_trip(self):
         for name in ["mod:3", "digit:10", "logband:2:3", "random:9:5"]:
@@ -630,10 +644,10 @@ def _census_corpus(seed, cases, widths, bounds):
 
 
 def _check_census(eq, coeffs, bound, N, specs):
-    """The family census against the stacked slice oracle, each coloring
-    against a scan of the solutions and counted alone, so random colorings
-    take both the stacked and the single-table slice path; returns the
-    census's steps and solved coefficient."""
+    """The family census against the stacked slice oracle, and each
+    coloring against a scan of the solutions and counted alone, which takes
+    the same kernel as in the family; returns the census's steps and
+    solved coefficient."""
     from radolab.coloring import _census_linear, _linear_pieces
     per_spec, total = _census_linear(coeffs, specs, bound, N)
     assert (per_spec, total) == oracle_census_counts(
@@ -670,6 +684,40 @@ def test_wide_census_matches_scan():
         solved.add((cs < 0, abs(cs) > 1))
     assert {(True, False), (False, True), (True, True)} <= steps
     assert {(True, True), (True, False), (False, True)} <= solved
+
+
+def test_wide_random_families_match_per_spec_censuses():
+    # every coloring has its own kernel: eight random colorings with 1-,
+    # 2- and 4-byte tables beside a mod coloring, and a family that lists
+    # one random coloring twice, each equal to the coloring's own census
+    # and to the stacked slice oracle.  The steps (vstep, wstep) are
+    # (1, 2), (1, -4) and (5, -3), and four variables drop rows per
+    # coloring before the piece table
+    from radolab.coloring import _linear_pieces
+    wide = [f"random:{seed}:{colors}" for seed, colors in [
+        (1, 2), (2, 3), (-3, 2), (4, 300), (5, 300), (-6, 70000),
+        (7, 70000), (8, 2)]] + ["mod:3"]
+    twice = ["random:7:3", "mod:2", "random:7:3"]
+    steps = set()
+    for text, bound, N in [("x + 2y = z", 1500, 3),
+                           ("x - 2y + 4z = 0", 1500, 2),
+                           ("2x = 3y + 5z", 1500, 3),
+                           ("x + y - 2z + 3w = 0", 40, 3)]:
+        eq = parse(text)
+        coeffs = eq.poly.linear_coefficients()
+        vstep, wstep, _ = _linear_pieces(coeffs, bound, N)
+        steps.add((vstep, wstep))
+        for names in (wide, twice):
+            specs = [ColoringSpec.parse(s) for s in names]
+            many = profile_census_many(eq, specs, bound, N)
+            got = ([c.counts for c in many], many[0].total_solutions)
+            assert got == oracle_census_counts(coeffs, specs, bound, N), text
+            for spec, census in zip(specs, many):
+                alone = profile_census(eq, spec, bound, N)
+                assert (census.counts, census.total_solutions) == (
+                    alone.counts, alone.total_solutions), (text, spec)
+        assert many[0].counts and many[0].counts == many[2].counts
+    assert {(1, 2), (1, -4), (5, -3)} <= steps
 
 
 def test_sixteen_variable_census_matches_scan():

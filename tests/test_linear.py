@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from _oracles import oracle_candidate_names, oracle_hl_matrix
+from radolab import linear
 from radolab.errors import CapExceededError
 from radolab.linalg import QMatrix, columns_condition, verify_certificate
 from radolab.linear import (
     NotLinearError,
     NotPRError,
     _candidate_classes,
+    _fast_path_blocks,
     asymptotic_candidates_linear,
     default_hl_weights,
     hl_conventional_shape,
@@ -295,6 +297,27 @@ class TestVerifyHLChoice:
     def test_precondition_violated(self):
         with pytest.raises(ValueError):
             verify_hl_choice([1, 1, 1], 3, 2)
+
+    def test_prediction_always_holds(self, monkeypatch):
+        # the argument in the docstring: every zero-sum prefix gets the
+        # predicted certificate, and the exhaustive search never runs.  For
+        # n >= 9 it could not: 3n - 3 > COLUMN_CAP columns
+        calls = []
+        monkeypatch.setattr(linear, "columns_condition", calls.append)
+        rng = random.Random(2031)
+        nonzero = [c for c in range(-9, 10) if c]
+        for _ in range(600):
+            n = rng.randint(3, 12)
+            k = rng.randint(2, n - 1)
+            prefix = [0]
+            while not 1 <= abs(prefix[-1]) <= 9:
+                prefix = [rng.choice(nonzero) for _ in range(k - 1)]
+                prefix.append(-sum(prefix))
+            coeffs = prefix + [rng.choice(nonzero) for _ in range(n - k)]
+            N = rng.randint(2, 50)
+            cert = verify_hl_choice(coeffs, k, N)
+            assert cert.blocks == _fast_path_blocks(k, n), (coeffs, k, N)
+        assert calls == []
 
     def test_arrangement_invariance(self):
         # success depends only on the prefix/suffix multisets
