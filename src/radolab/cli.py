@@ -25,6 +25,7 @@ from .coloring import (
     _ranks,
     _valid,
     head_census,
+    integer,
     iter_monochromatic,
     profile_census,
     standard_head,
@@ -41,7 +42,6 @@ from .linalg import (
 from .linear import (
     NotLinearError,
     NotPRError,
-    _candidate_classes,
     _pr_linear_coefficients,
     hl_conventional_shape,
     hl_shape,
@@ -133,32 +133,25 @@ def _emit(payload: dict) -> None:
 _CHUNK = 1024  # candidates per write
 
 
-def _emit_candidates(report: dict, coeffs: list[int], names) -> None:
-    """`_emit` of the report with "asymptotic_candidates" set to
-    `_candidate_classes(coeffs, names)`, streamed from the zero-sum masks.
+def _emit_candidates(report: dict, coeffs: list[int], render) -> None:
+    """`_emit` of the report with "asymptotic_candidates" listed from the
+    zero-sum masks of `coeffs`, one candidate per mask; `render` turns a
+    chunk of masks into the list's items, each at the list's depth.
 
     The key sorts before every other key of the report, so its list is
-    written first, _CHUNK candidates at a time, then the rest of the
-    report.  Each class is one join of the quoted names at the list's fixed
-    depth; no list of masks, classes or the whole report is built."""
+    written first, one `render` call per _CHUNK masks, then the rest of
+    the report.  No list of masks, candidates or the whole report is
+    built."""
     rest = _dumps(report)[1:]
     # a PR equation has a zero-sum subset (Rado), so there is a first mask;
     # taking it checks the column cap before any byte is written
     masks = _zero_sum_masks([(c,) for c in coeffs])
     masks = chain((next(masks),), masks)
-    pick = _picker(map(_quote, names))
-    full = (1 << len(coeffs)) - 1
-    sep = ",\n        "
     write = sys.stdout.write
     write('{\n  "asymptotic_candidates": [\n    ')
     lead = ""
-    while chunk := [
-            f"[\n      [\n        {sep.join(pick(mask))}\n      ]\n    ]"
-            if mask == full else
-            f"[\n      [\n        {sep.join(pick(mask))}\n      ],\n"
-            f"      [\n        {sep.join(pick(full ^ mask))}\n      ]\n    ]"
-            for mask in islice(masks, _CHUNK)]:
-        write(lead + ",\n    ".join(chunk))
+    while chunk := list(islice(masks, _CHUNK)):
+        write(lead + ",\n    ".join(render(chunk)))
         lead = ",\n    "
     write(f"\n  ],{rest}\n")
 
@@ -207,8 +200,17 @@ def cmd_analyze(args) -> int:
     report["filter_catalogue"] = FILTER_CATALOGUE
     if (eq.poly.is_linear() and eq.poly.constant_term() == 0
             and verdict.status is Status.PR):
-        _emit_candidates(report, eq.poly.linear_coefficients(),
-                         eq.poly.variables)
+        coeffs = eq.poly.linear_coefficients()
+        # each class is one join of the quoted names at the list's depth
+        pick = _picker(map(_quote, eq.poly.variables))
+        full = (1 << len(coeffs)) - 1
+        sep = ",\n        "
+        _emit_candidates(report, coeffs, lambda masks: [
+            f"[\n      [\n        {sep.join(pick(mask))}\n      ]\n    ]"
+            if mask == full else
+            f"[\n      [\n        {sep.join(pick(mask))}\n      ],\n"
+            f"      [\n        {sep.join(pick(full ^ mask))}\n      ]\n    ]"
+            for mask in masks])
     else:
         _emit(report)
     summary = verdict.status.value
@@ -234,30 +236,38 @@ def cmd_asymptotic(args) -> int:
     shape = list(hl_shape(n))
     conventional = list(hl_conventional_shape(n))
     report = _base_report(eq, args.equation, {"N": args.N})
-    entries = []
-    # each class is an ascending index tuple
-    for classes in _candidate_classes(coeffs, range(n)):
-        entry: dict = {"classes": [[variables[i] for i in c] for c in classes]}
-        if len(classes) == 2:
-            order = classes[0] + classes[1]
-            cert = verify_hl_choice([coeffs[i] for i in order],
-                                    len(classes[0]), args.N)
-            entry["arranged_variables"] = [variables[i] for i in order]
-            entry["matrix_shape"] = shape
-            entry["matrix_shape_conventional"] = conventional
-            entry["certificate"] = (
-                None if cert is None
-                else {"blocks": [[c + 1 for c in block] for block in cert.blocks]}
-            )
-        else:
-            entry["certificate"] = None
-            entry["note"] = ("single-class candidate: the separation "
-                             "construction needs a proper zero-sum subset")
-        entries.append(entry)
-    report["asymptotic_candidates"] = entries
-    _emit(report)
-    certified = sum(1 for e in entries if e.get("certificate"))
-    print(f"{pretty(eq)}: {len(entries)} candidate class structure(s), "
+    pick = _picker(range(n))  # each class is an ascending index tuple
+    full = (1 << n) - 1
+    listed = certified = 0
+
+    def render(masks):
+        nonlocal listed, certified
+        items = []
+        for mask in masks:
+            # (chosen, rest), and just (chosen,) when the rest is empty
+            classes = [c for c in (pick(mask), pick(full ^ mask)) if c]
+            entry: dict = {"classes": [[variables[i] for i in c]
+                                       for c in classes]}
+            if len(classes) == 2:
+                order = classes[0] + classes[1]
+                cert = verify_hl_choice([coeffs[i] for i in order],
+                                        len(classes[0]), args.N)
+                entry["arranged_variables"] = [variables[i] for i in order]
+                entry["matrix_shape"] = shape
+                entry["matrix_shape_conventional"] = conventional
+                entry["certificate"] = None if cert is None else {
+                    "blocks": [[c + 1 for c in block] for block in cert.blocks]}
+                certified += cert is not None
+            else:
+                entry["certificate"] = None
+                entry["note"] = ("single-class candidate: the separation "
+                                 "construction needs a proper zero-sum subset")
+            items.append(_dumps(entry, "\n    "))
+        listed += len(masks)
+        return items
+
+    _emit_candidates(report, coeffs, render)
+    print(f"{pretty(eq)}: {listed} candidate class structure(s), "
           f"{certified} certified at N={args.N}", file=sys.stderr)
     return EXIT_OK
 
@@ -392,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate and certify asymptotic class structures "
                             "of a PR linear homogeneous equation")
     p.add_argument("equation")
-    p.add_argument("--N", type=int, default=10,
+    p.add_argument("--N", type=integer, default=10,
                    help="closeness/separation parameter (default 10)")
 
     p = sub.add_parser("search", help="coloring experiments")
@@ -402,10 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "random:seed:colors), default mod:2; repeat for "
                         "witness families (census/heads/solutions use the "
                         "first spec)")
-    p.add_argument("--bound", type=int, default=1000)
-    p.add_argument("--N", type=int, default=10)
-    p.add_argument("--base", type=int, default=None)
-    p.add_argument("--bins", type=int, default=16)
+    p.add_argument("--bound", type=integer, default=1000)
+    p.add_argument("--N", type=integer, default=10)
+    p.add_argument("--base", type=integer, default=None)
+    p.add_argument("--bins", type=integer, default=16)
     p.add_argument("--mode", choices=["solutions", "census", "heads", "witness"],
                    default="census")
 

@@ -67,6 +67,15 @@ def _check_bound(bound: int) -> None:
             BOUND_CAP, f"bound {bound} exceeds the cap ({BOUND_CAP})")
 
 
+def integer(text: str) -> int:
+    """`int(text)` for `[+-]?[0-9]+` in ASCII only: `int` also takes "_",
+    spaces and non-ASCII digits.  The type of the CLI's integer options."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
 @dataclass(frozen=True)
 class ColoringSpec:
     """One concrete finite coloring of the positive integers.
@@ -112,14 +121,11 @@ class ColoringSpec:
         """Colon-delimited literals: mod:5, digit:10, logband:2:3,
         random:seed:colors."""
         kind, *fields = text.split(":")
-        for x in fields:
-            # [+-]?[0-9]+ only: int() also takes "_", spaces and non-ASCII
-            # digits
-            digits = x[1:] if x[:1] in ("+", "-") else x
-            if not (digits.isascii() and digits.isdigit()):
-                raise ValueError(
-                    f"bad coloring spec {text!r}: {x!r} is not an integer")
-        return ColoringSpec(kind, tuple(map(int, fields)))
+        try:
+            params = tuple(map(integer, fields))
+        except ValueError as exc:
+            raise ValueError(f"bad coloring spec {text!r}: {exc}") from None
+        return ColoringSpec(kind, params)
 
     def spec_string(self) -> str:
         return ":".join([self.kind, *map(str, self.params)])

@@ -112,13 +112,16 @@ def linear_pr_verdict(eq: Equation) -> Verdict:
 
 
 def asymptotic_candidates_linear(eq: Equation) -> list[OrderedPartition]:
-    """Candidate asymptotic structures of a PR linear homogeneous equation:
-    one two-class partition (I1 = J, I2 = rest) per nonempty zero-sum proper
-    subset J of the coefficients, plus the single-class partition when the
-    full coefficient set sums to zero."""
+    """Candidate asymptotic structures of a PR linear homogeneous equation,
+    one per nonempty zero-sum subset J of the coefficients in ascending
+    bitmask order: the two-class partition (I1 = J, I2 = rest) for a
+    proper J, the single-class partition (J,) when J is every variable."""
     coeffs = _pr_linear_coefficients(eq)
-    return [OrderedPartition(tuple(map(frozenset, classes)))
-            for classes in _candidate_classes(coeffs, range(len(coeffs)))]
+    pick = _picker(range(len(coeffs)))
+    full = (1 << len(coeffs)) - 1
+    return [OrderedPartition((frozenset(pick(mask)),) if mask == full else
+                             (frozenset(pick(mask)), frozenset(pick(full ^ mask))))
+            for mask in _zero_sum_masks([(c,) for c in coeffs])]
 
 
 def _pr_linear_coefficients(eq: Equation) -> list[int]:
@@ -131,20 +134,6 @@ def _pr_linear_coefficients(eq: Equation) -> list[int]:
     if rado_condition(coeffs) is None:
         raise NotPRError("equation is not partition regular")
     return coeffs
-
-
-def _candidate_classes(coeffs: Sequence[int],
-                       labels: Sequence) -> list[tuple[tuple, ...]]:
-    """The classes of `asymptotic_candidates_linear`, in its order, as
-    tuples of labels (labels[i] stands for variable i; each class keeps
-    the labels' order): (chosen,) for a zero-sum mask covering every
-    variable, else (chosen, rest)."""
-    # the masks first: the enumerator checks the column cap
-    masks = list(_zero_sum_masks([(c,) for c in coeffs]))
-    pick = _picker(labels)
-    full = (1 << len(coeffs)) - 1
-    return [(pick(mask),) if mask == full else (pick(mask), pick(full ^ mask))
-            for mask in masks]
 
 
 # ---------------------------------------------------------------------------

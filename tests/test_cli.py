@@ -234,8 +234,8 @@ class TestAsymptotic:
         def unreachable(*args):
             raise AssertionError("candidates listed before the N check")
 
-        monkeypatch.setattr(linear, "_candidate_classes", unreachable)
-        monkeypatch.setattr(cli, "_candidate_classes", unreachable)
+        monkeypatch.setattr(linear, "_zero_sum_masks", unreachable)
+        monkeypatch.setattr(cli, "_zero_sum_masks", unreachable)
         balanced = (" + ".join(f"x{i}" for i in range(10)) + " = "
                     + " + ".join(f"y{i}" for i in range(10)))
         for text in ("x - y = 0", "x + y = z", balanced):
@@ -313,50 +313,72 @@ def _balanced(half: int) -> str:
         f"y{i}" for i in range(half))
 
 
+def _traced_run(argv):
+    """(exit code, stdout sha256, stderr, tracemalloc peak) of `main(argv)`
+    writing to a sink that keeps only the hash."""
+    class Sink:
+        def __init__(self):
+            self.hash = hashlib.sha256()
+
+        def write(self, text):
+            self.hash.update(text.encode())
+            return len(text)
+
+        def flush(self):
+            pass
+
+    sink, err = Sink(), io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(err):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, sink.hash.hexdigest(), err.getvalue(), peak
+
+
 class TestWideReport:
-    """`analyze` of the 20-variable balanced equation: 184,755 candidates,
-    a 60 MB report, streamed from the zero-sum masks."""
+    """Candidate lists streamed from the zero-sum masks: `analyze` of the
+    20-variable balanced equation (184,755 candidates, a 60 MB report) and
+    `asymptotic` of the 12- and 14-variable ones."""
 
     DIGEST = "7c8926d8e4f8411836ab71d2ec59b22fc20e966ba66d0bbf1ff65fdedc1eb9c0"
 
     def test_bounded_memory(self):
-        class Sink:
-            def __init__(self):
-                self.hash = hashlib.sha256()
-
-            def write(self, text):
-                self.hash.update(text.encode())
-                return len(text)
-
-            def flush(self):
-                pass
-
-        sink = Sink()
-        tracemalloc.start()
-        try:
-            with contextlib.redirect_stdout(sink), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = main(["analyze", _balanced(10)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, digest, _, peak = _traced_run(["analyze", _balanced(10)])
         assert code == 0
-        assert sink.hash.hexdigest() == self.DIGEST
+        assert digest == self.DIGEST
         assert peak < 16_000_000, peak
 
+    def test_asymptotic_bounded_memory(self, monkeypatch):
+        # 923 candidates, 64 per chunk: only a chunk of entries is held,
+        # never the list or the report (5.3 MB when they were built whole)
+        monkeypatch.setattr(cli, "_CHUNK", 64)
+        code, digest, err, peak = _traced_run(
+            ["asymptotic", _balanced(6), "--N", "3"])
+        assert code == 0
+        assert digest == ("dea44ab5ad2e1302efe0bff3ca0404c3"
+                          "598725f9be21d0e5650a3691a1b09429")
+        assert err.endswith(": 923 candidate class structure(s), "
+                            "922 certified at N=3\n"), err
+        assert peak < 2_000_000, peak
+
     def test_closed_stdout_exits_quietly(self):
-        # `analyze ... | head -1`: the pipe closes mid-stream
+        # `radolab ... | head -1`: the pipe closes mid-stream
         src = Path(cli.__file__).resolve().parents[1]
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "radolab.cli", "analyze", _balanced(10)],
-            cwd=src, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141
-        assert first == b"{\n"
-        assert b"Traceback" not in err
+        for argv in (["analyze", _balanced(10)],
+                     ["asymptotic", _balanced(7), "--N", "3"]):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "radolab.cli", *argv],
+                cwd=src, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141, argv
+            assert first == b"{\n", argv
+            assert b"Traceback" not in err, argv
 
 
 class TestSearch:
@@ -465,6 +487,34 @@ class TestSearch:
                                      "--mode", "witness", "--coloring", name)
             assert code == 2 and out == "", name
             assert err.startswith(f"error: bad coloring spec {name!r}"), name
+
+    def test_integer_options_ascii_only_exit_2(self, capsys):
+        # int() also reads "_", spaces and non-ASCII digits; each option
+        # now fails in argparse, as "--bound abc" does
+        census = ["search", "x + y = z", "--mode", "census"]
+        heads = ["search", "x*y = z", "--mode", "heads", "--base", "2"]
+        cases = [
+            [*census, "--bound", "1_0", "--N", "\uff12", "--coloring", "mod:2"],
+            [*census, "--bound", "1_0"], [*census, "--N", "\uff12"],
+            [*census, "--bound", " 10"], [*census, "--N", "3 "],
+            [*census, "--bound", "\u0661\u0660"], [*census, "--N", ""],
+            [*heads, "--bins", "1_6"], [*heads[:-1], "2_0"],
+            ["asymptotic", "x + y = z", "--N", " 5"],
+            ["asymptotic", "x + y = z", "--N", "+-5"],
+            [*census, "--bound", "abc"],
+        ]
+        for argv in cases:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            out, err = capsys.readouterr()
+            assert exc.value.code == 2 and out == "", argv
+            assert "invalid integer value" in err, argv
+        # a sign is still read, and N below two keeps its own message
+        code, report, _ = run_json(capsys, *census, "--bound", "+10",
+                                   "--N", "+2")
+        assert code == 0 and report["parameters"]["bound"] == 10
+        code, out, err = run_cli(capsys, "asymptotic", "x + y = z", "--N", "-5")
+        assert code == 2 and out == "" and err == "error: N must be at least 2\n"
 
     def test_random_seed_past_key_limit_exit_2(self, capsys):
         # refused when the coloring is parsed, not when the first color is
@@ -764,11 +814,24 @@ class TestReportWriter:
 
         emit_candidates = cli._emit_candidates
 
-        def spy_candidates(report, coeffs, names):
-            # the streamed list, as the oracle lists it
-            emitted.append({**report, "asymptotic_candidates":
-                            oracle_candidate_names(coeffs, names)})
-            emit_candidates(report, coeffs, names)
+        def spy_candidates(report, coeffs, render):
+            # the streamed list: analyze's as the oracle lists it, and
+            # asymptotic's entries read back, with the oracle's classes
+            items = []
+
+            def spy_render(masks):
+                chunk = render(masks)
+                items.extend(chunk)
+                return chunk
+
+            emit_candidates(report, coeffs, spy_render)
+            names = oracle_candidate_names(
+                coeffs, parse(report["equation"]["source"]).poly.variables)
+            entries = names
+            if argv[0] == "asymptotic":
+                entries = [json.loads(item) for item in items]
+                assert [e["classes"] for e in entries] == names
+            emitted.append({**report, "asymptotic_candidates": entries})
 
         monkeypatch.setattr(cli, "_emit", spy)
         monkeypatch.setattr(cli, "_emit_candidates", spy_candidates)

@@ -10,7 +10,6 @@ from radolab.linalg import QMatrix, columns_condition, verify_certificate
 from radolab.linear import (
     NotLinearError,
     NotPRError,
-    _candidate_classes,
     _fast_path_blocks,
     asymptotic_candidates_linear,
     default_hl_weights,
@@ -148,8 +147,7 @@ class TestAsymptoticCandidates:
             asymptotic_candidates_linear(parse("x + y = 3z"))
 
     def test_classes_match_partition_oracle(self):
-        # names and index labels, against OrderedPartition -> named; the
-        # first texts hit the single-class case and a lone two-class one
+        # the first texts hit the single-class case and a lone two-class one
         rng = random.Random(8)
         texts = ["2x + 3y = 5z", "x + y = z", "x - y = 0",
                  "x1 - y1 + z1 + x2 - y2 + z2 = 0"]
@@ -161,22 +159,23 @@ class TestAsymptoticCandidates:
         singles = 0
         for text in texts:
             eq = parse(text)
-            coeffs = eq.poly.linear_coefficients()
-            expected = oracle_candidate_names(coeffs, eq.poly.variables)
-            named = _candidate_classes(coeffs, eq.poly.variables)
-            assert [list(map(list, c)) for c in named] == expected, text
-            if expected:
-                by_index = _candidate_classes(coeffs, range(len(coeffs)))
-                assert [[sorted(c) for c in p.classes]
-                        for p in asymptotic_candidates_linear(eq)] == [
-                    list(map(list, c)) for c in by_index]
+            expected = oracle_candidate_names(eq.poly.linear_coefficients(),
+                                              eq.poly.variables)
+            if not expected:
+                with pytest.raises(NotPRError):
+                    asymptotic_candidates_linear(eq)
+                continue
+            named = [p.named(eq.poly.variables)
+                     for p in asymptotic_candidates_linear(eq)]
+            assert named == expected, text
             singles += sum(len(c) == 1 for c in named)
-        assert _candidate_classes([2, 3, -5], "xyz") == [(("x", "y", "z"),)]
         assert singles > 10
 
     def test_classes_cap(self):
+        text = " + ".join(f"x{i}" for i in range(12)) + " = " + " + ".join(
+            f"y{i}" for i in range(12))
         with pytest.raises(CapExceededError):
-            _candidate_classes([1, -1] * 12, range(24))
+            asymptotic_candidates_linear(parse(text))
 
     def test_nonhomogeneous(self):
         with pytest.raises(NotLinearError):
