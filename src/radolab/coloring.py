@@ -23,8 +23,10 @@ equation in three or more variables is censused in closed form instead:
 one piece table splits every inner progression of a block of prefix points
 into valid-profile pieces (`_piece_sweep`), and one kernel per coloring
 counts their monochromatic terms: in closed form for mod, logband and
-digit, by slicing its color table for random.  Searches take bounds up to
-`BOUND_CAP`, past which a color table no longer fits in reasonable memory.
+digit, and for random as popcounts of packed bits of its color table, or by
+slicing the table when the packed copies would pass a byte budget.
+Searches take bounds up to `BOUND_CAP`, past which a color table no longer
+fits in reasonable memory.
 """
 
 from __future__ import annotations
@@ -152,10 +154,7 @@ class ColoringSpec:
         if self.kind == "logband":
             p, r = self.params
             return _int_log(x, p) % r
-        seed, colors = self.params
-        h = _keyed_state(seed).copy()
-        h.update(x.to_bytes((x.bit_length() + 7) // 8 or 1, "little"))
-        return int.from_bytes(h.digest(), "little") % colors
+        return _random_color(*self.params)(x)
 
     def _table(self, bound: int) -> array:
         """Colors of 0..bound (index 0 is padding) in the smallest unsigned
@@ -188,7 +187,7 @@ class ColoringSpec:
             return out
         out = array(code, [0])
         if kind == "random":
-            out.extend(map(self.color, range(1, bound + 1)))
+            out.extend(map(_random_color(*p), range(1, bound + 1)))
             return out
         # level L of base p covers [p^L, p^(L+1)): one logband color, or
         # leading digit d on [d*p^L, (d+1)*p^L)
@@ -214,13 +213,21 @@ class ColoringSpec:
 
 
 @functools.lru_cache(maxsize=64)
-def _keyed_state(seed: int):
-    """A random coloring's blake2b state, keyed by its seed and fed no
-    value yet: each color hashes a copy of it, which skips hashing the key
-    block again."""
+def _random_color(seed: int, colors: int):
+    """A random coloring's color of x >= 1: the 8-byte blake2b digest of
+    x's little-endian bytes, keyed by the seed's decimal form, mod colors.
+    Each value hashes a copy of one keyed state, which skips hashing the
+    key block again; `ColoringSpec.color` and `_table` both hash here."""
     import hashlib  # not loaded by import radolab
 
-    return hashlib.blake2b(digest_size=8, key=str(seed).encode())
+    copy = hashlib.blake2b(digest_size=8, key=str(seed).encode()).copy
+
+    def color(x: int) -> int:
+        h = copy()
+        h.update(x.to_bytes((x.bit_length() + 7) // 8 or 1, "little"))
+        return int.from_bytes(h.digest(), "little") % colors
+
+    return color
 
 
 class _HashedColors(dict):
@@ -995,12 +1002,18 @@ def _counter(spec: ColoringSpec, bound: int, vstep: int, wstep: int):
     array of values to their colors, and count maps piece arrays
     (x, v, w, n) to the number of i in [0, n) at which x, v + vstep*i and
     w + wstep*i share a color, per piece.  vstep > 0 and wstep != 0; every
-    value lies in [1, bound]."""
+    value lies in [1, bound].  A random coloring counts packed bits
+    (`_bits_counter`) when their copies fit `_BITS_BUDGET`, and slices its
+    table (`_slice_counter`) otherwise."""
     if spec.kind == "mod":
         # x % m == x for x <= bound < m, as in `_table`
         return _mod_counter(min(spec.params[0], bound + 1), vstep, wstep)
     if spec.kind == "random":
-        return _slice_counter(spec.color_array(bound), vstep, wstep)
+        table = spec.color_array(bound)
+        copies = 8 * len(table) * len({vstep, wstep})
+        if _colors_within(table, _BITS_BUDGET // copies):
+            return _bits_counter(table, vstep, wstep)
+        return _slice_counter(table, vstep, wstep)
     return _run_counter(spec, bound, vstep, wstep)
 
 
@@ -1102,8 +1115,105 @@ def _run_counter(spec: ColoringSpec, bound: int, vstep: int, wstep: int):
     return colors, count
 
 
+# bytes of a random kernel's pre-shifted bit copies: `_bits_counter` takes
+# 8 per value, color and distinct step, and a table past it is sliced
+_BITS_BUDGET = 2 ** 25
+
+# words `_bits_counter` gathers at once, which bounds its temporaries
+_WORDS = 2 ** 16
+
+
+def _colors_within(table: np.ndarray, limit: int) -> bool:
+    """Whether table[1:] holds at most `limit` distinct colors, read in
+    chunks so that a table with more stops early."""
+    import numpy as np
+
+    seen = table[:0]
+    for lo in range(1, len(table), _CHUNK):
+        seen = np.union1d(seen, table[lo:lo + _CHUNK])
+        if len(seen) > limit:
+            return False
+    return True
+
+
+def _bits_counter(table: np.ndarray, vstep: int, wstep: int):
+    """random, as popcounts of packed indicator bits.  With the colors
+    renumbered densely, each color and step s keeps one bit stream of the
+    values 1..bound: the lanes y = r (mod |s|), r ascending, each in the
+    order of y + s*i, so the terms of a progression of step s are
+    consecutive bits.  Each stream is kept as 64 pre-shifted copies, word j
+    of copy h holding bits 64*j + h onwards, so a piece's n terms are
+    ceil(n/64) consecutive words of one copy for v and one for w: one
+    gather each, an AND, the last word masked to the piece's terms, and
+    one popcount.  The copies take 8 bytes per value, color and distinct
+    step (`_BITS_BUDGET`); pieces are counted `_WORDS` words at a time."""
+    import numpy as np
+
+    palette, dense = np.unique(table[1:], return_inverse=True)
+    size = len(dense)
+    width = -(-size // 64)
+    steps = [vstep] if wstep == vstep else [vstep, wstep]
+    copies = np.empty((len(palette), len(steps), 64, width), dtype=np.uint64)
+
+    def lanes(s):
+        """The stream position of each value y in [1, bound] under step s."""
+        a = abs(s)
+        length = (size - 1 - np.arange(min(a, size))) // a + 1
+        first = np.cumsum(length) - length
+
+        def position(y):
+            q, lane = np.divmod(y - 1, a)
+            return first[lane] + (q if s > 0 else length[lane] - 1 - q)
+
+        return position
+
+    positions = [lanes(s) for s in steps]
+    for k, position in enumerate(positions):
+        bits = np.zeros((len(palette), 64 * (width + 1)), dtype=bool)
+        bits[dense, position(np.arange(1, size + 1))] = True
+        words = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+        del bits
+        copies[:, k, 0] = words[:, :-1]
+        for h in range(1, 64):
+            np.bitwise_or(words[:, :-1] >> np.uint64(h),
+                          words[:, 1:] << np.uint64(64 - h),
+                          out=copies[:, k, h])
+    flat = copies.reshape(-1)
+    ones = np.uint64(2 ** 64 - 1)
+
+    def base(c, k, p):
+        """The flat index of the word holding bits p onwards of stream
+        (color c, step k)."""
+        return ((c * len(steps) + k) * 64 + p % 64) * width + p // 64
+
+    def count(x, v, w, n):
+        out = np.empty(len(x), dtype=np.int64)
+        if not len(x):
+            return out
+        c = dense[x - 1]
+        bv = base(c, 0, positions[0](v))
+        bw = base(c, len(steps) - 1, positions[-1](w))
+        k = (n + 63) // 64
+        mask = ones >> (64 * k - n).astype(np.uint64)
+        ends = np.cumsum(k)
+        cuts = (np.flatnonzero(np.diff((ends - 1) // _WORDS)) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, len(x)]):
+            kk = k[lo:hi]
+            start = ends[lo:hi] - kk
+            start -= start[0]
+            index = np.arange(start[-1] + kk[-1])
+            got = flat[np.repeat(bv[lo:hi] - start, kk) + index]
+            got &= flat[np.repeat(bw[lo:hi] - start, kk) + index]
+            got[start + kk - 1] &= mask[lo:hi]
+            out[lo:hi] = np.add.reduceat(np.bitwise_count(got), start,
+                                         dtype=np.int64)
+        return out
+
+    return (lambda x: table[x]), count
+
+
 def _slice_counter(table: np.ndarray, vstep: int, wstep: int):
-    """random: no closed form, so each piece slices the coloring's table
+    """random past the copy budget: each piece slices the coloring's table
     once for v and once for w."""
     import numpy as np
 

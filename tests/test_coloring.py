@@ -720,6 +720,114 @@ def test_wide_random_families_match_per_spec_censuses():
     assert {(1, 2), (1, -4), (5, -3)} <= steps
 
 
+def _pieces(coeffs, bound, N):
+    """A linear census's steps vstep and wstep, and its valid pieces as
+    arrays [x, v, w, n], with no row dropped."""
+    from radolab.coloring import _linear_pieces
+    vstep, wstep, blocks = _linear_pieces(coeffs, bound, N)
+    found = [(x, v, w, n) for *_, x, v, w, n in blocks(
+        lambda u: np.ones((u.shape[1], 1), dtype=bool), [0])]
+    return vstep, wstep, [np.concatenate(a) for a in zip(*found)]
+
+
+def _kernel(spec, bound, vstep, wstep):
+    """The name of the kernel `_counter` picks for a coloring."""
+    from radolab.coloring import _counter
+    return _counter(spec, bound, vstep, wstep)[1].__qualname__.split(".")[0]
+
+
+def test_bit_kernel_matches_slice_kernel_and_oracle(monkeypatch):
+    # the packed-bit random kernel against the slice kernel on every piece
+    # of seeded censuses, at bounds 0, 1 and 63 mod 64 with pieces of 1,
+    # 63, 64 and 65 terms and steps (vstep, wstep) above 1 and negative,
+    # gathering its default number of words at once, one word and three
+    # (so pieces straddle the cuts); then whole censuses of families of up
+    # to eight random colorings against the stacked slice oracle, with a
+    # 70000-color coloring past the copy budget taking the slice kernel
+    # beside bit kernels
+    from radolab.coloring import _bits_counter, _census_linear, _slice_counter
+    rng = random.Random(2323)
+    words_at_once = coloring._WORDS
+    steps, lengths, ends = set(), set(), set()
+    for text, bound, N in [("x + y = z", 320, 3), ("x + 2y = z", 449, 2),
+                           ("x - 2y + 4z = 0", 191, 3),
+                           ("2x = 3y + 5z", 257, 3),
+                           ("x + y - 2z + 3w = 0", 64, 3)]:
+        coeffs = parse(text).poly.linear_coefficients()
+        vstep, wstep, pieces = _pieces(coeffs, bound, N)
+        steps.add((vstep, wstep))
+        lengths |= set(pieces[3].tolist())
+        ends.add(bound % 64)
+        for colors in (2, 3, 300):
+            table = ColoringSpec.parse(
+                f"random:{rng.randint(-99, 99)}:{colors}").color_array(bound)
+            expected = _slice_counter(table, vstep, wstep)[1](*pieces)
+            for words in (words_at_once, 1, 3):
+                monkeypatch.setattr(coloring, "_WORDS", words)
+                assert (_bits_counter(table, vstep, wstep)[1](*pieces)
+                        == expected).all(), (text, colors, words)
+        specs = [ColoringSpec.parse(f"random:{rng.randint(-99, 99)}:"
+                                    f"{rng.choice([2, 3, 300])}")
+                 for _ in range(rng.randint(1, 8))]
+        assert {_kernel(s, bound, vstep, wstep) for s in specs} == {
+            "_bits_counter"}
+        assert _census_linear(coeffs, specs, bound, N) == \
+            oracle_census_counts(coeffs, specs, bound, N), text
+    assert {(1, 1), (1, 2), (1, -4), (5, -3)} <= steps
+    assert {1, 63, 64, 65} <= lengths
+    assert ends == {0, 1, 63}
+    coeffs = parse("x + 2y = z").poly.linear_coefficients()
+    specs = [ColoringSpec.parse(s) for s in
+             ["random:5:70000", "random:6:2", "random:-7:300"]]
+    assert [_kernel(s, 2200, 1, 2) for s in specs] == [
+        "_slice_counter", "_bits_counter", "_bits_counter"]
+    assert _census_linear(coeffs, specs, 2200, 3) == \
+        oracle_census_counts(coeffs, specs, 2200, 3)
+
+
+def test_random_kernel_chosen_by_copy_budget(monkeypatch):
+    # the bit kernel's copies take 8 bytes per value, distinct color and
+    # distinct step: at bound 2000 the 70000-color coloring's copies fit
+    # the budget with one step and not with two, and the kernel flips
+    # exactly at the budget
+    spec = ColoringSpec.parse("random:3:70000")
+    bound = 2000
+    colors = len(np.unique(spec.color_array(bound)[1:]))
+    copies = 8 * (bound + 1) * colors
+    assert copies <= coloring._BITS_BUDGET < 2 * copies
+    assert _kernel(spec, bound, 1, 1) == "_bits_counter"
+    assert _kernel(spec, bound, 1, -1) == "_slice_counter"
+    assert _kernel(spec, bound, 1, 2) == "_slice_counter"
+    monkeypatch.setattr(coloring, "_BITS_BUDGET", 2 * copies)
+    assert _kernel(spec, bound, 1, 2) == "_bits_counter"
+    monkeypatch.setattr(coloring, "_BITS_BUDGET", 2 * copies - 1)
+    assert _kernel(spec, bound, 1, 2) == "_slice_counter"
+
+
+def test_random_kernel_memory():
+    # just past the budget (random:42:64 at 2^16 would take 32 MiB and
+    # 512 bytes of copies) the kernel holds the 64 KiB color table and no
+    # copies; under it, the copies and the chunked gathers keep a census
+    # at 10^5 under 40 MB
+    tracemalloc.start()
+    try:
+        kernel = _kernel(ColoringSpec.parse("random:42:64"), 2 ** 16, 1, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kernel == "_slice_counter"
+    assert peak < 2 ** 20, peak
+    spec = ColoringSpec.parse("random:42:4")
+    tracemalloc.start()
+    try:
+        census = profile_census(parse("x + y = z"), spec, 10 ** 5, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert census.counts
+    assert peak < 40 * 2 ** 20, peak
+
+
 def test_sixteen_variable_census_matches_scan():
     # a profile code of one base-16 digit per variable would pass 2^63.
     # At bound 2 only the constant solutions have valid profiles
