@@ -290,6 +290,8 @@ def cmd_search(args) -> int:
         # {assignment, color, heads: {base: [head, ...]} (with --base),
         # profile: {N, classes, valid}}
         head_of: dict[int, str] = {}  # quoted head per value, on first sight
+        # the "profile" text per (ranks, valid), rendered on first sight
+        profile_of: dict[tuple, str] = {}
         count = 0
         for assignment, color in iter_monochromatic(eq, specs[0], args.bound):
             heads = ""
@@ -299,11 +301,14 @@ def cmd_search(args) -> int:
                         head_of[x] = f'"{standard_head(x, base)}"'
                 heads = ", ".join(map(head_of.__getitem__, assignment))
                 heads = f'"heads": {{"{base}": [{heads}]}}, '
-            classes = _classes(_ranks(assignment, N))
-            valid = "true" if _valid(assignment, N) else "false"
+            key = (_ranks(assignment, N), _valid(assignment, N))
+            profile = profile_of.get(key)
+            if profile is None:
+                profile = profile_of[key] = (
+                    f'"profile": {{"N": {N}, "classes": {_classes(key[0])}, '
+                    f'"valid": {"true" if key[1] else "false"}}}')
             print(f'{{"assignment": {list(assignment)}, "color": {color}, '
-                  f'{heads}"profile": {{"N": {N}, "classes": {classes}, '
-                  f'"valid": {valid}}}}}')
+                  f'{heads}{profile}}}')
             count += 1
         print(f"{pretty(eq)}: {count} monochromatic solution(s) streamed",
               file=sys.stderr)

@@ -13,7 +13,9 @@ Only valid profiles of monochromatic solutions enter a census.
 Every search walks the solutions with one walker, `_walk`: one loop over
 the grid of prefix values for every shape of equation, with an inner step
 chosen once per walk (an isolated variable solved for exactly, or the
-integer roots of the innermost variable).  Given a coloring's table it
+integer roots of the innermost variable).  The step's restriction to the
+innermost variable is split by monomial once per walk (`_restrictor`), so a
+prefix point costs only its monomials' products.  Given a coloring's table it
 skips each prefix whose values do not share a color and builds a tuple only
 for a monochromatic solution.  The solutions stream (`iter_monochromatic`),
 head censuses, witness searches and the profile census of every equation
@@ -514,16 +516,18 @@ def _inner_step(poly: Polynomial, bound: int):
     variables is solved for over the last other variable.  Otherwise the
     last variable is both inner and solved: it walks the integer roots of
     its restriction p, where p >= 0 and -p >= 0, below
-    `positive_root_bound`, with pairs (t, t).
+    `positive_root_bound`, with pairs (t, t).  The restriction and the
+    solved monomial's other factors are split out here, once per walk.
     """
     n = len(poly.variables)
     iso = _pick_isolated(poly) if n > 1 else None
     if iso is None:
         inner = n - 1
         budget = _window_budget(poly.monomials, inner, bound)
+        restrict = _restrictor(poly.monomials, inner, 1)
 
         def roots(values):
-            p = _restrict(poly.monomials, values, inner)
+            p = restrict(values)
             walk = range(1, bound + 1)
             if p:
                 cap = min(bound, univariate.positive_root_bound(p))
@@ -541,6 +545,7 @@ def _inner_step(poly: Polynomial, bound: int):
     rest = [m for i, m in enumerate(poly.monomials) if i != smono]
     mono = poly.monomials[smono]
     mono_others = [(v, e) for v, e in mono.exponents if v != sv]
+    den_factors = [(v, e) for v, e in mono_others if v != inner]
     # the solved variable takes the value v where its power q = v^se lies in
     # `powers`: v = q when se == 1, else v = powers[q]
     powers = (range(1, bound + 1) if se == 1
@@ -549,13 +554,13 @@ def _inner_step(poly: Polynomial, bound: int):
     inner_exp = next((e for w, e in mono_others if w == inner), 0)
     hi_q = bound if se == 1 else bound ** se
     budget = _window_budget(poly.monomials, inner, bound)
+    restrict = _restrictor(rest, inner, -1)
 
     def isolated(values):
         den_const = mono.coeff
-        for v, e in mono_others:
-            if v != inner:
-                den_const *= values[v] ** e
-        num = [-a for a in _restrict(rest, values, inner)]
+        for v, e in den_factors:
+            den_const *= values[v] ** e
+        num = restrict(values)
 
         if not inner_exp and len(num) <= 2:
             alpha = num[1] if len(num) == 2 else 0
@@ -598,11 +603,13 @@ def _inner_step(poly: Polynomial, bound: int):
 def _window_budget(monomials, inner: int, bound: int) -> int:
     """Span length below which scanning beats exact windows.
 
-    The windows of a degree-d restriction to `inner` cost about
-    (d + 1)^2 * log2(bound) evaluations, each dearer than a scan step; the
-    factor 2 keeps an equation whose windows prune nothing (such as
-    x^2 + y^2 = z^4, where the solved range [1, bound^4] is loose) from
-    paying more than about a sixth extra.
+    2*(d + 1)^2*log2(bound) for a degree-d restriction to `inner`: above
+    degree 2 its windows cost fewer evaluations than (d + 1)^2*log2(bound),
+    and the factor 2 keeps an equation whose windows prune nothing (such as
+    x^2 + y^2 = z^4, whose solved range [1, bound^4] is loose) from paying
+    much extra.  Degree 2 keeps it too, though its windows are closed form:
+    the census benchmark walks no degree-2 span short enough for a smaller
+    budget to change.
     """
     d = max((e for m in monomials for v, e in m.exponents if v == inner),
             default=0)
@@ -622,22 +629,29 @@ def _windows_walk(polys: list[list[int]], hi: int,
     return itertools.chain.from_iterable(range(a, b + 1) for a, b in spans)
 
 
-def _restrict(monomials, values, inner: int) -> list[int]:
-    """Coefficients of the sum of the monomials as a univariate polynomial in
-    variable `inner`, every other variable v fixed to values[v]."""
-    coeffs: dict[int, int] = {}
-    for m in monomials:
-        value = m.coeff
-        e_inner = 0
-        for v, e in m.exponents:
-            if v == inner:
-                e_inner = e
-            else:
-                value *= values[v] ** e
-        coeffs[e_inner] = coeffs.get(e_inner, 0) + value
-    return univariate.normalize(
-        [coeffs.get(e, 0) for e in range(max(coeffs, default=-1) + 1)]
-    )
+def _restrictor(monomials, inner: int, sign: int):
+    """The sum of the monomials times sign as a univariate polynomial in
+    variable `inner`: a function of values (indexed by variable) that fixes
+    every other variable v to values[v] and returns the coefficients,
+    trailing zeros trimmed.  Each monomial's (sign*coeff, inner exponent,
+    other factors) is split out once, here."""
+    terms = [(sign * m.coeff,
+              next((e for v, e in m.exponents if v == inner), 0),
+              [(v, e) for v, e in m.exponents if v != inner])
+             for m in monomials]
+    size = max((k for _, k, _ in terms), default=-1) + 1
+
+    def restrict(values) -> list[int]:
+        p = [0] * size
+        for c, k, factors in terms:
+            for v, e in factors:
+                c *= values[v] ** e
+            p[k] += c
+        while p and not p[-1]:
+            p.pop()
+        return p
+
+    return restrict
 
 
 def _plus_term(p: list[int], k: int, c: int) -> list[int]:
@@ -687,7 +701,8 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
     monochromatic terms with its own kernel (see `_census_linear`).  Every
     other equation takes one walk per coloring that builds only its
     monochromatic solutions (see `_walk`); the first walk also counts every
-    solution.
+    solution.  A coloring listed twice is censused once, and each listing
+    gets its own copy of the counts.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
@@ -703,30 +718,30 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
     # (n - 2)*2^20*2^25 < 2^54, the piece table's
     # N*b + (N+1)*b' <= 2^25*2^25 + (2^25+1)*2^25 < 2^52 and the mod
     # kernel's CRT products, below (BOUND_CAP + 1)^2 < 2^51
+    distinct = list(dict.fromkeys(specs))
     n = len(poly.variables)
     if (bound >= 1 and poly.is_linear() and poly.constant_term() == 0
             and 3 <= n and 4 * n * n <= _CELLS
             and max(map(abs, poly.linear_coefficients())) <= 2 ** 20):
         per_spec, total = _census_linear(
-            poly.linear_coefficients(), specs, bound, N
+            poly.linear_coefficients(), distinct, bound, N
         )
-        return [ProfileCensus(counts, total, p)
-                for counts, p in zip(per_spec, params)]
-    per_spec = []
-    tally = [0]
-    for spec in specs:
-        counts: dict[tuple[int, ...], int] = {}
-        table = _color_lookup(spec, bound)
-        for assignment in _walk(poly, bound, table,
-                                None if per_spec else tally):
-            if _valid(assignment, N):
-                ranks = _ranks(assignment, N)
-                counts[ranks] = counts.get(ranks, 0) + 1
-        per_spec.append(counts)
-    total = tally[0]
-    # tallied by rank tuple; one partition per distinct profile
-    return [ProfileCensus({_partition(r): n for r, n in counts.items()},
-                          total, p) for counts, p in zip(per_spec, params)]
+    else:
+        per_spec = []
+        tally = [0]
+        for spec in distinct:
+            counts: dict[tuple[int, ...], int] = {}
+            table = _color_lookup(spec, bound)
+            for assignment in _walk(poly, bound, table,
+                                    None if per_spec else tally):
+                if _valid(assignment, N):
+                    ranks = _ranks(assignment, N)
+                    counts[ranks] = counts.get(ranks, 0) + 1
+            # tallied by rank tuple; one partition per distinct profile
+            per_spec.append({_partition(r): n for r, n in counts.items()})
+        total = tally[0]
+    of = dict(zip(distinct, per_spec))
+    return [ProfileCensus(dict(of[s]), total, p) for s, p in zip(specs, params)]
 
 
 # vectorized census for linear homogeneous equations ----------------------
@@ -1288,8 +1303,10 @@ def witness_search(eq: Equation, family: Sequence[ColoringSpec],
     bound.  A witness is empirical evidence against partition regularity,
     never a proof.
 
-    Each coloring walks only its monochromatic solutions and stops at the
-    first.  Witnesses come back in family order."""
-    return [spec for spec in family
-            if next(_walk(eq.poly, bound, _color_lookup(spec, bound)),
-                    None) is None]
+    Each distinct coloring walks only its monochromatic solutions and stops
+    at the first.  Witnesses come back in family order, a coloring listed
+    twice once per listing."""
+    hit = {spec: next(_walk(eq.poly, bound, _color_lookup(spec, bound)),
+                      None) is not None
+           for spec in dict.fromkeys(family)}
+    return [spec for spec in family if not hit[spec]]

@@ -1,6 +1,7 @@
 """Univariate integer polynomials as coefficient lists, plus an exact
 positive-real-root decision via Sturm chains and the exact integer windows
-on which a polynomial is nonnegative.
+on which a polynomial is nonnegative: in closed form up to degree 2, and
+from the windows of its forward difference above that.
 
 A polynomial is a list of ints, lowest power first, with no trailing zeros;
 the zero polynomial is the empty list.  All arithmetic is integer-exact, so
@@ -9,7 +10,7 @@ the root decision never sees a rounding error.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
 
 
 def normalize(coeffs: list[int]) -> list[int]:
@@ -134,11 +135,12 @@ def _nonneg_windows(p: list[int], lo: int, hi: int) -> list[tuple[int, int]]:
     """Maximal integer intervals (a, b), ascending, of [lo, hi] on which
     p(t) >= 0, exactly.
 
-    Linear p is solved in closed form.  Otherwise the windows of the
+    Linear and quadratic p are solved in closed form, a quadratic with two
+    evaluations (`_quadratic_windows`).  Above degree 2 the windows of the
     forward difference (one degree lower) split [lo, hi] into runs on which
     p is monotone on the integers, and each run is bisected for the end of
-    its nonnegative part, so the cost is about deg(p)^2 * log2(hi - lo)
-    evaluations.
+    its nonnegative part, so each degree k from 3 to deg(p) costs about
+    k * log2(hi - lo) evaluations.
     """
     if lo > hi:
         return []
@@ -151,6 +153,8 @@ def _nonneg_windows(p: list[int], lo: int, hi: int) -> list[tuple[int, int]]:
         else:
             hi = min(hi, b // -a)
         return [(lo, hi)] if lo <= hi else []
+    if len(p) == 3:
+        return _quadratic_windows(p, lo, hi)
     if lo == hi:
         return [(lo, lo)] if evaluate(p, lo) >= 0 else []
     # p is nondecreasing on [a, b + 1] for each window (a, b) of the
@@ -199,6 +203,35 @@ def _nonneg_windows(p: list[int], lo: int, hi: int) -> list[tuple[int, int]]:
         else:
             out.append(window)
     return out
+
+
+def _quadratic_windows(p: list[int], lo: int, hi: int) -> list[tuple[int, int]]:
+    """`_nonneg_windows` of p = c + b*t + a*t^2, a != 0, in closed form.
+
+    With s = isqrt(b^2 - 4ac), and a and b negated if a < 0, the real roots
+    r1 <= r2 lie in ((-b - s - 1)/(2a), (-b - s)/(2a)] and
+    [(-b + s)/(2a), (-b + s + 1)/(2a)).  So each window end next to a root
+    is the floor of the first interval's top or the ceiling of the second's
+    bottom, or that integer's neighbour.  The two candidates lie on either
+    side of the vertex, where p is monotone, so p's sign at each picks.
+    """
+    c, b, a = p
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return [(lo, hi)] if a > 0 else []
+    up, s = (1 if a > 0 else -1), isqrt(disc)
+    left = (-b * up - s) // (2 * a * up)
+    right = -((b * up - s) // (2 * a * up))
+    # a candidate at which p < 0 lies one step past its window's end
+    if evaluate(p, left) < 0:
+        left -= up
+    if evaluate(p, right) < 0:
+        right += up
+    # p >= 0 on [ceil(r1), floor(r2)] if a < 0, else off (floor(r1), ceil(r2))
+    spans = ([(left, right)] if up < 0 else [(lo, hi)] if left + 1 >= right
+             else [(lo, left), (right, hi)])
+    return [(max(lo, x), min(hi, y)) for x, y in spans
+            if max(lo, x) <= min(hi, y)]
 
 
 def has_positive_root(p: list[int]) -> bool:

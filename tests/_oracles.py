@@ -25,7 +25,9 @@ array.  Coloring searches are checked against the enumerate-then-filter
 loop that the color-testing walk replaced: every solution is built as a
 tuple, then the scalar colors of its coordinates are compared, and a
 witness search serves the whole family from one shared pass over the
-solutions.  The
+solutions.  The walk's restriction of an equation to its innermost
+variable, split per monomial once per walk, is checked against the
+dict-keyed sum by exponent that it replaced.  The
 solutions stream is checked against records built as objects, with heads as
 `Fraction`s found by repeated multiplication, and written by `json.dumps`.
 """
@@ -53,7 +55,7 @@ from radolab.linear import hl_slack_pairs
 from radolab.model import Equation, Polynomial, collapse_to_univariate
 from radolab.parser import ParseError
 from radolab.results import OrderedPartition
-from radolab.univariate import has_positive_root
+from radolab.univariate import has_positive_root, normalize
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +153,28 @@ def oracle_forward_difference(p: list[int]) -> list[int]:
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+# ---------------------------------------------------------------------------
+# restriction to one variable
+
+
+def oracle_restrict(monomials, values, inner: int) -> list[int]:
+    """Coefficients of the sum of the monomials as a univariate polynomial in
+    variable `inner`, every other variable v fixed to values[v], keyed by
+    the inner exponent in a dict and trimmed by `normalize`."""
+    coeffs: dict[int, int] = {}
+    for m in monomials:
+        value = m.coeff
+        e_inner = 0
+        for v, e in m.exponents:
+            if v == inner:
+                e_inner = e
+            else:
+                value *= values[v] ** e
+        coeffs[e_inner] = coeffs.get(e_inner, 0) + value
+    return normalize(
+        [coeffs.get(e, 0) for e in range(max(coeffs, default=-1) + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from _oracles import (
     oracle_piece_table3,
     oracle_profile_valid,
     oracle_record_lines,
+    oracle_restrict,
     oracle_solution_grid,
     oracle_witness_search,
 )
@@ -39,7 +40,7 @@ from radolab.coloring import (
     standard_head,
     witness_search,
 )
-from radolab.model import ZeroPolynomialError, evaluate
+from radolab.model import Monomial, ZeroPolynomialError, evaluate
 from radolab.parser import parse, pretty
 from radolab.results import OrderedPartition
 
@@ -374,6 +375,45 @@ class TestEnumerateSolutions:
                 assert evaluate(eq.poly, assignment) == 0
 
 
+def test_restrictor_matches_oracle():
+    # random monomials in up to four variables, restricted to each variable
+    # with either sign.  Pairs of monomials planted with the same inner
+    # exponent cancel at x = a, so a coefficient (the top one too) vanishes
+    # at some prefix values and must be trimmed there
+    rng = random.Random(24)
+    trimmed = 0
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        monos = []
+        for _ in range(rng.randint(1, 5)):
+            exps = tuple((v, rng.randint(1, 4)) for v in range(n)
+                         if rng.random() < 0.5)
+            monos.append(Monomial(rng.randint(-10 ** 6, 10 ** 6) or 1, exps))
+        inner = rng.randrange(n)
+        x = a = None
+        if n > 1 and rng.random() < 0.5:
+            x = rng.choice([v for v in range(n) if v != inner])
+            a, c, e = rng.randint(1, 5), rng.randint(1, 9), rng.randint(1, 3)
+            k = rng.randint(0, 5)
+            tail = ((inner, k),) if k else ()
+            monos += [Monomial(c, tuple(sorted(((x, e),) + tail))),
+                      Monomial(-c * a ** e, tail)]
+        for sign in (1, -1):
+            restrict = coloring._restrictor(monos, inner, sign)
+            for _ in range(4):
+                values = [rng.randint(1, 6) for _ in range(n)]
+                if x is not None and rng.random() < 0.5:
+                    values[x] = a
+                expected = [sign * c for c in oracle_restrict(monos, values,
+                                                              inner)]
+                got = restrict(values)
+                assert got == expected, (monos, inner, sign, values)
+                trimmed += len(got) < 1 + max(
+                    (e for m in monos for v, e in m.exponents if v == inner),
+                    default=0)
+    assert trimmed > 500
+
+
 def _walk_order_scan(eq, bound, solved):
     """Every solution by a full-grid scan, in the order the walk yields
     them: lexicographic in the other variables, then in the solved one."""
@@ -412,6 +452,7 @@ class TestWindowedWalk:
         ("x^2 + y^2 = z^2", "z"),        # solved exponent 2
         ("x^2 - 2x*y + y^2 = x + y", "y"),          # full grid
         ("x^2*y + y^2 = x*y*z + z^2", "z"),         # full grid, 3 variables
+        ("x*y^2 - 2y^2 = z", "z"),       # degree in y drops to 0 at x = 2
     ]
 
     def test_order_matches_scan(self):
@@ -941,6 +982,38 @@ class TestProfileCensus:
                 assert census.counts == counts, (eqtext, spec)
                 assert census.total_solutions == total
 
+    def test_duplicate_coloring_censused_once(self, monkeypatch):
+        # mod:2 listed twice costs one walk, or one kernel on the closed
+        # form, and each listing still gets its own equal census
+        lookups, kernels = [0], [0]
+        lookup, counter = coloring._color_lookup, coloring._counter
+
+        def counted_lookup(*args):
+            lookups[0] += 1
+            return lookup(*args)
+
+        def counted_counter(*args):
+            kernels[0] += 1
+            return counter(*args)
+
+        monkeypatch.setattr(coloring, "_color_lookup", counted_lookup)
+        monkeypatch.setattr(coloring, "_counter", counted_counter)
+        names = ["mod:2", "mod:3", "mod:2"]
+        specs = [ColoringSpec.parse(s) for s in names]
+        for eqtext, bound in [("x*y = z", 120), ("x + y = z + 1", 80),
+                              ("x + y + z = w", 24)]:
+            eq = parse(eqtext)
+            lookups[0] = kernels[0] = 0
+            many = profile_census_many(eq, specs, bound, 3)
+            assert lookups[0] + kernels[0] == 2, eqtext
+            assert [c.params["coloring"] for c in many] == names
+            assert many[0].counts == many[2].counts
+            assert many[0].counts is not many[2].counts
+            for spec, census in zip(specs, many):
+                single = profile_census(eq, spec, bound, 3)
+                assert census.counts == single.counts, (eqtext, spec)
+                assert census.total_solutions == single.total_solutions
+
     def test_general_path_matches_oracle_tally(self):
         # the first coloring's walk counts every solution: in closed form on
         # the affine branch with exponent 1, as it walks elsewhere, and past
@@ -1138,6 +1211,25 @@ class TestWitnessSearch:
         assert [s.spec_string() for s in expected] == ["mod:2", "mod:2",
                                                        "mod:3"]
 
+    def test_duplicate_coloring_walked_once(self, monkeypatch):
+        # each distinct coloring is walked once; duplicates keep their
+        # places in family order, witnesses or not
+        lookups = [0]
+        lookup = coloring._color_lookup
+
+        def counted(*args):
+            lookups[0] += 1
+            return lookup(*args)
+
+        monkeypatch.setattr(coloring, "_color_lookup", counted)
+        names = ["mod:2", "logband:2:1", "mod:2", "mod:3", "logband:2:1"]
+        family = [ColoringSpec.parse(s) for s in names]
+        eq = parse("x = y + 1")
+        found = witness_search(eq, family, 50)
+        assert lookups[0] == 3
+        assert found == [s for s in family if witness_search(eq, [s], 50)]
+        assert [s.spec_string() for s in found] == ["mod:2", "mod:2", "mod:3"]
+
 
 class TestFilteredWalk:
     """The color-testing walk against the enumerate-then-filter oracles."""
@@ -1220,15 +1312,21 @@ class TestFilteredWalk:
     def test_skipped_prefixes_take_no_step(self, monkeypatch):
         # a search drops a mixed prefix before its inner step restricts the
         # equation, in every shape: under the 2^64 + 1 modulus only the 30
-        # prefixes of two equal values are stepped
+        # prefixes of two equal values are stepped.  Each walk builds its
+        # restriction once, and each step calls it once
         calls = [0]
-        restrict = coloring._restrict
+        build = coloring._restrictor
 
-        def counted(*args):
-            calls[0] += 1
-            return restrict(*args)
+        def counting(*args):
+            restrict = build(*args)
 
-        monkeypatch.setattr(coloring, "_restrict", counted)
+            def counted(values):
+                calls[0] += 1
+                return restrict(values)
+
+            return counted
+
+        monkeypatch.setattr(coloring, "_restrictor", counting)
         spec = ColoringSpec.parse("mod:18446744073709551617")
         for text in ["x + y + z = w", "x^2 + y^2 - z^2 = w",
                      "x^2*y + y^2 = x*y*z + z^2"]:

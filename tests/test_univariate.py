@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 from _oracles import oracle_forward_difference
 from radolab.univariate import (
@@ -54,6 +55,65 @@ def test_nonneg_windows_long_range():
                                                (3 * 10 ** 9, 10 ** 10)]
     assert _nonneg_windows([-c for c in p], 1, 10 ** 10) == [
         (1, 10 ** 6), (10 ** 6 + 5, 3 * 10 ** 9)]
+
+
+def test_quadratic_windows_match_scan():
+    # coefficients up to 10^30 with either sign of the leading one; roots
+    # planted as factors k(t - r1)(t - r2) at lo - 1, lo, hi and hi + 1 or
+    # anywhere near the range (discriminant 0 when r1 == r2, a perfect
+    # square otherwise); irrational roots from k(t - r)^2 +- m, whose
+    # discriminant is not a square or is negative; and lo == hi
+    rng = random.Random(24)
+    kinds = {"negative": 0, "zero": 0, "square": 0, "other": 0}
+    for _ in range(6000):
+        lo = rng.randint(-10 ** 6, 10 ** 6)
+        hi = lo + rng.choice([0, 0, 1, rng.randint(2, 199)])
+        k = rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(0, 12))
+        shape = rng.random()
+        if shape < 0.4:
+            ends = [lo - 1, lo, hi, hi + 1]
+            r1, r2 = (rng.choice(ends + [rng.randint(lo - 5, hi + 5)])
+                      for _ in range(2))
+            p = [k * r1 * r2, -k * (r1 + r2), k]
+        elif shape < 0.7:
+            r, m = rng.randint(lo - 5, hi + 5), rng.randint(1, 10 ** 6)
+            p = [k * r * r + rng.choice([-1, 1]) * m, -2 * k * r, k]
+        else:
+            big = 10 ** rng.randint(0, 30)
+            p = [rng.randint(-big, big) for _ in range(3)]
+            p[2] = p[2] or rng.choice([-1, 1])
+        c, b, a = p
+        disc = b * b - 4 * a * c
+        root = isqrt(disc) if disc >= 0 else -1
+        kinds["negative" if disc < 0 else "zero" if disc == 0
+              else "square" if root * root == disc else "other"] += 1
+        assert _nonneg_windows(p, lo, hi) == _scan_windows(p, lo, hi), \
+            (p, lo, hi)
+    assert min(kinds.values()) > 200, kinds
+
+
+def test_quadratic_windows_long_range():
+    # over 10^12 integers the windows are checked at their ends alone: p is
+    # nonnegative at each end and negative one step past it, unless that
+    # end is lo or hi
+    rng = random.Random(25)
+    lo = -rng.randint(0, 10 ** 6)
+    hi = lo + 10 ** 12
+    for _ in range(2000):
+        k = rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(0, 18))
+        r1 = rng.randint(lo - 10 ** 9, hi + 10 ** 9)
+        r2 = r1 + rng.choice([0, 1, 2, rng.randint(0, 10 ** 12)])
+        p = [k * r1 * r2 + rng.randint(-10 ** 6, 10 ** 6), -k * (r1 + r2), k]
+        windows = _nonneg_windows(p, lo, hi)
+        assert all(a <= b for a, b in windows)
+        assert all(b + 1 < c for (_, b), (c, _) in zip(windows, windows[1:]))
+        for a, b in windows:
+            assert evaluate(p, a) >= 0 and evaluate(p, b) >= 0, (p, a, b)
+            assert a == lo or evaluate(p, a - 1) < 0, (p, a)
+            assert b == hi or evaluate(p, b + 1) < 0, (p, b)
+        # with no window, or between two, p stays negative at the gap's ends
+        if not windows:
+            assert evaluate(p, lo) < 0 and evaluate(p, hi) < 0, p
 
 
 def test_forward_difference_matches_binomial_expansion():
