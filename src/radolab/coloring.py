@@ -607,9 +607,10 @@ def _window_budget(monomials, inner: int, bound: int) -> int:
     degree 2 its windows cost fewer evaluations than (d + 1)^2*log2(bound),
     and the factor 2 keeps an equation whose windows prune nothing (such as
     x^2 + y^2 = z^4, whose solved range [1, bound^4] is loose) from paying
-    much extra.  Degree 2 keeps it too, though its windows are closed form:
-    the census benchmark walks no degree-2 span short enough for a smaller
-    budget to change.
+    much extra.  Degrees 1 and 2 keep the formula, though their windows are
+    closed form and cost a few evaluations: a budget of 4 to 32 there made
+    the walks of x^2 - y^2 = z 15-30% faster but those of x*y^2 - 2y^2 = z
+    35-50% slower (bound 500 to 2000, in-process, 2-core Xeon).
     """
     d = max((e for m in monomials for v, e in m.exponents if v == inner),
             default=0)
@@ -701,8 +702,7 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
     monochromatic terms with its own kernel (see `_census_linear`).  Every
     other equation takes one walk per coloring that builds only its
     monochromatic solutions (see `_walk`); the first walk also counts every
-    solution.  A coloring listed twice is censused once, and each listing
-    gets its own copy of the counts.
+    solution.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
@@ -718,30 +718,30 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
     # (n - 2)*2^20*2^25 < 2^54, the piece table's
     # N*b + (N+1)*b' <= 2^25*2^25 + (2^25+1)*2^25 < 2^52 and the mod
     # kernel's CRT products, below (BOUND_CAP + 1)^2 < 2^51
-    distinct = list(dict.fromkeys(specs))
     n = len(poly.variables)
     if (bound >= 1 and poly.is_linear() and poly.constant_term() == 0
             and 3 <= n and 4 * n * n <= _CELLS
             and max(map(abs, poly.linear_coefficients())) <= 2 ** 20):
         per_spec, total = _census_linear(
-            poly.linear_coefficients(), distinct, bound, N
+            poly.linear_coefficients(), specs, bound, N
         )
-    else:
-        per_spec = []
-        tally = [0]
-        for spec in distinct:
-            counts: dict[tuple[int, ...], int] = {}
-            table = _color_lookup(spec, bound)
-            for assignment in _walk(poly, bound, table,
-                                    None if per_spec else tally):
-                if _valid(assignment, N):
-                    ranks = _ranks(assignment, N)
-                    counts[ranks] = counts.get(ranks, 0) + 1
-            # tallied by rank tuple; one partition per distinct profile
-            per_spec.append({_partition(r): n for r, n in counts.items()})
-        total = tally[0]
-    of = dict(zip(distinct, per_spec))
-    return [ProfileCensus(dict(of[s]), total, p) for s, p in zip(specs, params)]
+        return [ProfileCensus(counts, total, p)
+                for counts, p in zip(per_spec, params)]
+    per_spec = []
+    tally = [0]
+    for spec in specs:
+        counts: dict[tuple[int, ...], int] = {}
+        table = _color_lookup(spec, bound)
+        for assignment in _walk(poly, bound, table,
+                                None if per_spec else tally):
+            if _valid(assignment, N):
+                ranks = _ranks(assignment, N)
+                counts[ranks] = counts.get(ranks, 0) + 1
+        per_spec.append(counts)
+    total = tally[0]
+    # tallied by rank tuple; one partition per distinct profile
+    return [ProfileCensus({_partition(r): n for r, n in counts.items()},
+                          total, p) for counts, p in zip(per_spec, params)]
 
 
 # vectorized census for linear homogeneous equations ----------------------
@@ -1303,10 +1303,8 @@ def witness_search(eq: Equation, family: Sequence[ColoringSpec],
     bound.  A witness is empirical evidence against partition regularity,
     never a proof.
 
-    Each distinct coloring walks only its monochromatic solutions and stops
-    at the first.  Witnesses come back in family order, a coloring listed
-    twice once per listing."""
-    hit = {spec: next(_walk(eq.poly, bound, _color_lookup(spec, bound)),
-                      None) is not None
-           for spec in dict.fromkeys(family)}
-    return [spec for spec in family if not hit[spec]]
+    Each coloring walks only its monochromatic solutions and stops at the
+    first.  Witnesses come back in family order."""
+    return [spec for spec in family
+            if next(_walk(eq.poly, bound, _color_lookup(spec, bound)),
+                    None) is None]

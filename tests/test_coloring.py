@@ -982,38 +982,6 @@ class TestProfileCensus:
                 assert census.counts == counts, (eqtext, spec)
                 assert census.total_solutions == total
 
-    def test_duplicate_coloring_censused_once(self, monkeypatch):
-        # mod:2 listed twice costs one walk, or one kernel on the closed
-        # form, and each listing still gets its own equal census
-        lookups, kernels = [0], [0]
-        lookup, counter = coloring._color_lookup, coloring._counter
-
-        def counted_lookup(*args):
-            lookups[0] += 1
-            return lookup(*args)
-
-        def counted_counter(*args):
-            kernels[0] += 1
-            return counter(*args)
-
-        monkeypatch.setattr(coloring, "_color_lookup", counted_lookup)
-        monkeypatch.setattr(coloring, "_counter", counted_counter)
-        names = ["mod:2", "mod:3", "mod:2"]
-        specs = [ColoringSpec.parse(s) for s in names]
-        for eqtext, bound in [("x*y = z", 120), ("x + y = z + 1", 80),
-                              ("x + y + z = w", 24)]:
-            eq = parse(eqtext)
-            lookups[0] = kernels[0] = 0
-            many = profile_census_many(eq, specs, bound, 3)
-            assert lookups[0] + kernels[0] == 2, eqtext
-            assert [c.params["coloring"] for c in many] == names
-            assert many[0].counts == many[2].counts
-            assert many[0].counts is not many[2].counts
-            for spec, census in zip(specs, many):
-                single = profile_census(eq, spec, bound, 3)
-                assert census.counts == single.counts, (eqtext, spec)
-                assert census.total_solutions == single.total_solutions
-
     def test_general_path_matches_oracle_tally(self):
         # the first coloring's walk counts every solution: in closed form on
         # the affine branch with exponent 1, as it walks elsewhere, and past
@@ -1210,25 +1178,6 @@ class TestWitnessSearch:
         assert witness_search(eq, family, 50) == expected
         assert [s.spec_string() for s in expected] == ["mod:2", "mod:2",
                                                        "mod:3"]
-
-    def test_duplicate_coloring_walked_once(self, monkeypatch):
-        # each distinct coloring is walked once; duplicates keep their
-        # places in family order, witnesses or not
-        lookups = [0]
-        lookup = coloring._color_lookup
-
-        def counted(*args):
-            lookups[0] += 1
-            return lookup(*args)
-
-        monkeypatch.setattr(coloring, "_color_lookup", counted)
-        names = ["mod:2", "logband:2:1", "mod:2", "mod:3", "logband:2:1"]
-        family = [ColoringSpec.parse(s) for s in names]
-        eq = parse("x = y + 1")
-        found = witness_search(eq, family, 50)
-        assert lookups[0] == 3
-        assert found == [s for s in family if witness_search(eq, [s], 50)]
-        assert [s.spec_string() for s in found] == ["mod:2", "mod:2", "mod:3"]
 
 
 class TestFilteredWalk:

@@ -93,7 +93,7 @@ def test_quadratic_windows_match_scan():
 
 
 def test_quadratic_windows_long_range():
-    # over 10^12 integers the windows are checked at their ends alone: p is
+    # over 10^12 integers the windows are checked at a few points each: p is
     # nonnegative at each end and negative one step past it, unless that
     # end is lo or hi
     rng = random.Random(25)
@@ -111,9 +111,15 @@ def test_quadratic_windows_long_range():
             assert evaluate(p, a) >= 0 and evaluate(p, b) >= 0, (p, a, b)
             assert a == lo or evaluate(p, a - 1) < 0, (p, a)
             assert b == hi or evaluate(p, b + 1) < 0, (p, b)
-        # with no window, or between two, p stays negative at the gap's ends
-        if not windows:
-            assert evaluate(p, lo) < 0 and evaluate(p, hi) < 0, p
+        # p is negative at both ends and the middle of every gap: before the
+        # first window, between two and after the last (all of [lo, hi]
+        # when there is no window)
+        starts = [lo - 1] + [b for _, b in windows]
+        stops = [a for a, _ in windows] + [hi + 1]
+        for b, c in zip(starts, stops):
+            if b + 1 < c:
+                for t in (b + 1, (b + c) // 2, c - 1):
+                    assert evaluate(p, t) < 0, (p, b, c, t)
 
 
 def test_forward_difference_matches_binomial_expansion():
