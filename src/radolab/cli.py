@@ -22,8 +22,7 @@ from . import __version__
 from .coloring import (
     ColoringSpec,
     _classes,
-    _ranks,
-    _valid,
+    _profile,
     head_census,
     integer,
     iter_monochromatic,
@@ -130,7 +129,7 @@ def _emit(payload: dict) -> None:
     print(_dumps(payload))
 
 
-_CHUNK = 1024  # candidates per write
+_CHUNK = 1024  # candidates or solution records per write
 
 
 def _emit_candidates(report: dict, coeffs: list[int], render) -> None:
@@ -293,6 +292,7 @@ def cmd_search(args) -> int:
         # the "profile" text per (ranks, valid), rendered on first sight
         profile_of: dict[tuple, str] = {}
         count = 0
+        lines = []
         for assignment, color in iter_monochromatic(eq, specs[0], args.bound):
             heads = ""
             if base is not None:
@@ -301,15 +301,19 @@ def cmd_search(args) -> int:
                         head_of[x] = f'"{standard_head(x, base)}"'
                 heads = ", ".join(map(head_of.__getitem__, assignment))
                 heads = f'"heads": {{"{base}": [{heads}]}}, '
-            key = (_ranks(assignment, N), _valid(assignment, N))
+            key = _profile(assignment, N)
             profile = profile_of.get(key)
             if profile is None:
                 profile = profile_of[key] = (
                     f'"profile": {{"N": {N}, "classes": {_classes(key[0])}, '
                     f'"valid": {"true" if key[1] else "false"}}}')
-            print(f'{{"assignment": {list(assignment)}, "color": {color}, '
-                  f'{heads}{profile}}}')
+            lines.append(f'{{"assignment": {list(assignment)}, '
+                         f'"color": {color}, {heads}{profile}}}\n')
             count += 1
+            if len(lines) == _CHUNK:
+                sys.stdout.write("".join(lines))
+                lines.clear()
+        sys.stdout.write("".join(lines))
         print(f"{pretty(eq)}: {count} monochromatic solution(s) streamed",
               file=sys.stderr)
         return EXIT_OK

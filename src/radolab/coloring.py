@@ -6,8 +6,9 @@ take the largest unassigned value a and group with it every unassigned value
 b with |a/b - 1| < 1/N (all comparisons exact integer arithmetic).  The
 profile is valid when, in addition, every within-class pair meets the ratio
 bound and every cross-class pair (i earlier, j later) satisfies N*a_j < a_i.
-The classes are runs of the descending order, so one pass groups the values
-(`_ranks`) and one decides validity at the class cuts alone (`_valid`).
+The classes are runs of the descending order, so one pass over it groups the
+values and decides validity at the class cuts (`_profile`); a census, which
+keeps only valid profiles, first decides validity alone (`_valid`).
 Only valid profiles of monochromatic solutions enter a census.
 
 Every search walks the solutions with one walker, `_walk`: one loop over
@@ -280,35 +281,40 @@ def asymptotic_profile(values: Sequence[int], N: int) -> tuple[OrderedPartition,
         raise ValueError("N must be at least 2")
     if any(v < 1 for v in values):
         raise ValueError("tuple entries must be positive")
-    return _partition(_ranks(values, N)), _valid(values, N)
+    ranks, valid = _profile(values, N)
+    return _partition(ranks), valid
 
 
-def _ranks(values: Sequence[int], N: int) -> tuple[int, ...]:
-    """The greedy profile as ranks: ranks[i] is position i's class, 0 the
-    top.
+def _profile(values: Sequence[int], N: int) -> tuple[tuple[int, ...], bool]:
+    """The greedy profile as ranks (ranks[i] is position i's class, 0 the
+    top) and its validity, from one descending order.
 
     Walk the values in (-value, index) order.  A value v joins the open
     class, anchored at its first value, iff N*(anchor - v) < v, and this
     test only gets harder further down, so the greedy classes are runs of
-    that order.
+    that order.  Validity is decided at the class cuts, as in `_valid`.
     """
     # reverse=True keeps equal values in index order
     order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
     ranks = [0] * len(values)
     rank = 0
-    anchor = values[order[0]] if order else 0
+    valid = True
+    anchor = last = values[order[0]] if order else 0
     for i in order:
         v = values[i]
         if N * (anchor - v) >= v:
+            if N * v >= last:
+                valid = False
             rank += 1
             anchor = v
         ranks[i] = rank
-    return tuple(ranks)
+        last = v
+    return tuple(ranks), valid
 
 
 def _valid(values: Sequence[int], N: int) -> bool:
-    """Whether the greedy profile of `_ranks` is valid, from the values in
-    descending order alone.
+    """Whether the greedy profile of `_profile` is valid, from the values
+    in descending order alone.
 
     Every within-class pair meets the ratio bound by construction.  The
     cross-class condition N*a_j < a_i holds for all pairs iff it holds at
@@ -735,7 +741,7 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
         for assignment in _walk(poly, bound, table,
                                 None if per_spec else tally):
             if _valid(assignment, N):
-                ranks = _ranks(assignment, N)
+                ranks = _profile(assignment, N)[0]
                 counts[ranks] = counts.get(ranks, 0) + 1
         per_spec.append(counts)
     total = tally[0]
@@ -843,9 +849,15 @@ def _piece_sweep(slopes: Sequence[int], starts: np.ndarray,
     return row[seg], lo, hi, out
 
 
-# prefix points per piece table: bounds the kernels' temporaries, which
-# grow with the pieces, at large bounds
-_BLOCK = 1024
+# prefix points per piece table.  Each block pays a fixed cost of about
+# 0.3 ms (over a hundred array calls in `blocks`, `_piece_sweep`,
+# `_lt_zero`, `_distinct_rows` and the kernels), and its temporaries grow
+# with its pieces.  Against 1024, 4096 rows take 1.2-2.3x less CPU time
+# for a raised tracemalloc peak (2-core Xeon): x + y + z + u = v under
+# mod:2 at bound 40, 26 -> 13 ms and 0.3 -> 0.7 MB; x + 2y = 3z + w under
+# logband:2:3 at bound 300, 107 -> 90 ms and 1.1 -> 4.2 MB.  8192 rows
+# save at most 30% more and double the peak
+_BLOCK = 4096
 
 # entries of a piece table's (segment, item) arrays per block.  A row of n
 # items has at most min(4n, bound) segments, so one row fits if 4n^2 does

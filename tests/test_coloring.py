@@ -727,6 +727,49 @@ def test_wide_census_matches_scan():
     assert {(True, True), (True, False), (False, True)} <= solved
 
 
+def test_census_counts_do_not_depend_on_block_size(monkeypatch):
+    # one prefix point per block, seven, and the default block (last, so
+    # the next case's oracle runs at it), with the random colorings on the
+    # bit kernel and then on the slice kernel: every census equals the
+    # stacked slice oracle taken at the default
+    from radolab.coloring import _census_linear, _linear_pieces
+    default, budget = coloring._BLOCK, coloring._BITS_BUDGET
+    cases = itertools.chain(_census_corpus(2525, 6, [3], (3, 60)),
+                            _census_corpus(2626, 5, [4], (3, 12)),
+                            _census_corpus(2727, 4, [5], (3, 6)))
+    widths = set()
+    for eq, coeffs, bound, N, specs in cases:
+        widths.add(len(coeffs))
+        expected = oracle_census_counts(coeffs, specs, bound, N)
+        vstep, wstep, _ = _linear_pieces(coeffs, bound, N)
+        for bits_budget, kernel in [(budget, "_bits_counter"),
+                                    (0, "_slice_counter")]:
+            monkeypatch.setattr(coloring, "_BITS_BUDGET", bits_budget)
+            assert {_kernel(s, bound, vstep, wstep) for s in specs
+                    if s.kind == "random"} == {kernel}
+            for block in (1, 7, default):
+                monkeypatch.setattr(coloring, "_BLOCK", block)
+                assert _census_linear(coeffs, specs, bound, N) == expected, (
+                    coeffs, bound, N, block, kernel)
+    assert widths == {3, 4, 5}
+
+
+def test_census_of_1296_prefix_points_takes_one_piece_table(monkeypatch):
+    # x + y + z = w at bound 36 has 36^2 prefix points (x, y): one block
+    calls = []
+    sweep = coloring._piece_sweep
+
+    def counted(*args):
+        calls.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(coloring, "_piece_sweep", counted)
+    census = profile_census(parse("x + y + z = w"),
+                            ColoringSpec.parse("mod:3"), 36, 2)
+    assert census.counts
+    assert len(calls) == 1
+
+
 def test_wide_random_families_match_per_spec_censuses():
     # every coloring has its own kernel: eight random colorings with 1-,
     # 2- and 4-byte tables beside a mod coloring, and a family that lists
@@ -867,6 +910,25 @@ def test_random_kernel_memory():
         tracemalloc.stop()
     assert census.counts
     assert peak < 40 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("text, name, bound", [
+    ("x + y + z + u = v", "mod:2", 40),
+    ("x + 2y = 3z + w", "logband:2:3", 300),
+])
+def test_closed_form_census_memory(text, name, bound):
+    # a census with two or three prefix variables fills whole blocks of
+    # prefix points; their piece tables and kernel temporaries stay under
+    # 16 MB
+    tracemalloc.start()
+    try:
+        census = profile_census(parse(text), ColoringSpec.parse(name),
+                                bound, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert census.counts
+    assert peak < 16 * 2 ** 20, peak
 
 
 def test_sixteen_variable_census_matches_scan():
