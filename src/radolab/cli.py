@@ -293,27 +293,33 @@ def cmd_search(args) -> int:
         profile_of: dict[tuple, str] = {}
         count = 0
         lines = []
-        for assignment, color in iter_monochromatic(eq, specs[0], args.bound):
-            heads = ""
-            if base is not None:
-                for x in assignment:
-                    if x not in head_of:
-                        head_of[x] = f'"{standard_head(x, base)}"'
-                heads = ", ".join(map(head_of.__getitem__, assignment))
-                heads = f'"heads": {{"{base}": [{heads}]}}, '
-            key = _profile(assignment, N)
-            profile = profile_of.get(key)
-            if profile is None:
-                profile = profile_of[key] = (
-                    f'"profile": {{"N": {N}, "classes": {_classes(key[0])}, '
-                    f'"valid": {"true" if key[1] else "false"}}}')
-            lines.append(f'{{"assignment": {list(assignment)}, '
-                         f'"color": {color}, {heads}{profile}}}\n')
-            count += 1
-            if len(lines) == _CHUNK:
-                sys.stdout.write("".join(lines))
-                lines.clear()
-        sys.stdout.write("".join(lines))
+        try:
+            for assignment, color in iter_monochromatic(eq, specs[0],
+                                                        args.bound):
+                heads = ""
+                if base is not None:
+                    for x in assignment:
+                        if x not in head_of:
+                            head_of[x] = f'"{standard_head(x, base)}"'
+                    heads = ", ".join(map(head_of.__getitem__, assignment))
+                    heads = f'"heads": {{"{base}": [{heads}]}}, '
+                key = _profile(assignment, N)
+                profile = profile_of.get(key)
+                if profile is None:
+                    profile = profile_of[key] = (
+                        f'"profile": {{"N": {N}, '
+                        f'"classes": {_classes(key[0])}, '
+                        f'"valid": {"true" if key[1] else "false"}}}')
+                lines.append(f'{{"assignment": {list(assignment)}, '
+                             f'"color": {color}, {heads}{profile}}}\n')
+                count += 1
+                if len(lines) == _CHUNK:
+                    chunk = "".join(lines)
+                    lines.clear()
+                    sys.stdout.write(chunk)
+        finally:
+            # records found before an interruption or an error still go out
+            sys.stdout.write("".join(lines))
         print(f"{pretty(eq)}: {count} monochromatic solution(s) streamed",
               file=sys.stderr)
         return EXIT_OK

@@ -7,8 +7,7 @@ b with |a/b - 1| < 1/N (all comparisons exact integer arithmetic).  The
 profile is valid when, in addition, every within-class pair meets the ratio
 bound and every cross-class pair (i earlier, j later) satisfies N*a_j < a_i.
 The classes are runs of the descending order, so one pass over it groups the
-values and decides validity at the class cuts (`_profile`); a census, which
-keeps only valid profiles, first decides validity alone (`_valid`).
+values and decides validity at the class cuts alone (`_profile`).
 Only valid profiles of monochromatic solutions enter a census.
 
 Every search walks the solutions with one walker, `_walk`: one loop over
@@ -285,55 +284,45 @@ def asymptotic_profile(values: Sequence[int], N: int) -> tuple[OrderedPartition,
     return _partition(ranks), valid
 
 
-def _profile(values: Sequence[int], N: int) -> tuple[tuple[int, ...], bool]:
+def _profile(values: Sequence[int], N: int, valid_only: bool = False
+             ) -> tuple[tuple[int, ...] | None, bool]:
     """The greedy profile as ranks (ranks[i] is position i's class, 0 the
     top) and its validity, from one descending order.
 
-    Walk the values in (-value, index) order.  A value v joins the open
-    class, anchored at its first value, iff N*(anchor - v) < v, and this
-    test only gets harder further down, so the greedy classes are runs of
-    that order.  Validity is decided at the class cuts, as in `_valid`.
-    """
-    # reverse=True keeps equal values in index order
-    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
-    ranks = [0] * len(values)
-    rank = 0
-    valid = True
-    anchor = last = values[order[0]] if order else 0
-    for i in order:
-        v = values[i]
-        if N * (anchor - v) >= v:
-            if N * v >= last:
-                valid = False
-            rank += 1
-            anchor = v
-        ranks[i] = rank
-        last = v
-    return tuple(ranks), valid
-
-
-def _valid(values: Sequence[int], N: int) -> bool:
-    """Whether the greedy profile of `_profile` is valid, from the values
-    in descending order alone.
+    Walk the values in descending order.  A value v joins the open class,
+    anchored at its first value, iff N*(anchor - v) < v, and this test only
+    gets harder further down, so the greedy classes are runs of that order
+    and equal values share a class.
 
     Every within-class pair meets the ratio bound by construction.  The
     cross-class condition N*a_j < a_i holds for all pairs iff it holds at
     each cut, between the last value of one class and the first of the
     next: min(C_t) > N*max(C_{t+1}) >= N*min(C_{t+1}) > N^2*max(C_{t+2}).
     `_piece_sweep` applies this rule, with the within-class bound of each
-    run, to affine values.  The test stops at the first failing cut, and a
-    census asks for ranks only when it passes: most monochromatic tuples
-    have invalid profiles.
+    run, to affine values.
+
+    With `valid_only` an invalid profile returns (None, False) at its first
+    failing cut, before any ranks are built.  A census keeps only valid
+    profiles, and at N = 10 most walked tuples have none (61-89% of the
+    monochromatic solutions of x*y = z, x^2 - y^2 = z and x + y = z + 1
+    below 1000-2000), where stopping halves the cost per tuple.
     """
     ordered = sorted(values, reverse=True)
+    rank_of = {}
+    rank = 0
+    valid = True
     anchor = last = ordered[0] if ordered else 0
     for v in ordered:
         if N * (anchor - v) >= v:
             if N * v >= last:
-                return False
+                if valid_only:
+                    return None, False
+                valid = False
+            rank += 1
             anchor = v
+        rank_of[v] = rank
         last = v
-    return True
+    return tuple(map(rank_of.__getitem__, values)), valid
 
 
 def _classes(ranks: Sequence[int]) -> list[list[int]]:
@@ -740,8 +729,8 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
         table = _color_lookup(spec, bound)
         for assignment in _walk(poly, bound, table,
                                 None if per_spec else tally):
-            if _valid(assignment, N):
-                ranks = _profile(assignment, N)[0]
+            ranks, valid = _profile(assignment, N, valid_only=True)
+            if valid:
                 counts[ranks] = counts.get(ranks, 0) + 1
         per_spec.append(counts)
     total = tally[0]
@@ -852,11 +841,12 @@ def _piece_sweep(slopes: Sequence[int], starts: np.ndarray,
 # prefix points per piece table.  Each block pays a fixed cost of about
 # 0.3 ms (over a hundred array calls in `blocks`, `_piece_sweep`,
 # `_lt_zero`, `_distinct_rows` and the kernels), and its temporaries grow
-# with its pieces.  Against 1024, 4096 rows take 1.2-2.3x less CPU time
-# for a raised tracemalloc peak (2-core Xeon): x + y + z + u = v under
-# mod:2 at bound 40, 26 -> 13 ms and 0.3 -> 0.7 MB; x + 2y = 3z + w under
-# logband:2:3 at bound 300, 107 -> 90 ms and 1.1 -> 4.2 MB.  8192 rows
-# save at most 30% more and double the peak
+# with its pieces.  Against 1024, 4096 rows take 1.1-2.2x less CPU time
+# for a raised tracemalloc peak (BENCH_25.json `block_size`, 2-core Xeon):
+# x + y + z + u = v under mod:2 at bound 40, 27.6 -> 12.8 ms and
+# 0.3 -> 0.7 MB; x + 2y = 3z + w under logband:2:3 at bound 300,
+# 114.0 -> 88.2 ms and 1.1 -> 4.2 MB.  8192 rows save at most 24% more and
+# double the peak
 _BLOCK = 4096
 
 # entries of a piece table's (segment, item) arrays per block.  A row of n

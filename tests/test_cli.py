@@ -605,6 +605,26 @@ class TestSearch:
         assert json.loads(first)["assignment"] == [3, 3, 6]
         assert err == b""
 
+    def test_interrupted_stream_keeps_its_records(self, capsys, monkeypatch):
+        # Ctrl-C after 1500 records, one whole chunk and part of the next:
+        # every record found so far is on stdout, as in the full stream
+        argv = ["search", "x + y = z", "--coloring", "mod:3", "--bound",
+                "300", "--mode", "solutions", "--base", "10"]
+        full = run_cli(capsys, *argv)[1].splitlines(keepends=True)
+        assert len(full) > 1500
+        walk = cli.iter_monochromatic
+
+        def interrupted(*args):
+            for k, record in enumerate(walk(*args)):
+                if k == 1500:
+                    raise KeyboardInterrupt
+                yield record
+
+        monkeypatch.setattr(cli, "iter_monochromatic", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert capsys.readouterr().out.splitlines(keepends=True) == full[:1500]
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "x + y = z"],
         ["search", "x + y = z", "--coloring", "mod:3", "--bound", "50"],

@@ -31,6 +31,7 @@ from radolab import cli, coloring, univariate
 from radolab.coloring import (
     ColoringSpec,
     _color_lookup,
+    _profile,
     asymptotic_profile,
     enumerate_solutions,
     head_census,
@@ -293,6 +294,10 @@ class TestAsymptoticProfile:
                 values = [rng.randint(1, 10 ** 9) for _ in range(n)]
             assert (asymptotic_profile(values, N)
                     == oracle_asymptotic_profile(values, N)), (values, N)
+            # a census's early exit: ranks for a valid profile, else none
+            ranks, valid = _profile(values, N)
+            assert _profile(values, N, valid_only=True) == (
+                (ranks, True) if valid else (None, False)), (values, N)
 
 
 class TestEnumerateSolutions:
