@@ -18,15 +18,21 @@ innermost variable is split by monomial once per walk (`_restrictor`), so a
 prefix point costs only its monomials' products.  Given a coloring's table it
 skips each prefix whose values do not share a color and builds a tuple only
 for a monochromatic solution.  The solutions stream (`iter_monochromatic`),
-head censuses, witness searches and the profile census of every equation
-but a linear homogeneous one run it once per coloring;
-`enumerate_solutions` runs it without a table.  A linear homogeneous
-equation in three or more variables is censused in closed form instead:
-one piece table splits every inner progression of a block of prefix points
-into valid-profile pieces (`_piece_sweep`), and one kernel per coloring
-counts their monochromatic terms: in closed form for mod, logband and
-digit, and for random as popcounts of packed bits of its color table, or by
-slicing the table when the packed copies would pass a byte budget.
+witness searches and the profile census of every equation but a linear
+homogeneous one run it once per coloring; `enumerate_solutions` runs it
+without a table.  A head census runs the array walk (`_array_walk`) instead
+when the solved variable has exponent 1 and its value is affine or
+quadratic in the inner one, and int64 holds every intermediate at the
+bound: a block of prefix points at a time, each row's inner values and
+solved values come as int64 arrays, from the row's progression or from its
+exact quadratic windows, and a color array filters them.  A linear
+homogeneous equation in three or more variables is censused in closed form:
+one piece table splits every inner progression of a block of prefix
+points, computed as the array walk computes them (`_progressions`), into
+valid-profile pieces (`_piece_sweep`), and one kernel per coloring counts
+their monochromatic terms: in closed form for mod, logband and digit, and
+for random as popcounts of packed bits of its color table, or by slicing
+the table when the packed copies would pass a byte budget.
 Searches take bounds up to `BOUND_CAP`, past which a color table no longer
 fits in reasonable memory.
 """
@@ -37,7 +43,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from . import univariate
@@ -395,10 +401,12 @@ def enumerate_solutions(eq: Equation, bound: int) -> Iterator[tuple[int, ...]]:
     duplicate-free.
 
     A variable occurring in exactly one monomial is solved for exactly
-    (divisibility, range and integer-root table checks).  The grid runs over
+    (divisibility, range and integer-root checks, by table up to `_POWERS`
+    values and by exact roots past it).  The grid runs over
     the other variables but the innermost, which walks the exact arithmetic
-    progression of `_progression` (whose terms the linear census
-    recomputes as int64 arrays) when the solved value is affine in it, and
+    progression of `_progression` (whose terms `_progressions` computes as
+    int64 arrays for the array walk and the linear census) when the solved
+    value is affine in it, and
     otherwise only the exact integer windows on which the solved value lies
     in its range.
     Without such a variable, and in a one-variable equation, the innermost
@@ -545,7 +553,8 @@ def _inner_step(poly: Polynomial, bound: int):
     # the solved variable takes the value v where its power q = v^se lies in
     # `powers`: v = q when se == 1, else v = powers[q]
     powers = (range(1, bound + 1) if se == 1
-              else {t ** se: t for t in range(1, bound + 1)})
+              else {t ** se: t for t in range(1, bound + 1)}
+              if bound <= _POWERS else _Powers(se, bound))
     # the inner variable's exponent in the solved monomial, 0 if absent
     inner_exp = next((e for w, e in mono_others if w == inner), 0)
     hi_q = bound if se == 1 else bound ** se
@@ -596,6 +605,38 @@ def _inner_step(poly: Polynomial, bound: int):
     return others[:-1], inner, sv, isolated
 
 
+# entries of the largest table of solved powers {v^se: v} a walk builds;
+# past it each candidate power takes an exact integer root instead
+_POWERS = 2 ** 16
+
+
+class _Powers:
+    """The powers v^se of v in [1, bound], se >= 2, as a mapping from each
+    power to v, tested by exact integer roots in constant memory."""
+
+    def __init__(self, se: int, bound: int):
+        self.se, self.top = se, bound ** se
+
+    def _root(self, q: int) -> int:
+        """v if q == v^se for a v in [1, bound], else 0."""
+        if not 1 <= q <= self.top:
+            return 0
+        # below 2^1000 the float root of v^se is within 10^-6 of v
+        v = (isqrt(q) if self.se == 2
+             else univariate._ceil_root(q, self.se) if q >> 1000
+             else round(q ** (1 / self.se)))
+        return v if v ** self.se == q else 0
+
+    def __contains__(self, q: int) -> bool:
+        return self._root(q) > 0
+
+    def __getitem__(self, q: int) -> int:
+        v = self._root(q)
+        if not v:
+            raise KeyError(q)
+        return v
+
+
 def _window_budget(monomials, inner: int, bound: int) -> int:
     """Span length below which scanning beats exact windows.
 
@@ -606,7 +647,9 @@ def _window_budget(monomials, inner: int, bound: int) -> int:
     much extra.  Degrees 1 and 2 keep the formula, though their windows are
     closed form and cost a few evaluations: a budget of 4 to 32 there made
     the walks of x^2 - y^2 = z 15-30% faster but those of x*y^2 - 2y^2 = z
-    35-50% slower (bound 500 to 2000, in-process, 2-core Xeon).
+    35-50% slower (bound 500 to 2000, in-process, 2-core Xeon).  The head
+    census of those shapes takes the array walk, which has no budget: its
+    quadratic windows are closed form for every row (`_quadratic_runs`).
     """
     d = max((e for m in monomials for v, e in m.exponents if v == inner),
             default=0)
@@ -630,12 +673,9 @@ def _restrictor(monomials, inner: int, sign: int):
     """The sum of the monomials times sign as a univariate polynomial in
     variable `inner`: a function of values (indexed by variable) that fixes
     every other variable v to values[v] and returns the coefficients,
-    trailing zeros trimmed.  Each monomial's (sign*coeff, inner exponent,
-    other factors) is split out once, here."""
-    terms = [(sign * m.coeff,
-              next((e for v, e in m.exponents if v == inner), 0),
-              [(v, e) for v, e in m.exponents if v != inner])
-             for m in monomials]
+    trailing zeros trimmed.  The monomials are split (`_split`) once,
+    here."""
+    terms = _split(monomials, inner, sign)
     size = max((k for _, k, _ in terms), default=-1) + 1
 
     def restrict(values) -> list[int]:
@@ -649,6 +689,15 @@ def _restrictor(monomials, inner: int, sign: int):
         return p
 
     return restrict
+
+
+def _split(monomials, inner: int, sign: int):
+    """Each monomial as (sign*coeff, exponent of variable `inner`, the
+    (variable, exponent) factors of the other variables)."""
+    return [(sign * m.coeff,
+             next((e for v, e in m.exponents if v == inner), 0),
+             [(v, e) for v, e in m.exponents if v != inner])
+            for m in monomials]
 
 
 def _plus_term(p: list[int], k: int, c: int) -> list[int]:
@@ -882,13 +931,56 @@ def _prefix_blocks(k: int, bound: int, rows: int) -> Iterator[np.ndarray]:
                 np.repeat(mid, size)[None], np.tile(tail, len(mid))])
 
 
+def _progressions(alpha, beta, den, g, step, inv, bound: int):
+    """`_progression(alpha, beta, den, 1, bound, bound)` row by row in
+    int64, as (first, count): the t in [1, bound] for which
+    (alpha*t + beta)/den is an integer in [1, bound] are first + step*i for
+    i in [0, count).  The caller gives den > 0, g = gcd(alpha, den),
+    step = den/g and inv, the inverse of alpha/g mod step; each argument
+    is a scalar or an int64 array, and the caller checks that
+    |den|*bound + |beta| and step^2 fit in int64."""
+    import numpy as np
+
+    residue = (-(beta // g)) % step * inv % step
+    # den*1 <= alpha*t + beta <= den*bound
+    a, b = den - beta, den * bound - beta
+    if np.any(alpha < 0):
+        a, b = np.where(alpha < 0, b, a), np.where(alpha < 0, a, b)
+    flat = alpha == 0
+    t_lo = np.maximum(-(-a // (alpha + flat)), 1)
+    t_hi = np.minimum(b // (alpha + flat), bound)
+    if np.any(flat):
+        # alpha == 0 takes every t or none
+        t_lo = np.where(flat, 1, t_lo)
+        t_hi = np.where(flat, np.where((a <= 0) & (0 <= b), bound, 0), t_hi)
+    first = t_lo + (residue - t_lo) % step
+    count = np.maximum((t_hi - first) // step + 1, 0)
+    return first, np.where(beta % g == 0, count, 0)
+
+
+def _inverse(a, m):
+    """a^-1 mod m row by row, for int64 arrays with m >= 1 and
+    gcd(a, m) == 1 (0 where m == 1): the extended Euclidean algorithm on
+    every row at once, each remainder and coefficient below m."""
+    import numpy as np
+
+    r0, r1 = m, a % m
+    s0, s1 = np.zeros_like(r0), np.ones_like(r0)
+    while r1.any():
+        live = r1 != 0
+        q = r0 // np.where(live, r1, 1)
+        r0, r1 = np.where(live, r1, r0), np.where(live, r0 - q * r1, 0)
+        s0, s1 = np.where(live, s1, s0), np.where(live, s0 - q * s1, s1)
+    return s0 % m
+
+
 def _linear_pieces(coeffs: list[int], bound: int, N: int):
     """The valid pieces of the solutions of c0*x0 + ... + c(n-1)*x(n-1) = 0,
     n >= 3, a block of prefix points at a time.
 
     One variable is solved for and one is inner; the other n - 2 are the
     prefix.  For each prefix point the inner variable runs over the exact
-    arithmetic progression of `_progression` and the solved variable over
+    arithmetic progression of `_progressions` and the solved variable over
     the matching one; both are closed-form in the prefix sum, so a block of
     points is handled with int64 array operations, and `_piece_sweep`
     splits each progression into the pieces whose profile is valid.
@@ -912,8 +1004,8 @@ def _linear_pieces(coeffs: list[int], bound: int, N: int):
     # every coordinate lies in [1, bound], so each profile comparison
     # (N*(a - b) < b, N*b >= a) answers the same for every N >= bound
     N = min(N, bound)
-    # `_progression` term by term, as arrays over the prefix points: only
-    # beta depends on them
+    # the progressions of a block of prefix points: only beta depends on
+    # them, so alpha, den, the gcd and the inverse are scalars
     sign = 1 if cs > 0 else -1
     alpha, den = -cv * sign, cs * sign
     g = gcd(alpha, den)
@@ -928,16 +1020,8 @@ def _linear_pieces(coeffs: list[int], bound: int, N: int):
     def blocks(mono, tally):
         for u in _prefix_blocks(len(prefix), bound, rows):
             beta = -sign * (cu @ u)
-            residue = (-(beta // g)) % vstep * inv % vstep
-            # den*1 <= alpha*t + beta <= den*bound
-            t_lo, t_hi = den - beta, den * bound - beta
-            if alpha < 0:
-                t_lo, t_hi = t_hi, t_lo
-            t_lo = np.maximum(-(-t_lo // alpha), 1)
-            t_hi = np.minimum(t_hi // alpha, bound)
-            v_first = t_lo + (residue - t_lo) % vstep
-            count = np.maximum((t_hi - v_first) // vstep + 1, 0)
-            count[beta % g != 0] = 0
+            v_first, count = _progressions(alpha, beta, den, g, vstep, inv,
+                                           bound)
             tally[0] += int(count.sum())
             live = count > 0
             keep = mono(u) if len(prefix) > 1 else None
@@ -1249,6 +1333,212 @@ def _slice_counter(table: np.ndarray, vstep: int, wstep: int):
 
 
 # ---------------------------------------------------------------------------
+# array walk
+
+
+# terms of one chunk of the array walk, which bounds its temporaries: a
+# single row can hold `bound` terms (x = 1 of x*y = z)
+_TERMS = 2 ** 16
+
+# magnitude every int64 intermediate of the array walk stays below
+_INT64 = 2 ** 62
+
+
+def _array_walk(poly: Polynomial, bound: int):
+    """The walk's affine and quadratic inner steps as int64 arrays, a block
+    of prefix points at a time; None for a shape it does not take.
+
+    It takes an isolated variable (`_pick_isolated`) of exponent 1 whose
+    monomial holds no inner variable, so the solved value is
+    num(t)/den with num the restriction of the other monomials to the
+    inner variable, of degree <= 2, and den a monomial in the prefix
+    values.  Per row, an affine num walks its progression
+    (`_progressions`, with a per-row gcd and `_inverse`), and a quadratic
+    one its exact windows 1 <= num(t)/den <= bound (`_at_most`), each term
+    then tested for divisibility.  It also requires that every
+    intermediate fits in int64 at this bound, decided once from the
+    coefficients: num and the windows' polynomials at t in
+    [-1, bound + 2], den*bound, den^2 and the discriminant.
+
+    Returns terms(colors): given a color array from
+    `ColoringSpec.color_array`, it yields per chunk of at most `_TERMS`
+    terms (u, row, t, s): the prefix values u of shape (len(prefix), rows),
+    and for every monochromatic solution the index of its prefix in u, its
+    inner value t and its solved value s.  The prefix values are the
+    variables other than the solved one but the last (`_inner_step`).
+    A row whose prefix values do not share a color is dropped before any
+    term is built, and a term whose inner value does not share it before
+    num is evaluated there.
+    """
+    n = len(poly.variables)
+    iso = _pick_isolated(poly) if n > 1 else None
+    if iso is None or iso[1] != 1 or not 1 <= bound <= BOUND_CAP:
+        return None
+    sv, _, smono = iso
+    *prefix, inner = [v for v in range(n) if v != sv]
+    mono = poly.monomials[smono]
+    den_factors = [(v, e) for v, e in mono.exponents if v != sv]
+    if any(v == inner for v, _ in den_factors):
+        return None
+    terms = _split([m for i, m in enumerate(poly.monomials) if i != smono],
+                   inner, -1)
+    quadratic = max(k for _, k, _ in terms) == 2
+    size = [0, 0, 0]
+    for c, k, factors in terms:
+        if k > 2:
+            return None
+        size[k] += abs(c) * bound ** sum(e for _, e in factors)
+    d = abs(mono.coeff) * bound ** sum(e for _, e in den_factors)
+    top = bound + 2
+    disc = size[1] ** 2 + 4 * size[2] * (size[0] + d * top) if quadratic else 0
+    if max(size[2] * top ** 2 + size[1] * top + size[0] + d * top, d * d,
+           disc) >= _INT64:
+        return None
+
+    def walk(colors):
+        import numpy as np
+
+        blocks = (_prefix_blocks(len(prefix), bound, _BLOCK) if prefix
+                  else [np.ones((0, 1), dtype=np.int64)])
+        for u in blocks:
+            c0 = None
+            if prefix:
+                c0 = colors[u[0]]
+                if len(prefix) > 1:
+                    keep = (colors[u[1:]] == c0).all(axis=0)
+                    u, c0 = u[:, keep], c0[keep]
+            rows = u.shape[1]
+            if not rows:
+                continue
+            values = dict(zip(prefix, u))
+            coef = np.zeros((3, rows), dtype=np.int64)
+            for coeff, k, factors in terms:
+                x = np.full(rows, coeff, dtype=np.int64)
+                for v, e in factors:
+                    x *= values[v] ** e
+                coef[k] += x
+            den = np.full(rows, mono.coeff, dtype=np.int64)
+            for v, e in den_factors:
+                den *= values[v] ** e
+            coef *= np.where(den < 0, -1, 1)
+            den = np.abs(den)
+            a, b, c = coef[2], coef[1], coef[0]
+            # affine rows: the progression of t with (b*t + c)/den in range
+            row = np.flatnonzero(a == 0)
+            alpha, beta, dr = b[row], c[row], den[row]
+            g = np.gcd(alpha, dr)
+            step = dr // g
+            first, count = _progressions(alpha, beta, dr, g, step,
+                                         _inverse(alpha // g, step), bound)
+            runs = [(row, first, step, count)]
+            if quadratic:
+                row = np.flatnonzero(a)
+                runs += [(row, lo, 1, np.maximum(hi - lo + 1, 0))
+                         for lo, hi in _quadratic_runs(
+                             a[row], b[row], c[row], den[row], bound)]
+            row, first, step, count = (
+                np.concatenate([np.broadcast_to(r[j], r[0].shape)
+                                for r in runs]) for j in range(4))
+            live = count > 0
+            row, first, step, count = (x[live] for x in (row, first, step,
+                                                         count))
+            for run, i in _chunks(count, _TERMS):
+                r = row[run]
+                t = first[run] + step[run] * i
+                if c0 is None:
+                    ct = colors[t]
+                else:
+                    ct = c0[r]
+                    hit = colors[t] == ct
+                    r, t, ct = r[hit], t[hit], ct[hit]
+                num = b[r] * t + c[r]
+                if quadratic:
+                    num += a[r] * t * t
+                dt = den[r]
+                s = num // dt
+                hit = colors[s] == ct
+                if quadratic:
+                    hit &= s * dt == num
+                yield u, r[hit], t[hit], s[hit]
+
+    return walk
+
+
+def _quadratic_runs(a, b, c, den, bound: int):
+    """Row by row, the two windows [lo, hi] of the t in [1, bound] with
+    den <= a*t^2 + b*t + c <= den*bound, a != 0, den > 0, as
+    ((lo1, hi1), (lo2, hi2)): the t with the polynomial at most the top,
+    less the t with it below the bottom, which lie inside them."""
+    import numpy as np
+
+    up = np.where(a > 0, 1, -1)
+    a, b, c = a * up, b * up, c * up
+    # with a > 0 now: bottom <= a*t^2 + b*t + c <= top
+    bottom = np.where(up > 0, den, -den * bound)
+    top = np.where(up > 0, den * bound, -den)
+    lo, hi = _at_most(a, b, c - top, bound)
+    cut_lo, cut_hi = _at_most(a, b, c - bottom + 1, bound)
+    cut = cut_lo <= cut_hi
+    return ((np.maximum(lo, 1), np.minimum(np.where(cut, cut_lo - 1, hi),
+                                           bound)),
+            (np.where(cut, np.maximum(cut_hi + 1, 1), bound + 1),
+             np.minimum(hi, bound)))
+
+
+def _at_most(a, b, c, bound: int):
+    """Row by row, the integer interval [lo, hi] of the t with
+    a*t^2 + b*t + c <= 0, for a > 0: empty (lo > hi) when it holds no
+    integer, and exact where it meets [0, bound + 1].
+
+    Each end starts within one of itself (`_root_starts`), and one exact
+    evaluation on each side of the start corrects it: the polynomial is
+    monotone between its roots and the vertex, and every candidate lies in
+    [-1, bound + 2]."""
+    import numpy as np
+
+    disc = b * b - 4 * a * c
+    lo, hi = _root_starts(a, b, disc, bound)
+
+    def p(t):
+        return (a * t + b) * t + c
+
+    lo = np.where(p(lo - 1) <= 0, lo - 1, np.where(p(lo) > 0, lo + 1, lo))
+    hi = np.where(p(hi + 1) <= 0, hi + 1, np.where(p(hi) > 0, hi - 1, hi))
+    return np.where(disc < 0, 1, lo), np.where(disc < 0, 0, hi)
+
+
+def _root_starts(a, b, disc, bound: int):
+    """The ceiling and the floor of the float roots
+    (-b -+ sqrt(disc))/(2a), clipped to [0, bound + 1].  With b^2 and
+    disc below 2^62 the float error is far below 1, so each is within one
+    of the integer end it estimates."""
+    import numpy as np
+
+    root = np.sqrt(np.maximum(disc, 0).astype(np.float64))
+    lo = np.clip(np.ceil((-b - root) / (2 * a)), 0, bound + 1)
+    hi = np.clip(np.floor((-b + root) / (2 * a)), 0, bound + 1)
+    return lo.astype(np.int64), hi.astype(np.int64)
+
+
+def _chunks(count, size: int):
+    """The terms of runs of count[j] terms each, in order, at most `size`
+    at a time: per chunk (run, i), term i of run `run`."""
+    import numpy as np
+
+    ends = np.cumsum(count)
+    starts = ends - count
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, size):
+        hi = min(lo + size, total)
+        first = int(np.searchsorted(ends, lo, side="right"))
+        last = int(np.searchsorted(ends, hi - 1, side="right")) + 1
+        take = (np.minimum(ends[first:last], hi)
+                - np.maximum(starts[first:last], lo))
+        run = np.repeat(np.arange(first, last), take)
+        yield run, np.arange(lo, hi) - starts[run]
+
+
+# ---------------------------------------------------------------------------
 # standard-head census and witness search
 
 
@@ -1272,7 +1562,12 @@ def head_census(eq: Equation, spec: ColoringSpec, bound: int, base: int,
                 bin_count: int = 16) -> HeadCensus:
     """Histogram over [1, base) of the standard heads of every coordinate of
     every monochromatic solution; the edge bins flag mass near 1 and near
-    the base."""
+    the base.
+
+    A shape that `_array_walk` takes is counted from its int64 terms and
+    the coloring's color array, its coordinates binned by array
+    (`_array_heads`), which loads numpy; every other shape walks its
+    monochromatic solutions one at a time (`_walk`) in pure Python."""
     if base < 2:
         raise ValueError("base must be at least 2")
     if bin_count < 1:
@@ -1280,24 +1575,70 @@ def head_census(eq: Equation, spec: ColoringSpec, bound: int, base: int,
     if bin_count > BIN_CAP:
         raise CapExceededError(
             BIN_CAP, f"bin count {bin_count} exceeds the cap ({BIN_CAP})")
-    bins = [0] * bin_count
-    bin_of: dict[int, int] = {}  # per value, filled on first sight
-    total = 0
-    for assignment, _ in iter_monochromatic(eq, spec, bound):
-        for x in assignment:
-            b = bin_of.get(x)
-            if b is None:
-                # head h = x / scale in [1, base) goes to bin
-                # floor((h - 1) * bin_count / (base - 1)) < bin_count
-                scale = base ** _int_log(x, base)
-                b = bin_of[x] = (x - scale) * bin_count // ((base - 1) * scale)
-            bins[b] += 1
-        total += len(assignment)
+    walk = _array_walk(eq.poly, bound)
+    if walk is None:
+        bins = [0] * bin_count
+        bin_of: dict[int, int] = {}  # per value, filled on first sight
+        total = 0
+        for assignment, _ in iter_monochromatic(eq, spec, bound):
+            for x in assignment:
+                b = bin_of.get(x)
+                if b is None:
+                    # head h = x / scale in [1, base) goes to bin
+                    # floor((h - 1) * bin_count / (base - 1)) < bin_count
+                    scale = base ** _int_log(x, base)
+                    b = bin_of[x] = ((x - scale) * bin_count
+                                     // ((base - 1) * scale))
+                bins[b] += 1
+            total += len(assignment)
+    else:
+        bins, total = _array_heads(walk, len(eq.poly.variables),
+                                   spec.color_array(bound), bound, base,
+                                   bin_count)
     near_one = bins[0] / total if total else 0.0
     near_base = bins[-1] / total if total else 0.0
     return HeadCensus(base, bin_count, bins, total, near_one, near_base,
                       {"bound": bound, "coloring": spec.spec_string(),
                        "base": base, "bins": bin_count})
+
+
+def _array_heads(walk, n: int, colors, bound: int, base: int,
+                 bin_count: int) -> tuple[list[int], int]:
+    """`head_census`'s bins and total over the terms of an `_array_walk`
+    of an equation in n variables.  Each coordinate x finds its level
+    scale = base^L <= x < base^(L+1) by a search over the base's powers and
+    goes to bin (x - scale)*bin_count // ((base - 1)*scale); a prefix value
+    is binned once per row, weighted by the row's solutions."""
+    import numpy as np
+
+    scales = [1]
+    while scales[-1] * base <= bound:
+        scales.append(scales[-1] * base)
+    edges = np.array(scales, dtype=np.int64)
+    # every numerator is below bound*bin_count, where any divisor gives bin
+    # 0, so capping the exact divisor there keeps it in int64 for a base up
+    # to and past 2^64
+    dens = np.array([min((base - 1) * s, bound * bin_count) for s in scales],
+                    dtype=np.int64)
+    acc = np.zeros(bin_count, dtype=np.int64)
+
+    def add(x, weights=None):
+        level = np.searchsorted(edges, x, side="right") - 1
+        # weighted counts come as float64, exact below 2^53
+        got = np.bincount((x - edges[level]) * bin_count // dens[level],
+                          weights)
+        acc[:len(got)] += got.astype(np.int64)
+
+    solutions = 0
+    for u, row, t, s in walk(colors):
+        add(t)
+        add(s)
+        if len(u):
+            per_row = np.bincount(row, minlength=u.shape[1])
+            for x in u:
+                add(x, per_row)
+        solutions += len(t)
+    return acc.tolist(), n * solutions
 
 
 def witness_search(eq: Equation, family: Sequence[ColoringSpec],

@@ -30,6 +30,8 @@ variable, split per monomial once per walk, is checked against the
 dict-keyed sum by exponent that it replaced.  The
 solutions stream is checked against records built as objects, with heads as
 `Fraction`s found by repeated multiplication, and written by `json.dumps`.
+Head censuses are checked against histograms of those heads over the
+enumerate-then-filter solutions.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -789,6 +792,23 @@ def oracle_monochromatic(eq: Equation, spec, bound: int):
         c = colors[assignment[0]]
         if all(colors[x] == c for x in assignment):
             yield assignment, c
+
+
+def oracle_head_bins(solutions, base: int, bin_count: int):
+    """The standard-head histogram of every coordinate of the solutions
+    and the number of coordinates: each distinct value's head is a
+    `Fraction` found by repeated multiplication, in bin
+    floor((head - 1) * bin_count / (base - 1))."""
+    counts = Counter(x for solution in solutions for x in solution)
+    bins = [0] * bin_count
+    for x, count in counts.items():
+        scale = 1
+        while scale * base <= x:
+            scale *= base
+        head = Fraction(x, scale)
+        bins[min(int((head - 1) * bin_count / (base - 1)),
+                 bin_count - 1)] += count
+    return bins, sum(counts.values())
 
 
 def oracle_witness_search(eq: Equation, family, bound: int) -> list:

@@ -19,6 +19,7 @@ from _oracles import (
     _valid_pieces,
     oracle_asymptotic_profile,
     oracle_census_counts,
+    oracle_head_bins,
     oracle_monochromatic,
     oracle_piece_table3,
     oracle_profile_valid,
@@ -191,7 +192,7 @@ class TestColoringSpec:
             "    cli.main(['search', 'x + y = z', '--coloring', 'mod:3', "
             "'--bound', '30', '--N', '3', '--mode', 'solutions', "
             "'--base', '2'])\n"
-            "head_census(parse('x*y = z'), specs[1], 60, 3)\n"
+            "head_census(parse('x^2*y + y = z^2'), specs[1], 60, 3)\n"
             "profile_census_many(parse('x + y + z = w + 1'), specs, 12, 3)\n"
             "witness_search(parse('x = y + 1'), specs, 50)\n"
             "print('numpy' in sys.modules)\n"
@@ -417,6 +418,165 @@ def test_restrictor_matches_oracle():
                     (e for m in monos for v, e in m.exponents if v == inner),
                     default=0)
     assert trimmed > 500
+
+
+def test_array_progressions_match_scalar():
+    # rows planted with a term (t0, s0) and free rows, alpha of both signs
+    # and zero, den with and without common factors: `_progressions` with
+    # `_inverse` against the scalar `_progression`, all rows at once
+    rng = random.Random(26)
+    for bound in [1, 2, 7, 60, 1000, 2 ** 25]:
+        rows = []
+        for _ in range(400):
+            den = rng.choice([1, 2, 6, 12, rng.randint(1, 10 ** 6)])
+            alpha = rng.choice([0, 1, -1, 4, -6,
+                                rng.randint(-10 ** 6, 10 ** 6)])
+            if rng.random() < 0.7:
+                t0, s0 = rng.randint(1, bound), rng.randint(1, bound)
+                beta = den * s0 - alpha * t0
+            else:
+                beta = rng.randint(-10 ** 9, 10 ** 9)
+            rows.append((alpha, beta, den))
+        alpha, beta, den = (np.array(col, dtype=np.int64)
+                            for col in zip(*rows))
+        g = np.gcd(alpha, den)
+        step = den // g
+        inv = coloring._inverse(alpha // g, step)
+        for a, m, i in zip((alpha // g).tolist(), step.tolist(), inv.tolist()):
+            assert i == (pow(a, -1, m) if m > 1 else 0)
+        first, count = coloring._progressions(alpha, beta, den, g, step, inv,
+                                              bound)
+        hits = 0
+        for row, f, c, s in zip(rows, first.tolist(), count.tolist(),
+                                step.tolist()):
+            ts = coloring._progression(*row, 1, bound, bound)
+            assert c == len(ts), (row, bound)
+            if c:
+                assert (f, s) == (ts.start, ts.step), (row, bound)
+                hits += 1
+        assert hits > 250
+
+
+def test_at_most_matches_scan(monkeypatch):
+    # a*t^2 + b*t + c <= 0 for a > 0 against a scan of [0, bound + 1] at
+    # small bounds, with integer roots planted at the scan's ends and
+    # beyond, also with every float start moved by up to one, which the
+    # exact correction must undo; and at large bounds, with coefficients
+    # up to the int64 gate, by its exact values at both sides of each end
+    rng = random.Random(27)
+    offsets = np.random.default_rng(27)
+    starts = coloring._root_starts
+
+    def moved(a, b, disc, bound):
+        # a start inside (0, bound + 1) is not clipped, so a float error
+        # of up to one moves it by up to one
+        return [np.where((0 < x) & (x <= bound),
+                         x + offsets.integers(-1, 2, size=x.shape), x)
+                for x in starts(a, b, disc, bound)]
+
+    def p(a, b, c, t):
+        return (a * t + b) * t + c
+
+    for large, shift in [(False, False), (False, True), (True, False)]:
+        bound = 2 ** 25 if large else rng.randint(1, 40)
+        rows = []
+        for _ in range(3000):
+            a = rng.randint(1, 16 if large else 9)
+            if rng.random() < 0.5:
+                r1 = rng.randint(-3, bound + 4)
+                r2 = r1 + rng.randint(0, 2 * bound)
+                b, c = -a * (r1 + r2), a * r1 * r2 + rng.randint(-1, 1)
+            else:
+                top = 2 ** 30 if large else 50
+                b, c = rng.randint(-top, top), rng.randint(-top, top) * bound
+            if max(b * b, abs(4 * a * c), p(a, abs(b), abs(c), bound + 2)) \
+                    < 2 ** 62:
+                rows.append((a, b, c))
+        a, b, c = (np.array(col, dtype=np.int64) for col in zip(*rows))
+        with monkeypatch.context() as patch:
+            if shift:
+                patch.setattr(coloring, "_root_starts", moved)
+            lo, hi = coloring._at_most(a, b, c, bound)
+        nonempty = 0
+        for (x, y, z), l, h in zip(rows, lo.tolist(), hi.tolist()):
+            l, h = max(l, 0), min(h, bound + 1)
+            if not large:
+                assert [t for t in range(bound + 2) if p(x, y, z, t) <= 0] \
+                    == list(range(l, h + 1)), (x, y, z, bound)
+            elif l <= h:
+                assert p(x, y, z, l) <= 0 and p(x, y, z, h) <= 0
+                assert l == 0 or p(x, y, z, l - 1) > 0
+                assert h == bound + 1 or p(x, y, z, h + 1) > 0
+            else:
+                # the least value on [0, bound + 1] is next to the vertex
+                v = min(max(-y // (2 * x), 0), bound + 1)
+                assert p(x, y, z, v) > 0
+                assert v == bound + 1 or p(x, y, z, v + 1) > 0
+            nonempty += l <= h
+        assert nonempty > 1000, (large, nonempty)
+
+
+def test_quadratic_runs_match_scan():
+    # den <= a*t^2 + b*t + c <= den*bound, a of both signs, against a scan
+    # of [1, bound]: the two windows are disjoint and cover exactly the
+    # t that satisfy it; planted solutions put windows of one point at
+    # either end of a gap
+    rng = random.Random(28)
+    shapes = set()
+    for _ in range(4000):
+        bound = rng.randint(1, 30)
+        a = rng.choice([-1, 1]) * rng.randint(1, 6)
+        den = rng.randint(1, 4)
+        b = rng.randint(-40, 40)
+        t0 = rng.randint(1, bound)
+        c = rng.choice([rng.randint(-200, 200),
+                        den * rng.randint(1, bound) - a * t0 * t0 - b * t0])
+        (lo1, hi1), (lo2, hi2) = (
+            (int(x[0]), int(y[0])) for x, y in coloring._quadratic_runs(
+                *(np.array([v], dtype=np.int64) for v in (a, b, c, den)),
+                bound))
+        got = [*range(lo1, hi1 + 1), *range(lo2, hi2 + 1)]
+        want = [t for t in range(1, bound + 1)
+                if den <= a * t * t + b * t + c <= den * bound]
+        assert got == want, (a, b, c, den, bound)
+        shapes.add((hi1 >= lo1, hi2 >= lo2, hi1 == lo1 or hi2 == lo2))
+    assert {(True, True, False), (True, True, True)} <= shapes, shapes
+
+
+def test_walk_past_the_powers_table(monkeypatch):
+    # past `_POWERS` a solved power v^se is found by an exact integer root
+    # instead of a table of `bound` entries.  Each power and its
+    # neighbours, by square, float and (past 2^1000) Newton roots
+    for se, bound in [(2, 5000), (3, 3000), (7, 300), (100, 2 ** 12)]:
+        powers = coloring._Powers(se, bound)
+        for v in [1, 2, 3, 1000, bound - 1, bound, bound + 1]:
+            for q in [v ** se - 1, v ** se, v ** se + 1, -v]:
+                member = q == v ** se and v <= bound
+                if member:
+                    assert powers[q] == v
+                else:
+                    with pytest.raises(KeyError):
+                        powers[q]
+                assert (q in powers) == member, (se, q)
+    # the first solution of a walk at 2^22 comes in bounded memory, and
+    # walks below the budget list the same solutions with the table as
+    # with roots
+    tracemalloc.start()
+    try:
+        first = next(coloring._walk(parse("x^2*y + y = z^2").poly, 2 ** 22))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == (1, 2, 2) and peak < 1_000_000, peak
+    # x^2*y^2 = z^2 at 40 scans every t, whose powers reach 40^4
+    for text, bound in [("x^2 + y^2 = z^3", 300), ("x^2*y + y = z^2", 200),
+                        ("x + y = z^4", 150), ("x^2*y^2 = z^2", 40)]:
+        poly = parse(text).poly
+        table = list(coloring._walk(poly, bound))
+        with monkeypatch.context() as patch:
+            patch.setattr(coloring, "_POWERS", 0)
+            roots = list(coloring._walk(poly, bound))
+        assert roots == table and len(table) > 10, text
 
 
 def _walk_order_scan(eq, bound, solved):
@@ -1197,14 +1357,10 @@ class TestHeadCensus:
             sols = list(enumerate_solutions(eq, bound))
             for base in (2, 3, 10):
                 for bin_count in (1, 3, 7, 16):
-                    expected = [0] * bin_count
-                    for sol in sols:
-                        for x in sol:
-                            h = standard_head(x, base)
-                            idx = int((h - 1) * bin_count / (base - 1))
-                            expected[min(idx, bin_count - 1)] += 1
+                    expected, total = oracle_head_bins(sols, base, bin_count)
                     census = head_census(eq, spec, bound, base, bin_count)
                     assert census.bins == expected, (eqtext, base, bin_count)
+                    assert census.total_coordinates == total
 
     def test_diagnostic_run(self):
         census = head_census(parse("x + y = z"), ColoringSpec.parse("mod:2"),
@@ -1286,14 +1442,73 @@ class TestFilteredWalk:
     def test_head_bins(self):
         for eq, spec, bound, rng in self.corpus(62, 2):
             base, bin_count = rng.choice([2, 3, 10]), rng.choice([1, 5, 16])
-            bins = [0] * bin_count
-            for sol, _ in oracle_monochromatic(eq, spec, bound):
-                for x in sol:
-                    h = standard_head(x, base)
-                    bins[min(int((h - 1) * bin_count / (base - 1)),
-                             bin_count - 1)] += 1
+            bins, total = oracle_head_bins(
+                (sol for sol, _ in oracle_monochromatic(eq, spec, bound)),
+                base, bin_count)
             census = head_census(eq, spec, bound, base, bin_count)
             assert census.bins == bins, (eq.poly, spec, bound, base)
+            assert census.total_coordinates == total
+
+    # shapes of the array head census beyond EQUATIONS: a denominator per
+    # prefix point, with two and three prefix variables, an inner
+    # coefficient that vanishes at x = 2, quadratics whose leading
+    # coefficient vanishes or changes sign with the prefix
+    HEAD_EQUATIONS = ["x*y = 2z", "x*y = z*w", "x*y*u = z*w",
+                      "x*y - 2y = z", "x*y^2 - 2y^2 = z",
+                      "x^2 + 3x*y - 2y^2 = 5z", "y^2 - 5y + 6 = z*x",
+                      "2x^2 - 3y^2 + x*y = 6z*w"]
+    # shapes whose int64 gate closes at a small bound: the largest bound
+    # that takes the array step
+    GATE = {"x^6*y = z": 463, "x^4*y^2 = z": 1289}
+
+    def test_head_census_matches_oracle(self):
+        # every coloring kind in turn, random ones with up to 2^64 colors;
+        # bounds 1, 2 and a larger one, and both sides of each gate; bases
+        # up to and past the bound and past 2^64, bin counts up to the cap
+        rng = random.Random(65)
+        colorings = self.COLORINGS + ["random:5:1000", "random:3:100000",
+                                      "random:9:18446744073709551616"]
+        cases = []
+        for text in self.EQUATIONS + self.HEAD_EQUATIONS:
+            eq = parse(text)
+            small = len(eq.poly.variables) > 3
+            cases += [(eq, bound) for bound in
+                      [1, 2, rng.choice([7, 24] if small else [3, 40, 150])]]
+        for text, edge in self.GATE.items():
+            eq = parse(text)
+            assert coloring._array_walk(eq.poly, edge) is not None
+            assert coloring._array_walk(eq.poly, edge + 1) is None
+            cases += [(eq, edge), (eq, edge + 1)]
+        on_array = 0
+        for k, (eq, bound) in enumerate(cases):
+            spec = ColoringSpec.parse(colorings[k % len(colorings)])
+            base = rng.choice([2, 3, 10, bound, bound + 1,
+                               2 ** 64 + rng.randint(0, 9)])
+            bin_count = rng.choice([1, 5, 16, 16, 16, coloring.BIN_CAP])
+            bins, total = oracle_head_bins(
+                (sol for sol, _ in oracle_monochromatic(eq, spec, bound)),
+                max(base, 2), bin_count)
+            census = head_census(eq, spec, bound, max(base, 2), bin_count)
+            assert census.bins == bins, (eq.poly, spec, bound, base)
+            assert census.total_coordinates == total
+            on_array += coloring._array_walk(eq.poly, bound) is not None
+        assert on_array > 50
+
+    def test_head_census_memory(self):
+        # x = 1 of x*y = z alone has 10^6 terms: the array step takes them
+        # a chunk at a time, with a 1-byte color table
+        eq, spec = parse("x*y = z"), ColoringSpec.parse("logband:2:3")
+        tracemalloc.start()
+        try:
+            census = head_census(eq, spec, 10 ** 6, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32_000_000, peak
+        bins, total = oracle_head_bins(
+            coloring._walk(eq.poly, 10 ** 6, _color_lookup(spec, 10 ** 6)),
+            2, 16)
+        assert census.bins == bins and census.total_coordinates == total
 
     def test_skipped_prefixes_walk_nothing(self, monkeypatch):
         # under the 2^64 + 1 modulus only equal values share a color, so of
