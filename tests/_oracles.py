@@ -45,8 +45,9 @@ from math import comb
 
 import numpy as np
 
-from radolab.coloring import _linear_pieces, enumerate_solutions
-from radolab.coloring import _lt_zero as _rows_lt_zero
+from radolab.arrays import _linear_pieces
+from radolab.arrays import _lt_zero as _rows_lt_zero
+from radolab.coloring import enumerate_solutions
 from radolab.linalg import (
     ColumnsCertificate,
     QMatrix,

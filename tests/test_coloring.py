@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import itertools
 import json
@@ -28,7 +29,7 @@ from _oracles import (
     oracle_solution_grid,
     oracle_witness_search,
 )
-from radolab import cli, coloring, univariate
+from radolab import arrays, cli, coloring, univariate
 from radolab.coloring import (
     ColoringSpec,
     _color_lookup,
@@ -55,6 +56,36 @@ def test_import_does_not_load_numpy():
     out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False False"
+
+
+def test_coloring_imports_numpy_only_in_color_array():
+    # the array paths live in `arrays`, which `coloring` imports only where
+    # they start; the one numpy import left builds the public numpy view
+    numpy_at, arrays_at = [], []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+                if child.level and not child.module:
+                    names = [alias.name for alias in child.names]
+            else:
+                names = []
+            if any(n.split(".")[0] == "numpy" for n in names):
+                numpy_at.append(".".join(scope))
+            if "arrays" in names:
+                arrays_at.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(Path(coloring.__file__).read_text(encoding="utf-8")), [])
+    assert numpy_at == ["ColoringSpec.color_array"]
+    assert arrays_at == ["profile_census_many", "head_census"]
 
 
 def test_star_import_exports_each_name_once():
@@ -183,6 +214,7 @@ class TestColoringSpec:
         src = str(Path(radolab.__file__).resolve().parents[1])
         code = (
             "import contextlib, io, sys\n"
+            "import radolab\n"
             "from radolab import cli\n"
             "from radolab.coloring import *\n"
             "from radolab.parser import parse\n"
@@ -195,11 +227,13 @@ class TestColoringSpec:
             "head_census(parse('x^2*y + y = z^2'), specs[1], 60, 3)\n"
             "profile_census_many(parse('x + y + z = w + 1'), specs, 12, 3)\n"
             "witness_search(parse('x = y + 1'), specs, 50)\n"
-            "print('numpy' in sys.modules)\n"
+            "print('numpy' in sys.modules, 'radolab.arrays' in sys.modules)\n"
+            "profile_census_many(parse('x + y + z = w'), specs, 12, 3)\n"
+            "print('numpy' in sys.modules, 'radolab.arrays' in sys.modules)\n"
         )
         out = subprocess.run([sys.executable, "-c", code], cwd=src,
                              check=True, capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        assert out.splitlines() == ["False False", "True True"]
 
     def test_fields_are_ascii_integers(self):
         # int() alone would also take "_" separators, surrounding spaces
@@ -441,11 +475,11 @@ def test_array_progressions_match_scalar():
                             for col in zip(*rows))
         g = np.gcd(alpha, den)
         step = den // g
-        inv = coloring._inverse(alpha // g, step)
+        inv = arrays._inverse(alpha // g, step)
         for a, m, i in zip((alpha // g).tolist(), step.tolist(), inv.tolist()):
             assert i == (pow(a, -1, m) if m > 1 else 0)
-        first, count = coloring._progressions(alpha, beta, den, g, step, inv,
-                                              bound)
+        first, count = arrays._progressions(alpha, beta, den, g, step, inv,
+                                            bound)
         hits = 0
         for row, f, c, s in zip(rows, first.tolist(), count.tolist(),
                                 step.tolist()):
@@ -465,7 +499,7 @@ def test_at_most_matches_scan(monkeypatch):
     # up to the int64 gate, by its exact values at both sides of each end
     rng = random.Random(27)
     offsets = np.random.default_rng(27)
-    starts = coloring._root_starts
+    starts = arrays._root_starts
 
     def moved(a, b, disc, bound):
         # a start inside (0, bound + 1) is not clipped, so a float error
@@ -495,8 +529,8 @@ def test_at_most_matches_scan(monkeypatch):
         a, b, c = (np.array(col, dtype=np.int64) for col in zip(*rows))
         with monkeypatch.context() as patch:
             if shift:
-                patch.setattr(coloring, "_root_starts", moved)
-            lo, hi = coloring._at_most(a, b, c, bound)
+                patch.setattr(arrays, "_root_starts", moved)
+            lo, hi = arrays._at_most(a, b, c, bound)
         nonempty = 0
         for (x, y, z), l, h in zip(rows, lo.tolist(), hi.tolist()):
             l, h = max(l, 0), min(h, bound + 1)
@@ -532,7 +566,7 @@ def test_quadratic_runs_match_scan():
         c = rng.choice([rng.randint(-200, 200),
                         den * rng.randint(1, bound) - a * t0 * t0 - b * t0])
         (lo1, hi1), (lo2, hi2) = (
-            (int(x[0]), int(y[0])) for x, y in coloring._quadratic_runs(
+            (int(x[0]), int(y[0])) for x, y in arrays._quadratic_runs(
                 *(np.array([v], dtype=np.int64) for v in (a, b, c, den)),
                 bound))
         got = [*range(lo1, hi1 + 1), *range(lo2, hi2 + 1)]
@@ -690,7 +724,7 @@ def test_progression_matches_brute_force():
 def _three_item_table(slopes, slots, starts, count, N):
     """The n-item `_piece_sweep` on three items given in `slots` order, as
     the (row, lo, hi, code) of `oracle_piece_table3`."""
-    from radolab.coloring import _piece_sweep
+    from radolab.arrays import _piece_sweep
     order = np.argsort(slots)
     row, lo, hi, ranks = _piece_sweep([slopes[k] for k in order],
                                       starts[order], count, N)
@@ -854,7 +888,7 @@ def _check_census(eq, coeffs, bound, N, specs):
     coloring against a scan of the solutions and counted alone, which takes
     the same kernel as in the family; returns the census's steps and
     solved coefficient."""
-    from radolab.coloring import _census_linear, _linear_pieces
+    from radolab.arrays import _census_linear, _linear_pieces
     per_spec, total = _census_linear(coeffs, specs, bound, N)
     assert (per_spec, total) == oracle_census_counts(
         coeffs, specs, bound, N), (coeffs, bound, N)
@@ -897,8 +931,8 @@ def test_census_counts_do_not_depend_on_block_size(monkeypatch):
     # the next case's oracle runs at it), with the random colorings on the
     # bit kernel and then on the slice kernel: every census equals the
     # stacked slice oracle taken at the default
-    from radolab.coloring import _census_linear, _linear_pieces
-    default, budget = coloring._BLOCK, coloring._BITS_BUDGET
+    from radolab.arrays import _census_linear, _linear_pieces
+    default, budget = arrays._BLOCK, arrays._BITS_BUDGET
     cases = itertools.chain(_census_corpus(2525, 6, [3], (3, 60)),
                             _census_corpus(2626, 5, [4], (3, 12)),
                             _census_corpus(2727, 4, [5], (3, 6)))
@@ -909,11 +943,11 @@ def test_census_counts_do_not_depend_on_block_size(monkeypatch):
         vstep, wstep, _ = _linear_pieces(coeffs, bound, N)
         for bits_budget, kernel in [(budget, "_bits_counter"),
                                     (0, "_slice_counter")]:
-            monkeypatch.setattr(coloring, "_BITS_BUDGET", bits_budget)
+            monkeypatch.setattr(arrays, "_BITS_BUDGET", bits_budget)
             assert {_kernel(s, bound, vstep, wstep) for s in specs
                     if s.kind == "random"} == {kernel}
             for block in (1, 7, default):
-                monkeypatch.setattr(coloring, "_BLOCK", block)
+                monkeypatch.setattr(arrays, "_BLOCK", block)
                 assert _census_linear(coeffs, specs, bound, N) == expected, (
                     coeffs, bound, N, block, kernel)
     assert widths == {3, 4, 5}
@@ -922,13 +956,13 @@ def test_census_counts_do_not_depend_on_block_size(monkeypatch):
 def test_census_of_1296_prefix_points_takes_one_piece_table(monkeypatch):
     # x + y + z = w at bound 36 has 36^2 prefix points (x, y): one block
     calls = []
-    sweep = coloring._piece_sweep
+    sweep = arrays._piece_sweep
 
     def counted(*args):
         calls.append(1)
         return sweep(*args)
 
-    monkeypatch.setattr(coloring, "_piece_sweep", counted)
+    monkeypatch.setattr(arrays, "_piece_sweep", counted)
     census = profile_census(parse("x + y + z = w"),
                             ColoringSpec.parse("mod:3"), 36, 2)
     assert census.counts
@@ -942,7 +976,7 @@ def test_wide_random_families_match_per_spec_censuses():
     # and to the stacked slice oracle.  The steps (vstep, wstep) are
     # (1, 2), (1, -4) and (5, -3), and four variables drop rows per
     # coloring before the piece table
-    from radolab.coloring import _linear_pieces
+    from radolab.arrays import _linear_pieces
     wide = [f"random:{seed}:{colors}" for seed, colors in [
         (1, 2), (2, 3), (-3, 2), (4, 300), (5, 300), (-6, 70000),
         (7, 70000), (8, 2)]] + ["mod:3"]
@@ -972,7 +1006,7 @@ def test_wide_random_families_match_per_spec_censuses():
 def _pieces(coeffs, bound, N):
     """A linear census's steps vstep and wstep, and its valid pieces as
     arrays [x, v, w, n], with no row dropped."""
-    from radolab.coloring import _linear_pieces
+    from radolab.arrays import _linear_pieces
     vstep, wstep, blocks = _linear_pieces(coeffs, bound, N)
     found = [(x, v, w, n) for *_, x, v, w, n in blocks(
         lambda u: np.ones((u.shape[1], 1), dtype=bool), [0])]
@@ -981,7 +1015,7 @@ def _pieces(coeffs, bound, N):
 
 def _kernel(spec, bound, vstep, wstep):
     """The name of the kernel `_counter` picks for a coloring."""
-    from radolab.coloring import _counter
+    from radolab.arrays import _counter
     return _counter(spec, bound, vstep, wstep)[1].__qualname__.split(".")[0]
 
 
@@ -994,9 +1028,9 @@ def test_bit_kernel_matches_slice_kernel_and_oracle(monkeypatch):
     # to eight random colorings against the stacked slice oracle, with a
     # 70000-color coloring past the copy budget taking the slice kernel
     # beside bit kernels
-    from radolab.coloring import _bits_counter, _census_linear, _slice_counter
+    from radolab.arrays import _bits_counter, _census_linear, _slice_counter
     rng = random.Random(2323)
-    words_at_once = coloring._WORDS
+    words_at_once = coloring._CHUNK
     steps, lengths, ends = set(), set(), set()
     for text, bound, N in [("x + y = z", 320, 3), ("x + 2y = z", 449, 2),
                            ("x - 2y + 4z = 0", 191, 3),
@@ -1012,9 +1046,10 @@ def test_bit_kernel_matches_slice_kernel_and_oracle(monkeypatch):
                 f"random:{rng.randint(-99, 99)}:{colors}").color_array(bound)
             expected = _slice_counter(table, vstep, wstep)[1](*pieces)
             for words in (words_at_once, 1, 3):
-                monkeypatch.setattr(coloring, "_WORDS", words)
-                assert (_bits_counter(table, vstep, wstep)[1](*pieces)
-                        == expected).all(), (text, colors, words)
+                with monkeypatch.context() as patch:
+                    patch.setattr(coloring, "_CHUNK", words)
+                    assert (_bits_counter(table, vstep, wstep)[1](*pieces)
+                            == expected).all(), (text, colors, words)
         specs = [ColoringSpec.parse(f"random:{rng.randint(-99, 99)}:"
                                     f"{rng.choice([2, 3, 300])}")
                  for _ in range(rng.randint(1, 8))]
@@ -1043,13 +1078,13 @@ def test_random_kernel_chosen_by_copy_budget(monkeypatch):
     bound = 2000
     colors = len(np.unique(spec.color_array(bound)[1:]))
     copies = 8 * (bound + 1) * colors
-    assert copies <= coloring._BITS_BUDGET < 2 * copies
+    assert copies <= arrays._BITS_BUDGET < 2 * copies
     assert _kernel(spec, bound, 1, 1) == "_bits_counter"
     assert _kernel(spec, bound, 1, -1) == "_slice_counter"
     assert _kernel(spec, bound, 1, 2) == "_slice_counter"
-    monkeypatch.setattr(coloring, "_BITS_BUDGET", 2 * copies)
+    monkeypatch.setattr(arrays, "_BITS_BUDGET", 2 * copies)
     assert _kernel(spec, bound, 1, 2) == "_bits_counter"
-    monkeypatch.setattr(coloring, "_BITS_BUDGET", 2 * copies - 1)
+    monkeypatch.setattr(arrays, "_BITS_BUDGET", 2 * copies - 1)
     assert _kernel(spec, bound, 1, 2) == "_slice_counter"
 
 
@@ -1114,7 +1149,7 @@ def test_distinct_rank_rows_past_int64_codes():
     # rows of up to 40 columns of ranks below the width, as a base-width
     # code per row would need up to 40^40: equal rows and only equal rows
     # share a position, and the distinct rows come in ascending order
-    from radolab.coloring import _distinct_rows
+    from radolab.arrays import _distinct_rows
     rng = np.random.default_rng(5)
     for width in [1, 3, 16, 17, 40]:
         base = rng.integers(0, width, size=(12, width), dtype=np.uint8)
