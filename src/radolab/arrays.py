@@ -1,11 +1,11 @@
 """The numpy engine of the coloring searches, loaded on first use.
 
 `coloring` imports this module at two points only, once its pure-Python
-gates have taken an equation: the closed-form census of a linear homogeneous
-equation (`_census_linear`, from `profile_census_many`) and the array walk
-of a head census (`_array_heads`, from `head_census`).  Loading it, and
-numpy with it, costs tens of milliseconds that `import radolab`, `analyze`,
-`certify` and the walked searches never pay.
+plan (`coloring._array_walk`) has taken an equation: the closed-form census
+of a plan with constant steps (`_census_linear`, from `profile_census_many`)
+and the array walk of a head census (`_array_heads`, from `head_census`).
+Loading it, and numpy with it, costs tens of milliseconds that
+`import radolab`, `analyze`, `certify` and the walked searches never pay.
 
 The census splits each inner progression of a block of prefix points
 (`_progressions`) into valid-profile pieces (`_piece_sweep`) and counts
@@ -29,7 +29,7 @@ from .coloring import ColoringSpec, _ceil_div, _grid, _partition
 
 
 # ---------------------------------------------------------------------------
-# closed-form census of linear homogeneous equations
+# closed-form census of constant-slope plans
 
 
 def _lt_zero(alpha, beta, lo, hi):
@@ -167,8 +167,8 @@ def _progressions(alpha, beta, den, g, step, inv, bound: int):
     (alpha*t + beta)/den is an integer in [1, bound] are first + step*i for
     i in [0, count).  The caller gives den > 0, g = gcd(alpha, den),
     step = den/g and inv, the inverse of alpha/g mod step; each argument
-    is a scalar or an int64 array, and the caller checks that
-    |den|*bound + |beta| and step^2 fit in int64."""
+    is a scalar or an int64 array, and `coloring._array_walk` checks that
+    |den|*bound + |beta| and den^2 fit in int64."""
     residue = (-(beta // g)) % step * inv % step
     # den*1 <= alpha*t + beta <= den*bound
     a, b = den - beta, den * bound - beta
@@ -200,16 +200,15 @@ def _inverse(a, m):
     return s0 % m
 
 
-def _linear_pieces(coeffs: list[int], bound: int, N: int):
-    """The valid pieces of the solutions of c0*x0 + ... + c(n-1)*x(n-1) = 0,
-    n >= 3, a block of prefix points at a time.
+def _linear_pieces(plan, bound: int, N: int):
+    """The valid pieces of the solutions of a plan whose solved value is
+    (alpha*t + beta)/den at inner value t, alpha and den constant, a block
+    of prefix points at a time.
 
-    One variable is solved for and one is inner; the other n - 2 are the
-    prefix.  For each prefix point the inner variable runs over the exact
-    arithmetic progression of `_progressions` and the solved variable over
-    the matching one; both are closed-form in the prefix sum, so a block of
-    points is handled with int64 array operations, and `_piece_sweep`
-    splits each progression into the pieces whose profile is valid.
+    For each prefix point the inner variable runs over the exact arithmetic
+    progression of `_progressions` and the solved variable over the
+    matching one, so a block of points takes int64 array operations, and
+    `_piece_sweep` splits each progression into its valid pieces.
 
     Returns (vstep, wstep, blocks).  blocks(mono, tally) adds the number of
     solutions to `tally`, a one-item list, and yields per block with valid
@@ -221,29 +220,28 @@ def _linear_pieces(coeffs: list[int], bound: int, N: int):
     with none are dropped before the piece table; with one prefix
     variable, keep is None, as a single value always shares its color.
     """
-    n = len(coeffs)
-    solve = max(range(n), key=lambda i: (abs(coeffs[i]) == 1, i))
-    *prefix, inner = [i for i in range(n) if i != solve]
-    cv, cs = coeffs[inner], coeffs[solve]
+    prefix, inner, solved, terms = plan[:4]
+    n = len(prefix) + 2
     # every coordinate lies in [1, bound], so each profile comparison
     # (N*(a - b) < b, N*b >= a) answers the same for every N >= bound
     N = min(N, bound)
-    # the progressions of a block of prefix points: only beta depends on
-    # them, so alpha, den, the gcd and the inverse are scalars
-    sign = 1 if cs > 0 else -1
-    alpha, den = -cv * sign, cs * sign
+    # only beta depends on the prefix, so alpha, den, the gcd and the
+    # inverse are scalars
+    sign = 1 if plan.den_coeff > 0 else -1
+    alpha = sign * sum(c for c, k, _ in terms if k == 1)
+    den = sign * plan.den_coeff
     g = gcd(alpha, den)
     vstep = den // g
     inv = pow(alpha // g, -1, vstep)
-    wstep = -cv * vstep // cs
+    wstep = alpha * vstep // den
     slopes = [0] * n
-    slopes[inner], slopes[solve] = vstep, wstep
-    cu = np.array([coeffs[i] for i in prefix], dtype=np.int64)
+    slopes[inner], slopes[solved] = vstep, wstep
     rows = min(_BLOCK, coloring._CELLS // (n * min(4 * n, bound)))
 
     def blocks(mono, tally):
         for u in _prefix_blocks(len(prefix), bound, rows):
-            beta = -sign * (cu @ u)
+            beta = sign * _row_coefficients(terms, dict(zip(prefix, u)),
+                                            u.shape[1])[0]
             v_first, count = _progressions(alpha, beta, den, g, vstep, inv,
                                            bound)
             tally[0] += int(count.sum())
@@ -258,27 +256,27 @@ def _linear_pieces(coeffs: list[int], bound: int, N: int):
             starts = np.empty((n, len(count)), dtype=np.int64)
             starts[prefix] = u
             starts[inner] = v_first
-            starts[solve] = (sign * beta[live] - cv * v_first) // cs
+            starts[solved] = (alpha * v_first + beta[live]) // den
             row, lo, hi, ranks = _piece_sweep(slopes, starts, count, N)
             if len(row):
                 yield (ranks, None if keep is None else keep[row], u[0, row],
                        v_first[row] + vstep * lo,
-                       starts[solve, row] + wstep * lo, hi - lo)
+                       starts[solved, row] + wstep * lo, hi - lo)
 
     return vstep, wstep, blocks
 
 
-def _census_linear(coeffs: list[int], specs: Sequence[ColoringSpec],
-                   bound: int, N: int) -> tuple[list, int]:
-    """Censuses for a linear homogeneous equation in n >= 3 variables
-    without materializing the solution list.
+def _census_linear(plan, specs: Sequence[ColoringSpec], bound: int,
+                   N: int) -> tuple[list, int]:
+    """Censuses for a planned equation that `_linear_pieces` takes, without
+    materializing the solution list.
 
     `_linear_pieces` gives the valid pieces of the rows whose prefix values
     share a color under some coloring, and each coloring's kernel
     (`_counter`) counts the monochromatic terms of every piece of a block
     at once, and gives the colors of the prefix values.
     """
-    vstep, wstep, blocks = _linear_pieces(coeffs, bound, N)
+    vstep, wstep, blocks = _linear_pieces(plan, bound, N)
     kernels = [_counter(s, bound, vstep, wstep) for s in specs]
 
     def mono(u):
@@ -558,7 +556,7 @@ def _array_terms(plan, bound: int, colors):
     row whose prefix values do not share a color is dropped before any term
     is built, and a term whose inner value does not share it before num is
     evaluated there."""
-    prefix, terms, den_coeff, den_factors, quadratic = plan
+    prefix, _, _, terms, den_coeff, den_factors, quadratic = plan
     blocks = (_prefix_blocks(len(prefix), bound, _BLOCK) if prefix
               else [np.ones((0, 1), dtype=np.int64)])
     for u in blocks:
@@ -572,12 +570,7 @@ def _array_terms(plan, bound: int, colors):
         if not rows:
             continue
         values = dict(zip(prefix, u))
-        coef = np.zeros((3, rows), dtype=np.int64)
-        for coeff, k, factors in terms:
-            x = np.full(rows, coeff, dtype=np.int64)
-            for v, e in factors:
-                x *= values[v] ** e
-            coef[k] += x
+        coef = _row_coefficients(terms, values, rows)
         den = np.full(rows, den_coeff, dtype=np.int64)
         for v, e in den_factors:
             den *= values[v] ** e
@@ -621,6 +614,16 @@ def _array_terms(plan, bound: int, colors):
             if quadratic:
                 hit &= s * dt == num
             yield u, r[hit], t[hit], s[hit]
+
+
+def _row_coefficients(terms, values, rows: int):
+    """Rows of num's coefficients of 1, t and t^2 at the prefix values."""
+    coef = np.zeros((3, rows), dtype=np.int64)
+    for x, k, factors in terms:
+        for v, e in factors:
+            x = x * (values[v] if e == 1 else values[v] ** e)
+        coef[k] += x
+    return coef
 
 
 def _quadratic_runs(a, b, c, den, bound: int):
@@ -725,4 +728,4 @@ def _array_heads(plan, colors, bound: int, base: int,
                 add(x, per_row)
         solutions += len(t)
     # the prefix, inner and solved variables
-    return acc.tolist(), (len(plan[0]) + 2) * solutions
+    return acc.tolist(), (len(plan.prefix) + 2) * solutions

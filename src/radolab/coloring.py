@@ -18,23 +18,23 @@ innermost variable is split by monomial once per walk (`_restrictor`), so a
 prefix point costs only its monomials' products.  Given a coloring's table it
 skips each prefix whose values do not share a color and builds a tuple only
 for a monochromatic solution.  The solutions stream (`iter_monochromatic`),
-witness searches and the profile census of every equation but a linear
-homogeneous one run it once per coloring; `enumerate_solutions` runs it
-without a table.
+witness searches and the profile census of an equation without a closed
+form run it once per coloring; `enumerate_solutions` runs it without a table.
 
 Two paths run on numpy arrays instead, in the module `arrays`, imported
-only where each starts, once a pure-Python gate here has taken the
-equation: the closed-form census of a linear homogeneous equation in three
-or more variables (in `profile_census_many`) and the array walk of a head
-census (`_array_walk`).  So `import radolab` and every other search load
-neither numpy nor `arrays`.  Searches take bounds up to `BOUND_CAP`, past
-which a color table no longer fits in reasonable memory.
+only where each starts, fed by one pure-Python plan (`_array_walk`): the
+array walk of a head census and, for a plan whose inner and solved values
+step by constants (a linear equation in three or more variables, say), the
+closed-form census (in `profile_census_many`).  So `import radolab` and
+every other search load neither numpy nor `arrays`.  Searches take bounds
+up to `BOUND_CAP`, past which a color table no longer fits in memory.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -53,8 +53,7 @@ if TYPE_CHECKING:
 # colorings
 
 
-# the largest bound a coloring search takes: its color table holds bound + 1
-# entries, and the linear census's int64 arithmetic is exact up to it
+# the largest bound a search takes, whose color table holds bound + 1 entries
 BOUND_CAP = 2 ** 25
 
 
@@ -400,7 +399,7 @@ def enumerate_solutions(eq: Equation, bound: int) -> Iterator[tuple[int, ...]]:
     values and by exact roots past it).  The grid runs over
     the other variables but the innermost, which walks the exact arithmetic
     progression of `_progression` (whose terms `arrays._progressions`
-    computes as int64 arrays for the array walk and the linear census) when
+    computes as int64 arrays on both paths `_array_walk` plans) when
     the solved value is affine in it, and otherwise only the exact integer
     windows on which the solved value lies in its range.
     Without such a variable, and in a one-variable equation, the innermost
@@ -742,13 +741,14 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
                         bound: int, N: int) -> list[ProfileCensus]:
     """Censuses for several colorings.
 
-    Linear homogeneous equations in 3 to 512 variables with coefficients
-    up to 2^20 split each inner progression into valid pieces in closed
-    form, once for the whole family, and count each coloring's
-    monochromatic terms with its own kernel (see `arrays._census_linear`,
-    which loads numpy).  Every other equation takes one walk per coloring
-    that builds only its monochromatic solutions (see `_walk`); the first
-    walk also counts every solution.
+    An equation of n <= 512 variables (a row fits `_CELLS`) whose plan
+    (`_array_walk`) has a prefix and a constant den, and holds the inner
+    variable only in factorless terms of degree 1, splits each inner
+    progression into valid pieces in closed form, once for the whole
+    family, and counts each coloring's monochromatic terms with its own
+    kernel (see `arrays._census_linear`, which loads numpy).  Every other
+    equation takes one walk per coloring that builds only its monochromatic
+    solutions (see `_walk`); the first walk also counts every solution.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
@@ -758,21 +758,13 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
     poly = eq.poly
     params = [{"bound": bound, "N": N, "coloring": s.spec_string()}
               for s in specs]
-    # with |c| <= 2^20, bound, N <= BOUND_CAP = 2^25 and n <= 512 variables
-    # (so one row fits a piece table's `_CELLS`) the closed-form path's
-    # largest int64 intermediates are the prefix sum, at most
-    # (n - 2)*2^20*2^25 < 2^54, the piece table's
-    # N*b + (N+1)*b' <= 2^25*2^25 + (2^25+1)*2^25 < 2^52 and the mod
-    # kernel's CRT products, below (BOUND_CAP + 1)^2 < 2^51
-    n = len(poly.variables)
-    if (bound >= 1 and poly.is_linear() and poly.constant_term() == 0
-            and 3 <= n and 4 * n * n <= _CELLS
-            and max(map(abs, poly.linear_coefficients())) <= 2 ** 20):
+    plan = _array_walk(poly, bound)
+    if (plan is not None and plan.prefix and not plan.den_factors
+            and not plan.quadratic and 4 * len(poly.variables) ** 2 <= _CELLS
+            and not any(f for _, k, f in plan.terms if k == 1)):
         from . import arrays
 
-        per_spec, total = arrays._census_linear(
-            poly.linear_coefficients(), specs, bound, N
-        )
+        per_spec, total = arrays._census_linear(plan, specs, bound, N)
         return [ProfileCensus(counts, total, p)
                 for counts, p in zip(per_spec, params)]
     per_spec = []
@@ -796,26 +788,30 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
 # array walk gate
 
 
-# magnitude every int64 intermediate of the array walk stays below
+# magnitude every int64 intermediate of the numpy paths stays below
 _INT64 = 2 ** 62
 
 
-def _array_walk(poly: Polynomial, bound: int):
-    """The plan of the array walk (`arrays._array_terms`) of a head census,
-    or None for a shape it does not take; pure Python, so a refused shape
-    loads no numpy.
+_Plan = namedtuple("_Plan", "prefix inner solved terms den_coeff den_factors "
+                              "quadratic")
+
+
+def _array_walk(poly: Polynomial, bound: int) -> Optional[_Plan]:
+    """The plan of the array walk of a head census (`arrays._array_terms`)
+    and of the closed-form census (`arrays._linear_pieces`), or None for a
+    shape it does not take; pure Python, so a refused shape loads no numpy.
 
     It takes an isolated variable (`_pick_isolated`) of exponent 1 whose
     monomial holds no inner variable, so the solved value is num(t)/den with
-    num the restriction of the other monomials to the inner variable, of
-    degree <= 2, and den a monomial in the prefix values (those other than
-    the solved one but the last, as in `_inner_step`).  It also requires
-    that every intermediate fits in int64 at this bound, decided once from
-    the coefficients: num and the windows' polynomials at t in
-    [-1, bound + 2], den*bound, den^2 and the discriminant.  The plan is
-    (prefix, num's terms by `_split`, den's coefficient and factors, whether
-    num is quadratic).
-    """
+    num (`terms`, by `_split`) the restriction of the other monomials to the
+    inner variable, of degree <= 2, and den a monomial in the prefix values
+    (all but the solved and inner ones, as in `_inner_step`).  Every int64
+    intermediate of both paths stays below 2^62 at this bound, as checked
+    once from the coefficients: num and the windows' polynomials at t in
+    [-1, bound + 2] (so den*bound - beta), den^2 and the discriminant.  Of
+    these, d*top + size[1]*top bounds (bound + 1)*(den + |alpha|), alpha
+    num's coefficient of t, and so the piece sweep's N*slope terms; the
+    census kernels see only values up to the bound, or steps within it."""
     n = len(poly.variables)
     iso = _pick_isolated(poly) if n > 1 else None
     if iso is None or iso[1] != 1 or not 1 <= bound <= BOUND_CAP:
@@ -840,7 +836,7 @@ def _array_walk(poly: Polynomial, bound: int):
     if max(size[2] * top ** 2 + size[1] * top + size[0] + d * top, d * d,
            disc) >= _INT64:
         return None
-    return prefix, terms, mono.coeff, den_factors, quadratic
+    return _Plan(prefix, inner, sv, terms, mono.coeff, den_factors, quadratic)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ import numpy as np
 
 from radolab.arrays import _linear_pieces
 from radolab.arrays import _lt_zero as _rows_lt_zero
-from radolab.coloring import enumerate_solutions
+from radolab.coloring import _array_walk, enumerate_solutions
 from radolab.linalg import (
     ColumnsCertificate,
     QMatrix,
@@ -739,15 +739,26 @@ def oracle_piece_table3(slopes, slots, starts, count, N):
     return tuple(np.concatenate(col) for col in zip(*out))
 
 
-def oracle_census_counts(coeffs, specs, bound: int, N: int):
-    """The linear census the way the three-variable one once counted:
+def census_plan(eq: Equation, bound: int):
+    """The plan the closed-form census takes for an equation at a bound
+    (`coloring._array_walk`), checked to step its inner and solved values
+    by constants."""
+    plan = _array_walk(eq.poly, bound)
+    assert plan is not None and plan.prefix, eq
+    assert not plan.den_factors and not plan.quadratic, eq
+    assert not any(f for _, k, f in plan.terms if k == 1), eq
+    return plan
+
+
+def oracle_census_counts(eq: Equation, specs, bound: int, N: int):
+    """The closed-form census the way the three-variable one once counted:
     every valid piece of `_linear_pieces` is sliced out of one stacked 2-D
     color array, a row per coloring from `color_array`, and compared
     element by element with the color of its first value.  A piece counts
     for a coloring only if its prefix values share a color there, read
     from the same array.  Returns the profile counts per coloring and the
     number of solutions, as `_census_linear` does."""
-    vstep, wstep, blocks = _linear_pieces(coeffs, bound, N)
+    vstep, wstep, blocks = _linear_pieces(census_plan(eq, bound), bound, N)
     colors2d = np.stack([s.color_array(bound) for s in specs])
 
     def mono(u):
