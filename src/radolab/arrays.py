@@ -1,17 +1,21 @@
 """The numpy engine of the coloring searches, loaded on first use.
 
-`coloring` imports this module at two points only, once its pure-Python
-plan (`coloring._array_walk`) has taken an equation: the closed-form census
-of a plan with constant steps (`_census_linear`, from `profile_census_many`)
-and the array walk of a head census (`_array_heads`, from `head_census`).
-Loading it, and numpy with it, costs tens of milliseconds that
-`import radolab`, `analyze`, `certify` and the walked searches never pay.
+It is imported only once the pure-Python plan (`coloring._array_walk`) has
+taken an equation: by `coloring.profile_census_many` for the closed-form
+census of a plan with constant steps (`_census_linear`) and the walked
+census of any other plan (`_census_walked`), by `coloring.head_census` for
+the head census (`_array_heads`), and by `cli.cmd_search` for the solutions
+stream (`_stream_chunks`).  Loading it, and numpy with it, costs tens of
+milliseconds that `import radolab`, `analyze`, `certify`, the witness
+search and the searches of unplanned shapes never pay.
 
-The census splits each inner progression of a block of prefix points
-(`_progressions`) into valid-profile pieces (`_piece_sweep`) and counts
-their monochromatic terms with one kernel per coloring (`_counter`).  The
-array walk builds each row's inner and solved values as int64 arrays, from
-its progression or its exact quadratic windows (`_quadratic_runs`).
+The closed-form census splits each inner progression of a block of prefix
+points (`_progressions`) into valid-profile pieces (`_piece_sweep`) and
+counts their monochromatic terms with one kernel per coloring
+(`_counter`).  The array walk builds each row's inner and solved values as
+int64 arrays, from its progression or its exact quadratic windows
+(`_quadratic_runs`); the head census bins them, and the walked census and
+the stream take the profiles of their columns (`_profiles`).
 """
 
 from __future__ import annotations
@@ -552,7 +556,8 @@ def _array_terms(plan, bound: int, colors):
     tested for divisibility.  Given a color array, it yields per chunk of
     at most `coloring._CHUNK` terms (u, row, t, s): the prefix values u of
     shape (len(prefix), rows), and for every monochromatic solution the
-    index of its prefix in u, its inner value t and its solved value s.  A
+    index of its prefix in u, its inner value t and its solved value s, in
+    the order of `coloring._walk` (by prefix point, then by t).  A
     row whose prefix values do not share a color is dropped before any term
     is built, and a term whose inner value does not share it before num is
     evaluated there."""
@@ -594,6 +599,10 @@ def _array_terms(plan, bound: int, colors):
             np.concatenate([np.broadcast_to(r[j], r[0].shape)
                             for r in runs]) for j in range(4))
         live = count > 0
+        if quadratic:
+            # row by row, as `_walk` goes: a row's windows ascend in t
+            live = np.flatnonzero(live)
+            live = live[np.argsort(row[live], kind="stable")]
         row, first, step, count = (x[live] for x in (row, first, step,
                                                      count))
         for run, i in _chunks(count, coloring._CHUNK):
@@ -690,6 +699,91 @@ def _chunks(count, size: int):
                 - np.maximum(starts[first:last], lo))
         run = np.repeat(np.arange(first, last), take)
         yield run, np.arange(lo, hi) - starts[run]
+
+
+def _solutions(plan, colors, bound: int) -> Iterator[np.ndarray]:
+    """The monochromatic solutions of a planned array walk in `_walk`'s
+    order, per chunk of `_array_terms` as an int64 array of shape
+    (variables, solutions)."""
+    n = len(plan.prefix) + 2
+    for u, row, t, s in _array_terms(plan, bound, colors):
+        values = np.empty((n, len(t)), dtype=np.int64)
+        values[plan.prefix] = u[:, row]
+        values[plan.inner] = t
+        values[plan.solved] = s
+        yield values
+
+
+def _profiles(values: np.ndarray, N: int):
+    """`coloring._profile` of every column of an (n, m) int64 array of
+    values in [1, BOUND_CAP], as (ranks, valid): ranks[i, j] is the class
+    of value i of column j, 0 the top, and valid[j] its validity.
+
+    A stable descending argsort orders each column, and one pass over the
+    n sorted rows opens a class where N*(anchor - v) >= v and marks the
+    column invalid where, at such a cut, N*v >= the value before; the
+    ranks are then scattered back to their positions.  Each comparison
+    answers the same for every N at or past the largest value, as in
+    `_linear_pieces`, so N is capped at `BOUND_CAP` and every product
+    stays below 2^50."""
+    N = min(N, coloring.BOUND_CAP)
+    order = np.argsort(-values.T, axis=1, kind="stable").T
+    ordered = np.take_along_axis(values, order, axis=0)
+    by_order = np.zeros(values.shape, dtype=np.min_scalar_type(len(values)))
+    valid = np.ones(values.shape[1], dtype=bool)
+    anchor = last = ordered[0]
+    for pos in range(1, len(values)):
+        v = ordered[pos]
+        cut = N * (anchor - v) >= v
+        valid &= ~cut | (N * v < last)
+        by_order[pos] = by_order[pos - 1] + cut
+        anchor = np.where(cut, v, anchor)
+        last = v
+    ranks = np.empty_like(by_order)
+    np.put_along_axis(ranks, order, by_order, axis=0)
+    return ranks, valid
+
+
+def _stream_chunks(plan, colors, bound: int, N: int, head=None):
+    """The solutions stream of a planned array walk, per chunk of
+    `_solutions`, as (fields, keys): fields holds one list per record field
+    (each variable's values, the colors and, given `head`, the head of
+    each variable's values, head(x) per distinct x), and keys the records'
+    profile keys (ranks, valid) as `coloring._profile` gives them, one
+    tuple per distinct key."""
+    for values in _solutions(plan, colors, bound):
+        ranks, valid = _profiles(values, N)
+        rows, which = _distinct_rows(np.vstack([ranks, valid]).T)
+        keys = [(tuple(r[:-1]), bool(r[-1])) for r in rows.tolist()]
+        fields = [*values.tolist(), colors[values[0]].tolist()]
+        if head is not None:
+            distinct = np.unique(values)
+            heads = np.array([head(x) for x in distinct.tolist()],
+                             dtype=object)
+            fields += heads[np.searchsorted(distinct, values)].tolist()
+        yield fields, [keys[k] for k in which.tolist()]
+
+
+def _census_walked(plan, specs: Sequence[ColoringSpec], bound: int,
+                   N: int) -> tuple[list, int]:
+    """Censuses for a planned equation that `_linear_pieces` does not take:
+    each coloring's monochromatic solutions per chunk of `_solutions`,
+    their valid profiles (`_profiles`) tallied by distinct rank row.  The
+    number of all solutions comes from one more pass under a one-color
+    array."""
+    per_spec = []
+    for spec in specs:
+        counts: dict[tuple[int, ...], int] = {}
+        for values in _solutions(plan, spec.color_array(bound), bound):
+            ranks, valid = _profiles(values, N)
+            rows, which = _distinct_rows(ranks[:, valid].T)
+            for key, c in zip(map(tuple, rows.tolist()),
+                              np.bincount(which).tolist()):
+                counts[key] = counts.get(key, 0) + c
+        per_spec.append({_partition(key): c for key, c in counts.items()})
+    one = np.zeros(bound + 1, dtype=np.uint8)
+    total = sum(len(t) for _, _, t, _ in _array_terms(plan, bound, one))
+    return per_spec, total
 
 
 def _array_heads(plan, colors, bound: int, base: int,

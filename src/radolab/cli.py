@@ -21,6 +21,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import __version__
 from .coloring import (
     ColoringSpec,
+    _array_walk,
     _classes,
     _profile,
     head_census,
@@ -155,6 +156,57 @@ def _emit_candidates(report: dict, coeffs: list[int], render) -> None:
     write(f"\n  ],{rest}\n")
 
 
+class _Heads(dict):
+    """The quoted standard head of each value in a base, on first sight."""
+
+    def __init__(self, base: int):
+        super().__init__()
+        self.base = base
+
+    def __missing__(self, x: int) -> str:
+        head = self[x] = f'"{standard_head(x, self.base)}"'
+        return head
+
+
+def _write_records(records, n: int, N: int, base) -> int:
+    """Write the solution records of an n-variable equation, _CHUNK lines
+    per write, and return their number.  Each record comes as (fields,
+    (ranks, valid)): fields holds its values, its color and, with `base`,
+    the quoted heads of its values.
+
+    Each line is json.dumps(record, sort_keys=True) of the record
+    {assignment, color, heads: {base: [head, ...]} (with `base`),
+    profile: {N, classes, valid}}.  Each distinct (ranks, valid) is
+    rendered once, as a %-template of the whole line, so a record is one
+    `%` of its fields on it."""
+    values = ", ".join(["%s"] * n)
+    lead = f'{{"assignment": [{values}], "color": %s, '
+    if base is not None:
+        lead += f'"heads": {{"{base}": [{values}]}}, '
+    template_of: dict[tuple, str] = {}
+    count = 0
+    lines = []
+    write = sys.stdout.write
+    try:
+        for fields, key in records:
+            template = template_of.get(key)
+            if template is None:
+                template = template_of[key] = (
+                    f'{lead}"profile": {{"N": {N}, '
+                    f'"classes": {_classes(key[0])}, '
+                    f'"valid": {"true" if key[1] else "false"}}}}}\n')
+            lines.append(template % fields)
+            if len(lines) == _CHUNK:
+                chunk = "".join(lines)
+                lines.clear()
+                write(chunk)
+                count += _CHUNK
+    finally:
+        # records found before an interruption or an error still go out
+        write("".join(lines))
+    return count + len(lines)
+
+
 def _filter_json(result) -> dict:
     return {
         "name": result.filter_name,
@@ -285,41 +337,21 @@ def cmd_search(args) -> int:
             raise ValueError("N must be at least 2")
         if base is not None and base < 2:
             raise ValueError("base must be at least 2")
-        # each line is json.dumps(record, sort_keys=True) of the record
-        # {assignment, color, heads: {base: [head, ...]} (with --base),
-        # profile: {N, classes, valid}}
-        head_of: dict[int, str] = {}  # quoted head per value, on first sight
-        # the "profile" text per (ranks, valid), rendered on first sight
-        profile_of: dict[tuple, str] = {}
-        count = 0
-        lines = []
-        try:
-            for assignment, color in iter_monochromatic(eq, specs[0],
-                                                        args.bound):
-                heads = ""
-                if base is not None:
-                    for x in assignment:
-                        if x not in head_of:
-                            head_of[x] = f'"{standard_head(x, base)}"'
-                    heads = ", ".join(map(head_of.__getitem__, assignment))
-                    heads = f'"heads": {{"{base}": [{heads}]}}, '
-                key = _profile(assignment, N)
-                profile = profile_of.get(key)
-                if profile is None:
-                    profile = profile_of[key] = (
-                        f'"profile": {{"N": {N}, '
-                        f'"classes": {_classes(key[0])}, '
-                        f'"valid": {"true" if key[1] else "false"}}}')
-                lines.append(f'{{"assignment": {list(assignment)}, '
-                             f'"color": {color}, {heads}{profile}}}\n')
-                count += 1
-                if len(lines) == _CHUNK:
-                    chunk = "".join(lines)
-                    lines.clear()
-                    sys.stdout.write(chunk)
-        finally:
-            # records found before an interruption or an error still go out
-            sys.stdout.write("".join(lines))
+        head = None if base is None else _Heads(base).__getitem__
+        plan = _array_walk(eq.poly, args.bound)
+        if plan is None:
+            records = (((*a, c, *(map(head, a) if head else ())),
+                        _profile(a, N))
+                       for a, c in iter_monochromatic(eq, specs[0],
+                                                      args.bound))
+        else:
+            from . import arrays
+
+            records = chain.from_iterable(
+                zip(zip(*fields), keys) for fields, keys in
+                arrays._stream_chunks(plan, specs[0].color_array(args.bound),
+                                      args.bound, N, head))
+        count = _write_records(records, len(eq.poly.variables), N, base)
         print(f"{pretty(eq)}: {count} monochromatic solution(s) streamed",
               file=sys.stderr)
         return EXIT_OK

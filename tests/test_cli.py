@@ -607,9 +607,11 @@ class TestSearch:
 
     def test_interrupted_stream_keeps_its_records(self, capsys, monkeypatch):
         # Ctrl-C after 1500 records, one whole chunk and part of the next:
-        # every record found so far is on stdout, as in the full stream
-        argv = ["search", "x + y = z", "--coloring", "mod:3", "--bound",
-                "300", "--mode", "solutions", "--base", "10"]
+        # every record found so far is on stdout, as in the full stream.
+        # x + y^3 = z + w (cubic in its inner variable) takes the walk
+        argv = ["search", "x + y^3 = z + w", "--coloring", "mod:3",
+                "--bound", "80", "--mode", "solutions", "--base", "10"]
+        assert coloring._array_walk(parse(argv[1]).poly, 80) is None
         full = run_cli(capsys, *argv)[1].splitlines(keepends=True)
         assert len(full) > 1500
         walk = cli.iter_monochromatic
@@ -624,6 +626,34 @@ class TestSearch:
         with pytest.raises(KeyboardInterrupt):
             main(argv)
         assert capsys.readouterr().out.splitlines(keepends=True) == full[:1500]
+
+    def test_interrupted_array_stream_keeps_its_first_chunk(self, capsys,
+                                                            monkeypatch):
+        # a planned shape streams a chunk of array-walk terms at a time:
+        # Ctrl-C while the second chunk is built leaves every record of
+        # the first on stdout, more than one write of them
+        from radolab import arrays
+
+        argv = ["search", "x + y = z", "--coloring", "mod:3", "--bound",
+                "300", "--mode", "solutions", "--base", "10"]
+        monkeypatch.setattr(coloring, "_CHUNK", 2 ** 14)
+        full = run_cli(capsys, *argv)[1].splitlines(keepends=True)
+        terms = arrays._array_terms
+        first = []
+
+        def interrupted(*args):
+            for k, chunk in enumerate(terms(*args)):
+                if k == 1:
+                    raise KeyboardInterrupt
+                first.append(len(chunk[2]))
+                yield chunk
+
+        monkeypatch.setattr(arrays, "_array_terms", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert cli._CHUNK < first[0] < len(full)
+        out = capsys.readouterr().out.splitlines(keepends=True)
+        assert out == full[:first[0]]
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "x + y = z"],

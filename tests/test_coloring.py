@@ -212,8 +212,10 @@ class TestColoringSpec:
         assert 0 < len(calls) < 1000
 
     def test_searches_do_not_load_numpy(self):
+        # the walked searches of unplanned shapes stay pure Python; the
+        # closed-form census and the stream of a planned shape load arrays
         src = str(Path(radolab.__file__).resolve().parents[1])
-        code = (
+        setup = (
             "import contextlib, io, sys\n"
             "import radolab\n"
             "from radolab import cli\n"
@@ -221,20 +223,29 @@ class TestColoringSpec:
             "from radolab.parser import parse\n"
             "specs = [ColoringSpec.parse(s) for s in "
             "('mod:3', 'digit:10', 'logband:2:3', 'random:9:5')]\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    cli.main(['search', 'x + y = z', '--coloring', 'mod:3', "
+            "def stream(text):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        cli.main(['search', text, '--coloring', 'mod:3', "
             "'--bound', '30', '--N', '3', '--mode', 'solutions', "
             "'--base', '2'])\n"
-            "head_census(parse('x^2*y + y = z^2'), specs[1], 60, 3)\n"
-            "profile_census_many(parse('x*y + z = w'), specs, 12, 3)\n"
-            "witness_search(parse('x = y + 1'), specs, 50)\n"
-            "print('numpy' in sys.modules, 'radolab.arrays' in sys.modules)\n"
-            "profile_census_many(parse('x + y + z = w + 1'), specs, 12, 3)\n"
-            "print('numpy' in sys.modules, 'radolab.arrays' in sys.modules)\n"
         )
-        out = subprocess.run([sys.executable, "-c", code], cwd=src,
-                             check=True, capture_output=True, text=True).stdout
-        assert out.splitlines() == ["False False", "True True"]
+        loaded = ("print('numpy' in sys.modules, "
+                  "'radolab.arrays' in sys.modules)\n")
+        walked = (
+            "stream('x^2*y + y = z^2')\n"
+            "head_census(parse('x^2*y + y = z^2'), specs[1], 60, 3)\n"
+            "profile_census_many(parse('x*y^3 + z = w'), specs, 12, 3)\n"
+            "witness_search(parse('x = y + 1'), specs, 50)\n"
+            + loaded)
+        closed = ("profile_census_many(parse('x + y + z = w + 1'), specs, "
+                  "12, 3)\n")
+        for code, expected in [
+                (walked + closed + loaded, ["False False", "True True"]),
+                ("stream('x + y = z')\n" + loaded, ["True True"])]:
+            out = subprocess.run([sys.executable, "-c", setup + code],
+                                 cwd=src, check=True, capture_output=True,
+                                 text=True).stdout
+            assert out.splitlines() == expected
 
     def test_fields_are_ascii_integers(self):
         # int() alone would also take "_" separators, surrounding spaces
@@ -334,6 +345,34 @@ class TestAsymptoticProfile:
             ranks, valid = _profile(values, N)
             assert _profile(values, N, valid_only=True) == (
                 (ranks, True) if valid else (None, False)), (values, N)
+
+    def test_array_profiles_match_scalar(self):
+        # every column of `arrays._profiles` against `_profile`: tuples of
+        # 1-6 values up to the bound cap, tie-heavy, nudged around the cut
+        # tests, or uniform; N from 2 to the bound and past it
+        rng = random.Random(20261021)
+        for bound in [3, 40, 1000, coloring.BOUND_CAP]:
+            for n in range(1, 7):
+                for N in [2, 3, 10, bound, 10 ** 30]:
+                    columns = []
+                    for k in range(60):
+                        if k % 3 == 0:
+                            pool = [rng.randint(1, bound) for _ in range(3)]
+                            values = [rng.choice(pool) for _ in range(n)]
+                        elif k % 3 == 1:
+                            base = rng.randint(1, 1000)
+                            values = [base * min(N, 50) ** rng.randint(0, 3)
+                                      + rng.randint(-2, 2) for _ in range(n)]
+                        else:
+                            values = [rng.randint(1, bound) for _ in range(n)]
+                        columns.append([min(max(v, 1), bound)
+                                        for v in values])
+                    ranks, valid = arrays._profiles(
+                        np.array(columns, dtype=np.int64).T, N)
+                    got = list(zip(map(tuple, ranks.T.tolist()),
+                                   valid.tolist()))
+                    assert got == [_profile(c, N) for c in columns], \
+                        (bound, n, N)
 
 
 class TestEnumerateSolutions:
@@ -1519,7 +1558,8 @@ class TestFilteredWalk:
                  "x*y + x*w + y*w = z^2", "x^2 - y^2 = z",
                  "x^2 + y^2 - z^2 = w", "x*y = z", "y*z = x^2 + 1",
                  "x^2 = 4", "3x = 7", "x^2 - 2x*y + y^2 = x + y",
-                 "x^2*y + y^2 = x*y*z + z^2", "x^2 + x = 6"]
+                 "x^2*y + y^2 = x*y*z + z^2", "x^2 + x = 6",
+                 "y^2 + w = x*y + z"]
     COLORINGS = ["mod:2", "mod:3", "mod:7", "digit:3", "digit:10",
                  "logband:2:1", "logband:2:3", "logband:3:2", "random:7:3",
                  "random:11:4", "mod:18446744073709551617"]
@@ -1602,6 +1642,52 @@ class TestFilteredWalk:
             on_array += coloring._array_walk(eq.poly, bound) is not None
         assert on_array > 50
 
+    # shapes of the walked census on the array walk: slopes per prefix
+    # point, quadratics with one and with two windows per row, an inner
+    # coefficient that vanishes at x = 2, den != 1, a denominator per
+    # prefix point and no prefix at all
+    WALKED = ["x*y + z = w", "x^2 + y^2 + z = w", "y^2 + w = x*y + z",
+              "x*y - 2y = z", "x^2 - y^2 = 2z", "x*y = z*w", "x = y + 1"]
+
+    def test_walked_census_matches_oracle(self, monkeypatch):
+        # every coloring kind at once, the 2^64 + 1 modulus and random ones
+        # included; bounds 1, 2 and a small one, both sides of each gate,
+        # and N up to and past the bound.  A planned shape takes the array
+        # census, an unplanned one (x*y^3 + z = w, cubic in its inner
+        # variable, and each shape past its gate) the walk
+        walked = []
+        census = arrays._census_walked
+
+        def counted(plan, *args):
+            walked.append(plan)
+            return census(plan, *args)
+
+        monkeypatch.setattr(arrays, "_census_walked", counted)
+        specs = [ColoringSpec.parse(s) for s in
+                 self.COLORINGS + ["random:5:1000"]]
+        rng = random.Random(66)
+        cases = [(text, bound) for text in self.WALKED
+                 for bound in [1, 2, rng.choice([7, 12, 24])]]
+        cases += [(text, b) for text, edge in self.GATE.items()
+                  for b in [edge, edge + 1]]
+        cases += [("x*y^3 + z = w", 24)]
+        for k, (text, bound) in enumerate(cases):
+            eq = parse(text)
+            N = [2, 3, bound + 1, 10 ** 30][k % 4]
+            walked.clear()
+            many = profile_census_many(eq, specs, bound, N)
+            planned = coloring._array_walk(eq.poly, bound) is not None
+            assert len(walked) == planned, (text, bound)
+            total = sum(1 for _ in enumerate_solutions(eq, bound))
+            for spec, got in zip(specs, many):
+                counts = {}
+                for sol, _ in oracle_monochromatic(eq, spec, bound):
+                    partition, valid = oracle_asymptotic_profile(sol, N)
+                    if valid:
+                        counts[partition] = counts.get(partition, 0) + 1
+                assert got.counts == counts, (text, bound, N, spec)
+                assert got.total_solutions == total, (text, bound, spec)
+
     def test_head_census_memory(self):
         # x = 1 of x*y = z alone has 10^6 terms: the array step takes them
         # a chunk at a time, with a 1-byte color table
@@ -1623,9 +1709,9 @@ class TestFilteredWalk:
         # the prefixes (w, x) of x + y + z = w only those with w == x pass,
         # and none of them completes (z = -y).  Each prefix costs two color
         # lookups, and a skipped one none more: not in a search, and not in
-        # the census of x*y + z = w (prefix (w, x), z = w - x*y), whose walk
-        # counts its solutions in closed form.  The census of x + y + z = w
-        # takes no lookup at all
+        # the walked census of x*y^3 + z = w (prefix (w, x), z = w - x*y^3,
+        # which no array plan takes), whose walk counts its solutions in
+        # closed form.  The census of x + y + z = w takes no lookup at all
         lookups = [0]
 
         class Counted(list):
@@ -1644,8 +1730,13 @@ class TestFilteredWalk:
         census = profile_census(eq, spec, 30, 10)
         assert census.counts == {} and census.total_solutions == 4060
         assert lookups[0] == 0
-        census = profile_census(parse("x*y + z = w"), spec, 30, 10)
-        assert census.counts == {} and census.total_solutions == 1381
+        eq = parse("x*y^3 + z = w")
+        assert coloring._array_walk(eq.poly, 30) is None
+        census = profile_census(eq, spec, 30, 10)
+        terms = [(m.coeff, m.exponents) for m in eq.poly.monomials]
+        assert census.total_solutions == len(
+            oracle_solution_grid(terms, 4, 30)) == 480
+        assert census.counts == {}
         assert lookups[0] == 2 * 30 ** 2
 
     def test_skipped_prefixes_take_no_step(self, monkeypatch):
@@ -1700,6 +1791,21 @@ class TestFilteredWalk:
                 line + "\n" for line in lines), argv
             records += len(lines)
         assert records > 1000
+
+    def test_records_of_two_window_rows_in_walk_order(self, capsys):
+        # z = y^2 - x*y + w dips below 1 between two windows of y for many
+        # prefixes (w, x): the array stream must still go prefix by prefix,
+        # each prefix's windows in t order
+        text = "y^2 + w = x*y + z"
+        for spec in ["logband:2:1", "mod:2", "random:7:3"]:
+            argv = ["search", text, "--coloring", spec, "--bound", "24",
+                    "--N", "3", "--base", "2", "--mode", "solutions"]
+            assert cli.main(argv) == 0
+            lines = list(oracle_record_lines(
+                parse(text), ColoringSpec.parse(spec), 24, 3, 2))
+            assert len(lines) > 100
+            assert capsys.readouterr().out == "".join(
+                line + "\n" for line in lines), spec
 
 
 class TestRecords:
