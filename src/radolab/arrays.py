@@ -2,20 +2,20 @@
 
 It is imported only once the pure-Python plan (`coloring._array_walk`) has
 taken an equation: by `coloring.profile_census_many` for the closed-form
-census of a plan with constant steps (`_census_linear`) and the walked
-census of any other plan (`_census_walked`), by `coloring.head_census` for
-the head census (`_array_heads`), and by `cli.cmd_search` for the solutions
-stream (`_stream_chunks`).  Loading it, and numpy with it, costs tens of
-milliseconds that `import radolab`, `analyze`, `certify`, the witness
-search and the searches of unplanned shapes never pay.
+census of a plan with constant steps (`_census_linear`), by
+`coloring.head_census` for the head census (`_array_heads`), and by
+`cli.cmd_search` for the solutions stream (`_stream_chunks`).  Loading it,
+and numpy with it, costs tens of milliseconds that `import radolab`,
+`analyze`, `certify`, the witness search, the walked census and the
+searches of unplanned shapes never pay.
 
 The closed-form census splits each inner progression of a block of prefix
 points (`_progressions`) into valid-profile pieces (`_piece_sweep`) and
 counts their monochromatic terms with one kernel per coloring
 (`_counter`).  The array walk builds each row's inner and solved values as
 int64 arrays, from its progression or its exact quadratic windows
-(`_quadratic_runs`); the head census bins them, and the walked census and
-the stream take the profiles of their columns (`_profiles`).
+(`_quadratic_runs`); the head census bins them, and the stream takes the
+profiles of their columns (`_profiles`).
 """
 
 from __future__ import annotations
@@ -701,19 +701,6 @@ def _chunks(count, size: int):
         yield run, np.arange(lo, hi) - starts[run]
 
 
-def _solutions(plan, colors, bound: int) -> Iterator[np.ndarray]:
-    """The monochromatic solutions of a planned array walk in `_walk`'s
-    order, per chunk of `_array_terms` as an int64 array of shape
-    (variables, solutions)."""
-    n = len(plan.prefix) + 2
-    for u, row, t, s in _array_terms(plan, bound, colors):
-        values = np.empty((n, len(t)), dtype=np.int64)
-        values[plan.prefix] = u[:, row]
-        values[plan.inner] = t
-        values[plan.solved] = s
-        yield values
-
-
 def _profiles(values: np.ndarray, N: int):
     """`coloring._profile` of every column of an (n, m) int64 array of
     values in [1, BOUND_CAP], as (ranks, valid): ranks[i, j] is the class
@@ -745,45 +732,25 @@ def _profiles(values: np.ndarray, N: int):
 
 
 def _stream_chunks(plan, colors, bound: int, N: int, head=None):
-    """The solutions stream of a planned array walk, per chunk of
-    `_solutions`, as (fields, keys): fields holds one list per record field
-    (each variable's values, the colors and, given `head`, the head of
-    each variable's values, head(x) per distinct x), and keys the records'
-    profile keys (ranks, valid) as `coloring._profile` gives them, one
-    tuple per distinct key."""
-    for values in _solutions(plan, colors, bound):
+    """The solutions stream of a planned array walk in `_walk`'s order, per
+    chunk of `_array_terms`, as (fields, keys): fields holds one list per
+    record field (each variable's values, the colors and, given `head`,
+    head(x) of each variable's values x), and keys the records' profile
+    keys (ranks, valid) as `coloring._profile` gives them, one tuple per
+    distinct key."""
+    n = len(plan.prefix) + 2
+    for u, row, t, s in _array_terms(plan, bound, colors):
+        values = np.empty((n, len(t)), dtype=np.int64)
+        values[plan.prefix] = u[:, row]
+        values[plan.inner] = t
+        values[plan.solved] = s
         ranks, valid = _profiles(values, N)
         rows, which = _distinct_rows(np.vstack([ranks, valid]).T)
         keys = [(tuple(r[:-1]), bool(r[-1])) for r in rows.tolist()]
         fields = [*values.tolist(), colors[values[0]].tolist()]
         if head is not None:
-            distinct = np.unique(values)
-            heads = np.array([head(x) for x in distinct.tolist()],
-                             dtype=object)
-            fields += heads[np.searchsorted(distinct, values)].tolist()
+            fields += [list(map(head, col)) for col in fields[:n]]
         yield fields, [keys[k] for k in which.tolist()]
-
-
-def _census_walked(plan, specs: Sequence[ColoringSpec], bound: int,
-                   N: int) -> tuple[list, int]:
-    """Censuses for a planned equation that `_linear_pieces` does not take:
-    each coloring's monochromatic solutions per chunk of `_solutions`,
-    their valid profiles (`_profiles`) tallied by distinct rank row.  The
-    number of all solutions comes from one more pass under a one-color
-    array."""
-    per_spec = []
-    for spec in specs:
-        counts: dict[tuple[int, ...], int] = {}
-        for values in _solutions(plan, spec.color_array(bound), bound):
-            ranks, valid = _profiles(values, N)
-            rows, which = _distinct_rows(ranks[:, valid].T)
-            for key, c in zip(map(tuple, rows.tolist()),
-                              np.bincount(which).tolist()):
-                counts[key] = counts.get(key, 0) + c
-        per_spec.append({_partition(key): c for key, c in counts.items()})
-    one = np.zeros(bound + 1, dtype=np.uint8)
-    total = sum(len(t) for _, _, t, _ in _array_terms(plan, bound, one))
-    return per_spec, total
 
 
 def _array_heads(plan, colors, bound: int, base: int,

@@ -17,15 +17,19 @@ integer roots of the innermost variable).  The step's restriction to the
 innermost variable is split by monomial once per walk (`_restrictor`), so a
 prefix point costs only its monomials' products.  Given a coloring's table it
 skips each prefix whose values do not share a color and builds a tuple only
-for a monochromatic solution.  Witness searches, and the stream
-(`iter_monochromatic`) and census of an unplanned equation, run it once per
-coloring; `enumerate_solutions` runs it without a table.
+for a monochromatic solution.  Witness searches, the profile census of an
+equation without a closed form, and the stream of an unplanned equation
+(`iter_monochromatic`) run it once per coloring; `enumerate_solutions` runs
+it without a table.
 
-A shape that the pure-Python plan `_array_walk` takes runs its censuses and
-stream on numpy arrays instead, in the module `arrays`, imported only where
-each census starts (and by `cli` for the stream).  So `import radolab` and
-every unplanned search load neither numpy nor `arrays`.  Searches take
-bounds up to `BOUND_CAP`, past which a color table no longer fits in memory.
+Three paths run on numpy arrays instead, in the module `arrays`, imported
+only where each starts, fed by one pure-Python plan (`_array_walk`): the
+array walk of a head census and of the solutions stream (the latter from
+`cli`) and, for a plan whose inner and solved values step by constants (a
+linear equation in three or more variables, say), the closed-form census
+(in `profile_census_many`).  So `import radolab` and every other search
+load neither numpy nor `arrays`.  Searches take bounds up to `BOUND_CAP`,
+past which a color table no longer fits in memory.
 """
 
 from __future__ import annotations
@@ -638,8 +642,8 @@ def _window_budget(monomials, inner: int, bound: int) -> int:
     much extra.  Degrees 1 and 2 keep the formula, though their windows are
     closed form and cost a few evaluations: a budget of 4 to 32 there made
     the walks of x^2 - y^2 = z 15-30% faster but those of x*y^2 - 2y^2 = z
-    35-50% slower (bound 500 to 2000, in-process, 2-core Xeon).  Every
-    search of those shapes but the witness search takes the array walk,
+    35-50% slower (bound 500 to 2000, in-process, 2-core Xeon).  The head
+    census and the solutions stream of those shapes take the array walk,
     which has no budget: its quadratic windows are closed form for every
     row (`arrays._quadratic_runs`).
     """
@@ -744,9 +748,8 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
     variable only in factorless terms of degree 1, splits each inner
     progression into valid pieces in closed form, once for the whole
     family, and counts each coloring's monochromatic terms with its own
-    kernel (`arrays._census_linear`); any other planned one profiles the
-    array walk's terms (`arrays._census_walked`).  An unplanned equation
-    takes one walk per coloring that builds only its monochromatic
+    kernel (see `arrays._census_linear`, which loads numpy).  Every other
+    equation takes one walk per coloring that builds only its monochromatic
     solutions (see `_walk`); the first walk also counts every solution.
     """
     if N < 2:
@@ -758,14 +761,12 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
     params = [{"bound": bound, "N": N, "coloring": s.spec_string()}
               for s in specs]
     plan = _array_walk(poly, bound)
-    if plan is not None:
+    if (plan is not None and plan.prefix and not plan.den_factors
+            and not plan.quadratic and 4 * len(poly.variables) ** 2 <= _CELLS
+            and not any(f for _, k, f in plan.terms if k == 1)):
         from . import arrays
 
-        closed = (plan.prefix and not plan.den_factors and not plan.quadratic
-                  and 4 * len(poly.variables) ** 2 <= _CELLS
-                  and not any(f for _, k, f in plan.terms if k == 1))
-        per_spec, total = (arrays._census_linear if closed else
-                           arrays._census_walked)(plan, specs, bound, N)
+        per_spec, total = arrays._census_linear(plan, specs, bound, N)
         return [ProfileCensus(counts, total, p)
                 for counts, p in zip(per_spec, params)]
     per_spec = []
@@ -798,9 +799,12 @@ _Plan = namedtuple("_Plan", "prefix inner solved terms den_coeff den_factors "
 
 
 def _array_walk(poly: Polynomial, bound: int) -> Optional[_Plan]:
-    """The plan of the array walk of a head census (`arrays._array_terms`)
-    and of the closed-form census (`arrays._linear_pieces`), or None for a
-    shape it does not take; pure Python, so a refused shape loads no numpy.
+    """The plan of the array walk (`arrays._array_terms`) of a head census
+    and of the solutions stream, and of the closed-form census
+    (`arrays._linear_pieces`), or None for a shape it does not take; pure
+    Python, so a refused shape loads no numpy.  The stream writes its
+    records in the order the walk finds them, so the plan must choose the
+    prefix, inner and solved variables as `_inner_step` does.
 
     It takes an isolated variable (`_pick_isolated`) of exponent 1 whose
     monomial holds no inner variable, so the solved value is num(t)/den with

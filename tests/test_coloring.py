@@ -212,8 +212,9 @@ class TestColoringSpec:
         assert 0 < len(calls) < 1000
 
     def test_searches_do_not_load_numpy(self):
-        # the walked searches of unplanned shapes stay pure Python; the
-        # closed-form census and the stream of a planned shape load arrays
+        # the walked searches stay pure Python, the census of x*y + z = w
+        # too (planned, but no closed form); the closed-form census and the
+        # stream of a planned shape load arrays
         src = str(Path(radolab.__file__).resolve().parents[1])
         setup = (
             "import contextlib, io, sys\n"
@@ -234,7 +235,7 @@ class TestColoringSpec:
         walked = (
             "stream('x^2*y + y = z^2')\n"
             "head_census(parse('x^2*y + y = z^2'), specs[1], 60, 3)\n"
-            "profile_census_many(parse('x*y^3 + z = w'), specs, 12, 3)\n"
+            "profile_census_many(parse('x*y + z = w'), specs, 12, 3)\n"
             "witness_search(parse('x = y + 1'), specs, 50)\n"
             + loaded)
         closed = ("profile_census_many(parse('x + y + z = w + 1'), specs, "
@@ -1642,27 +1643,18 @@ class TestFilteredWalk:
             on_array += coloring._array_walk(eq.poly, bound) is not None
         assert on_array > 50
 
-    # shapes of the walked census on the array walk: slopes per prefix
-    # point, quadratics with one and with two windows per row, an inner
-    # coefficient that vanishes at x = 2, den != 1, a denominator per
-    # prefix point and no prefix at all
+    # shapes the array walk plans but the closed form refuses, so their
+    # census walks: slopes per prefix point, quadratics with one and with
+    # two windows per row, an inner coefficient that vanishes at x = 2,
+    # den != 1, a denominator per prefix point and no prefix at all
     WALKED = ["x*y + z = w", "x^2 + y^2 + z = w", "y^2 + w = x*y + z",
               "x*y - 2y = z", "x^2 - y^2 = 2z", "x*y = z*w", "x = y + 1"]
 
-    def test_walked_census_matches_oracle(self, monkeypatch):
+    def test_walked_census_matches_oracle(self):
         # every coloring kind at once, the 2^64 + 1 modulus and random ones
         # included; bounds 1, 2 and a small one, both sides of each gate,
-        # and N up to and past the bound.  A planned shape takes the array
-        # census, an unplanned one (x*y^3 + z = w, cubic in its inner
-        # variable, and each shape past its gate) the walk
-        walked = []
-        census = arrays._census_walked
-
-        def counted(plan, *args):
-            walked.append(plan)
-            return census(plan, *args)
-
-        monkeypatch.setattr(arrays, "_census_walked", counted)
+        # and N up to and past the bound; x*y^3 + z = w (cubic in its
+        # inner variable) has no plan at all
         specs = [ColoringSpec.parse(s) for s in
                  self.COLORINGS + ["random:5:1000"]]
         rng = random.Random(66)
@@ -1674,10 +1666,7 @@ class TestFilteredWalk:
         for k, (text, bound) in enumerate(cases):
             eq = parse(text)
             N = [2, 3, bound + 1, 10 ** 30][k % 4]
-            walked.clear()
             many = profile_census_many(eq, specs, bound, N)
-            planned = coloring._array_walk(eq.poly, bound) is not None
-            assert len(walked) == planned, (text, bound)
             total = sum(1 for _ in enumerate_solutions(eq, bound))
             for spec, got in zip(specs, many):
                 counts = {}
@@ -1709,9 +1698,9 @@ class TestFilteredWalk:
         # the prefixes (w, x) of x + y + z = w only those with w == x pass,
         # and none of them completes (z = -y).  Each prefix costs two color
         # lookups, and a skipped one none more: not in a search, and not in
-        # the walked census of x*y^3 + z = w (prefix (w, x), z = w - x*y^3,
-        # which no array plan takes), whose walk counts its solutions in
-        # closed form.  The census of x + y + z = w takes no lookup at all
+        # the census of x*y + z = w (prefix (w, x), z = w - x*y), whose walk
+        # counts its solutions in closed form.  The census of x + y + z = w
+        # takes no lookup at all
         lookups = [0]
 
         class Counted(list):
@@ -1730,13 +1719,8 @@ class TestFilteredWalk:
         census = profile_census(eq, spec, 30, 10)
         assert census.counts == {} and census.total_solutions == 4060
         assert lookups[0] == 0
-        eq = parse("x*y^3 + z = w")
-        assert coloring._array_walk(eq.poly, 30) is None
-        census = profile_census(eq, spec, 30, 10)
-        terms = [(m.coeff, m.exponents) for m in eq.poly.monomials]
-        assert census.total_solutions == len(
-            oracle_solution_grid(terms, 4, 30)) == 480
-        assert census.counts == {}
+        census = profile_census(parse("x*y + z = w"), spec, 30, 10)
+        assert census.counts == {} and census.total_solutions == 1381
         assert lookups[0] == 2 * 30 ** 2
 
     def test_skipped_prefixes_take_no_step(self, monkeypatch):
@@ -1806,6 +1790,34 @@ class TestFilteredWalk:
             assert len(lines) > 100
             assert capsys.readouterr().out == "".join(
                 line + "\n" for line in lines), spec
+
+    def test_records_in_walk_order_across_blocks_and_chunks(self, capsys,
+                                                            monkeypatch):
+        # blocks of 5 prefix points and chunks of 7 terms: a prefix's terms
+        # are split between chunks and a row of prefixes between blocks,
+        # and the records still come in the walk's order
+        monkeypatch.setattr(arrays, "_BLOCK", 5)
+        monkeypatch.setattr(coloring, "_CHUNK", 7)
+        terms = arrays._array_terms
+        chunks = [0]
+
+        def counted(*args):
+            for chunk in terms(*args):
+                chunks[0] += 1
+                yield chunk
+
+        monkeypatch.setattr(arrays, "_array_terms", counted)
+        for text in ["y^2 + w = x*y + z", "x*y + z = w"]:
+            for spec in ["mod:2", "logband:2:1"]:
+                chunks[0] = 0
+                argv = ["search", text, "--coloring", spec, "--bound", "24",
+                        "--N", "3", "--base", "2", "--mode", "solutions"]
+                assert cli.main(argv) == 0
+                lines = list(oracle_record_lines(
+                    parse(text), ColoringSpec.parse(spec), 24, 3, 2))
+                assert chunks[0] > 5 and len(lines) > 50
+                assert capsys.readouterr().out == "".join(
+                    line + "\n" for line in lines), (text, spec)
 
 
 class TestRecords:
