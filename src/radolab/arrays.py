@@ -731,26 +731,42 @@ def _profiles(values: np.ndarray, N: int):
     return ranks, valid
 
 
-def _stream_chunks(plan, colors, bound: int, N: int, head=None):
+def _stream_chunks(plan, colors, bound: int, record):
     """The solutions stream of a planned array walk in `_walk`'s order, per
-    chunk of `_array_terms`, as (fields, keys): fields holds one list per
-    record field (each variable's values, the colors and, given `head`,
-    head(x) of each variable's values x), and keys the records' profile
-    keys (ranks, valid) as `coloring._profile` gives them, one tuple per
-    distinct key."""
+    chunk of `_array_terms`, as the text columns of `cli._Record`'s pieces:
+    each variable's values, the colors, with a base each variable's heads,
+    and the tails of the profile keys (`_profiles`).  Each column is one
+    gather from the texts of the chunk's distinct values
+    (`np.unique(values, return_inverse=True)`), colors or profile keys, so
+    a text is made once per distinct item and format, and no table spans
+    the bound or the colors."""
     n = len(plan.prefix) + 2
+
+    def gather(texts, index):
+        return np.array(texts, dtype=object)[index].tolist()
+
     for u, row, t, s in _array_terms(plan, bound, colors):
+        if not len(t):
+            continue
         values = np.empty((n, len(t)), dtype=np.int64)
         values[plan.prefix] = u[:, row]
         values[plan.inner] = t
         values[plan.solved] = s
-        ranks, valid = _profiles(values, N)
-        rows, which = _distinct_rows(np.vstack([ranks, valid]).T)
-        keys = [(tuple(r[:-1]), bool(r[-1])) for r in rows.tolist()]
-        fields = [*values.tolist(), colors[values[0]].tolist()]
-        if head is not None:
-            fields += [list(map(head, col)) for col in fields[:n]]
-        yield fields, [keys[k] for k in which.tolist()]
+        ranks, valid = _profiles(values, record.N)
+        keys, which = _distinct_rows(np.vstack([ranks, valid]).T)
+        tails = [record.tail((tuple(r[:-1]), bool(r[-1])))
+                 for r in keys.tolist()]
+        distinct, index = np.unique(values, return_inverse=True)
+        index = index.reshape(values.shape)
+        palette, shade = np.unique(colors[values[0]], return_inverse=True)
+        xs = distinct.tolist()
+        heads = list(map(record.head, xs)) if record.heads else []
+        texts = {f: [f % x for x in xs] for f in set(record.values)}
+        quoted = {f: [f % h for h in heads] for f in set(record.heads)}
+        yield [*(gather(texts[f], i) for f, i in zip(record.values, index)),
+               gather([record.color % c for c in palette.tolist()], shade),
+               *(gather(quoted[f], i) for f, i in zip(record.heads, index)),
+               gather(tails, which)]
 
 
 def _array_heads(plan, colors, bound: int, base: int,

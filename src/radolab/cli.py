@@ -156,55 +156,60 @@ def _emit_candidates(report: dict, coeffs: list[int], render) -> None:
     write(f"\n  ],{rest}\n")
 
 
-class _Heads(dict):
-    """The quoted standard head of each value in a base, on first sight."""
+class _Record:
+    """A solution record's line, json.dumps(record, sort_keys=True) of
+    {assignment, color, heads: {base: [head, ...]} (with `base`), profile:
+    {N, classes, valid}}: `LEAD`, then pieces that each end with the
+    separator after them, the %-formats `values[j]`, `color` and `heads[j]`
+    (of `head(x)`), and `tail(key)` of the profile, ending in a lead."""
+    LEAD = '{"assignment": ['
 
-    def __init__(self, base: int):
-        super().__init__()
-        self.base = base
+    def __init__(self, n: int, N: int, base):
+        self.N = N
+        self.values = ["%s, "] * (n - 1) + ['%s], "color": ']
+        self.color = "%s, " if base is None else f'%s, "heads": {{"{base}": ['
+        self.heads = [] if base is None else ["%s, "] * (n - 1) + ["%s]}, "]
+        self.head = functools.cache(lambda x: f'"{standard_head(x, base)}"')
+        self.tail = functools.cache(lambda key: (
+            f'"profile": {{"N": {N}, "classes": {_classes(key[0])}, '
+            f'"valid": {"true" if key[1] else "false"}}}}}\n{self.LEAD}'))
 
-    def __missing__(self, x: int) -> str:
-        head = self[x] = f'"{standard_head(x, self.base)}"'
-        return head
+
+def _write_columns(columns) -> int:
+    """Write records given as one text column per `_Record` piece, `_CHUNK`
+    per join of the columns interleaved by slice assignment; count them."""
+    k, m, lead = len(columns), len(columns[0]), _Record.LEAD
+    for lo in range(0, m, _CHUNK):
+        flat = [lead] * (k * min(_CHUNK, m - lo) + 1)
+        for j, column in enumerate(columns):
+            flat[j + 1::k] = column[lo:lo + _CHUNK]
+        flat[-1] = flat[-1][:-len(lead)]
+        sys.stdout.write("".join(flat))
+    return m
 
 
-def _write_records(records, n: int, N: int, base) -> int:
-    """Write the solution records of an n-variable equation, _CHUNK lines
-    per write, and return their number.  Each record comes as (fields,
-    (ranks, valid)): fields holds its values, its color and, with `base`,
-    the quoted heads of its values.
-
-    Each line is json.dumps(record, sort_keys=True) of the record
-    {assignment, color, heads: {base: [head, ...]} (with `base`),
-    profile: {N, classes, valid}}.  Each distinct (ranks, valid) is
-    rendered once, as a %-template of the whole line, so a record is one
-    `%` of its fields on it."""
-    values = ", ".join(["%s"] * n)
-    lead = f'{{"assignment": [{values}], "color": %s, '
-    if base is not None:
-        lead += f'"heads": {{"{base}": [{values}]}}, '
-    template_of: dict[tuple, str] = {}
-    count = 0
-    lines = []
-    write = sys.stdout.write
-    try:
-        for fields, key in records:
-            template = template_of.get(key)
-            if template is None:
-                template = template_of[key] = (
-                    f'{lead}"profile": {{"N": {N}, '
-                    f'"classes": {_classes(key[0])}, '
-                    f'"valid": {"true" if key[1] else "false"}}}}}\n')
-            lines.append(template % fields)
-            if len(lines) == _CHUNK:
-                chunk = "".join(lines)
-                lines.clear()
-                write(chunk)
-                count += _CHUNK
-    finally:
-        # records found before an interruption or an error still go out
-        write("".join(lines))
-    return count + len(lines)
+def _walked_columns(records, record: _Record):
+    """The text columns of walked records (assignment, color), per batch
+    of `_CHUNK`, each piece through a per-value cache of its text."""
+    values = [functools.cache(f.__mod__) for f in record.values]
+    color = functools.cache(record.color.__mod__)
+    heads = [functools.cache(lambda x, f=f: f % record.head(x))
+             for f in record.heads]
+    while True:
+        batch = []
+        try:
+            # a walk that raises leaves the records it gave in the batch
+            batch.extend(islice(records, _CHUNK))
+        finally:
+            # records found before an error still go out, then it is raised
+            if batch:
+                tuples, colors = zip(*batch)
+                at = list(zip(*tuples))
+                yield [list(map(text, x)) for text, x in [
+                    *zip(values, at), (color, colors), *zip(heads, at),
+                    (record.tail, map(_profile, tuples, repeat(record.N)))]]
+        if len(batch) < _CHUNK:
+            return
 
 
 def _filter_json(result) -> dict:
@@ -332,26 +337,21 @@ def cmd_search(args) -> int:
         "mode": args.mode, "colorings": [s.spec_string() for s in specs],
     }
     if args.mode == "solutions":
-        N, base = args.N, args.base
-        if N < 2:
+        if args.N < 2:
             raise ValueError("N must be at least 2")
-        if base is not None and base < 2:
+        if args.base is not None and args.base < 2:
             raise ValueError("base must be at least 2")
-        head = None if base is None else _Heads(base).__getitem__
+        record = _Record(len(eq.poly.variables), args.N, args.base)
         plan = _array_walk(eq.poly, args.bound)
         if plan is None:
-            records = (((*a, c, *(map(head, a) if head else ())),
-                        _profile(a, N))
-                       for a, c in iter_monochromatic(eq, specs[0],
-                                                      args.bound))
+            chunks = _walked_columns(
+                iter_monochromatic(eq, specs[0], args.bound), record)
         else:
             from . import arrays
 
-            records = chain.from_iterable(
-                zip(zip(*fields), keys) for fields, keys in
-                arrays._stream_chunks(plan, specs[0].color_array(args.bound),
-                                      args.bound, N, head))
-        count = _write_records(records, len(eq.poly.variables), N, base)
+            chunks = arrays._stream_chunks(
+                plan, specs[0].color_array(args.bound), args.bound, record)
+        count = sum(map(_write_columns, chunks))
         print(f"{pretty(eq)}: {count} monochromatic solution(s) streamed",
               file=sys.stderr)
         return EXIT_OK

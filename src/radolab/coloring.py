@@ -158,19 +158,19 @@ class ColoringSpec:
         if self.kind == "logband":
             p, r = self.params
             return _int_log(x, p) % r
-        return _random_color(*self.params)(x)
+        h = _keyed(self.params[0])()
+        h.update(x.to_bytes((x.bit_length() + 7) // 8 or 1, "little"))
+        return int.from_bytes(h.digest(), "little") % self.params[1]
 
     def _table(self, bound: int) -> array:
-        """Colors of 0..bound (index 0 is padding) in the smallest unsigned
-        typecode that holds every color: the one per-kind builder."""
+        """Colors of 0..bound (index 0 is padding) of a mod, digit or
+        logband coloring in the smallest unsigned typecode that holds every
+        color; a color never exceeds x."""
         from array import array  # not loaded by import radolab
 
         _check_bound(bound)
         kind, p = self.kind, self.params
-        # mod, digit and logband colors never exceed x; a random color is
-        # reduced from an 8-byte digest
-        top = p[0] - 1 if kind == "digit" else self.num_colors() - 1
-        top = min(top, 2 ** 64 - 1 if kind == "random" else bound)
+        top = min(p[0] - 1 if kind == "digit" else self.num_colors() - 1, bound)
         code = next(c for c in "BHIQ" if top < 1 << 8 * array(c).itemsize)
         if kind == "mod":
             # x % m == x for x <= bound < m, and m may not fit in 64 bits.
@@ -190,9 +190,6 @@ class ColoringSpec:
                     filled += size
             return out
         out = array(code, [0])
-        if kind == "random":
-            out.extend(map(_random_color(*p), range(1, bound + 1)))
-            return out
         # level L of base p covers [p^L, p^(L+1)): one logband color, or
         # leading digit d on [d*p^L, (d+1)*p^L)
         base, level, scale = p[0], 0, 1
@@ -208,30 +205,41 @@ class ColoringSpec:
         return out
 
     def color_array(self, bound: int):
-        """Colors of 0..bound (index 0 is padding), a numpy view of the
-        color table."""
+        """Colors of 0..bound (index 0 is padding) as a numpy array: a view
+        of `_table`, or a random coloring's 8-byte digests of `_CHUNK` values
+        of one byte length at a time, joined, each chunk reduced in place by
+        one `%` (none past 2^64 colors, as every digest is below)."""
         import numpy as np
 
-        table = self._table(bound)
-        return np.frombuffer(table, dtype=table.typecode)
+        if self.kind != "random":
+            table = self._table(bound)
+            return np.frombuffer(table, dtype=table.typecode)
+        _check_bound(bound)
+        copy, colors = _keyed(self.params[0]), self.params[1]
+        out = np.zeros(bound + 1, np.min_scalar_type(min(colors, 2 ** 64) - 1))
+        lo = 1
+        while lo <= bound:
+            size = (lo.bit_length() + 7) // 8
+            hi = min(lo + _CHUNK, 256 ** size, bound + 1)
+            digests = bytearray()
+            for x in range(lo, hi):
+                h = copy()
+                h.update(x.to_bytes(size, "little"))
+                digests += h.digest()
+            w = np.frombuffer(digests, dtype="<u8")
+            out[lo:hi] = w if colors >> 64 else np.remainder(w, colors, out=w)
+            lo = hi
+        return out
 
 
 @functools.lru_cache(maxsize=64)
-def _random_color(seed: int, colors: int):
-    """A random coloring's color of x >= 1: the 8-byte blake2b digest of
-    x's little-endian bytes, keyed by the seed's decimal form, mod colors.
-    Each value hashes a copy of one keyed state, which skips hashing the
-    key block again; `ColoringSpec.color` and `_table` both hash here."""
+def _keyed(seed: int):
+    """The copier of the blake2b state (digest size 8) keyed by the seed's
+    decimal form.  A random color of x >= 1 is the digest of x's bytes,
+    little-endian, hashed on a copy (not the key block again), mod colors."""
     import hashlib  # not loaded by import radolab
 
-    copy = hashlib.blake2b(digest_size=8, key=str(seed).encode()).copy
-
-    def color(x: int) -> int:
-        h = copy()
-        h.update(x.to_bytes((x.bit_length() + 7) // 8 or 1, "little"))
-        return int.from_bytes(h.digest(), "little") % colors
-
-    return color
+    return hashlib.blake2b(digest_size=8, key=str(seed).encode()).copy
 
 
 class _HashedColors(dict):

@@ -444,6 +444,30 @@ class TestSearch:
             assert len(heads) == 3
             assert all(1 <= Fraction(h) < 2 for h in heads)
 
+    def test_solutions_stream_memory(self, capsys):
+        # 499,500 records of x + y = z under mod:3 at bound 3000 (about
+        # 21 MB of text): the stream holds one chunk of array-walk terms
+        # and its text columns at a time, never the whole output
+        class Null:
+            def write(self, text):
+                return len(text)
+
+            def flush(self):
+                pass
+
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(Null()):
+                code = main(["search", "x + y = z", "--coloring", "mod:3",
+                             "--bound", "3000", "--mode", "solutions"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "x + y - z = 0: 499500 monochromatic solution(s) streamed\n")
+        assert peak < 32 * 2 ** 20, peak
+
     def test_solutions_base_below_two_exit_2_before_the_walk(self, capsys,
                                                              monkeypatch):
         def unreachable(*args):

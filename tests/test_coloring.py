@@ -146,7 +146,7 @@ class TestColoringSpec:
                                "bytes"):
                 ColoringSpec.parse(name)
 
-    def test_color_array_matches_scalar(self):
+    def test_color_array_matches_scalar(self, monkeypatch):
         # the search tables and color_array against the scalar coloring, at
         # bounds 0, 1 and p^k - 1, p^k, p^k + 1 around each level edge of the
         # kind's base (the modulus for mod); digit:257 has a color, 256, past
@@ -180,6 +180,26 @@ class TestColoringSpec:
                 arr = spec.color_array(bound)
                 assert len(arr) == bound + 1
                 assert arr[1:].tolist() == expected, (name, bound)
+
+        # a random table hashes a chunk of values of one byte length at a
+        # time: bounds at the byte-length edges, chunks of 7 values, and
+        # 2^64 and 10^30 colors, which no digest reaches, so none is reduced
+        for name in ["random:9:5", "random:3:300",
+                     "random:9:18446744073709551616", f"random:2:{10 ** 30}"]:
+            spec = ColoringSpec.parse(name)
+            expected = [spec.color(x) for x in range(1, 2 ** 16 + 1)]
+            assert expected[:300] == [one_shot(*spec.params, x)
+                                      for x in range(1, 301)]
+            if spec.params[1] >= 2 ** 64:
+                assert max(expected) >= 2 ** 63
+            for chunk, bounds in [(coloring._CHUNK, [255, 256, 65535, 65536]),
+                                  (7, [1, 7, 8, 255, 256, 300])]:
+                monkeypatch.setattr(coloring, "_CHUNK", chunk)
+                for bound in bounds:
+                    arr = spec.color_array(bound)
+                    assert arr[0] == 0 and len(arr) == bound + 1
+                    assert arr[1:].tolist() == expected[:bound], \
+                        (name, chunk, bound)
 
     def test_mod_table_built_at_final_length(self):
         # the period is written in place, so building the table never holds
@@ -1756,14 +1776,13 @@ class TestFilteredWalk:
                     == oracle_witness_search(eq, family, bound)), \
                 (eq.poly, family, bound)
 
-    def test_solution_records(self, capsys):
-        # every coloring kind, N from 2 to past the bound, with and without
-        # a base: the stream's lines against records written by json.dumps
-        records = 0
-        for k, (eq, _, bound, _) in enumerate(self.corpus(64, 3)):
-            spec = self.COLORINGS[k % len(self.COLORINGS)]
-            N = [2, 3, 10, 10 ** 30][k % 4]
-            base = [None, 2, 3, 10][k // 4 % 4]
+    def test_solution_records(self, capsys, monkeypatch):
+        # every coloring kind and a 2-byte color table (random:5:1000), N
+        # from 2 to past the bound, with and without a base (one past 2^64
+        # too): the stream's lines against records written by json.dumps.
+        # Half the cases join 3 records at a time, so joins split the array
+        # walk's chunks and the walk's batches
+        def stream(eq, spec, bound, N, base):
             argv = ["search", pretty(eq), "--coloring", spec, "--bound",
                     str(bound), "--N", str(N), "--mode", "solutions"]
             if base is not None:
@@ -1773,8 +1792,23 @@ class TestFilteredWalk:
                 eq, ColoringSpec.parse(spec), bound, N, base))
             assert capsys.readouterr().out == "".join(
                 line + "\n" for line in lines), argv
-            records += len(lines)
+            return len(lines)
+
+        records = 0
+        colorings = self.COLORINGS + ["random:5:1000"]
+        chunk = cli._CHUNK
+        for k, (eq, _, bound, _) in enumerate(self.corpus(64, 3)):
+            monkeypatch.setattr(cli, "_CHUNK", [chunk, 3][k // 20 % 2])
+            records += stream(eq, colorings[k % len(colorings)], bound,
+                              [2, 3, 10, 10 ** 30][k % 4],
+                              [None, 2, 3, 10, 2 ** 64 + 1][k // 4 % 5])
         assert records > 1000
+        # records under random:5:1000 (x = y = z), and none at bound 1
+        monkeypatch.setattr(cli, "_CHUNK", 3)
+        assert stream(parse("x + 2y = 3z"), "random:5:1000", 150, 3,
+                      2 ** 64 + 1) >= 150
+        assert stream(parse("x + y = z"), "mod:3", 1, 2, 2) == 0
+        assert stream(parse("x^2*y + y = z^2"), "mod:2", 1, 10, None) == 0
 
     def test_records_of_two_window_rows_in_walk_order(self, capsys):
         # z = y^2 - x*y + w dips below 1 between two windows of y for many
@@ -1793,11 +1827,14 @@ class TestFilteredWalk:
 
     def test_records_in_walk_order_across_blocks_and_chunks(self, capsys,
                                                             monkeypatch):
-        # blocks of 5 prefix points and chunks of 7 terms: a prefix's terms
-        # are split between chunks and a row of prefixes between blocks,
-        # and the records still come in the walk's order
+        # blocks of 5 prefix points, chunks of 7 terms and joins of 3
+        # records: a prefix's terms are split between chunks, a row of
+        # prefixes between blocks and a chunk's records between joins, and
+        # the records still come in the walk's order, with a base past 2^64
+        # too, under a 2-byte color table, and none at bound 1
         monkeypatch.setattr(arrays, "_BLOCK", 5)
         monkeypatch.setattr(coloring, "_CHUNK", 7)
+        monkeypatch.setattr(cli, "_CHUNK", 3)
         terms = arrays._array_terms
         chunks = [0]
 
@@ -1807,17 +1844,23 @@ class TestFilteredWalk:
                 yield chunk
 
         monkeypatch.setattr(arrays, "_array_terms", counted)
-        for text in ["y^2 + w = x*y + z", "x*y + z = w"]:
-            for spec in ["mod:2", "logband:2:1"]:
-                chunks[0] = 0
-                argv = ["search", text, "--coloring", spec, "--bound", "24",
-                        "--N", "3", "--base", "2", "--mode", "solutions"]
-                assert cli.main(argv) == 0
-                lines = list(oracle_record_lines(
-                    parse(text), ColoringSpec.parse(spec), 24, 3, 2))
-                assert chunks[0] > 5 and len(lines) > 50
-                assert capsys.readouterr().out == "".join(
-                    line + "\n" for line in lines), (text, spec)
+        for text, spec, bound, base, least in [
+                ("y^2 + w = x*y + z", "mod:2", 24, 2, 50),
+                ("y^2 + w = x*y + z", "logband:2:1", 24, 2 ** 64 + 1, 50),
+                ("x*y + z = w", "mod:2", 24, 2, 50),
+                ("x*y + z = w", "logband:2:1", 24, 3, 50),
+                ("x + 2y = 3z", "random:5:1000", 60, 2, 60),
+                ("x*y + z = w", "mod:2", 1, 2, 0)]:
+            chunks[0] = 0
+            argv = ["search", text, "--coloring", spec, "--bound", str(bound),
+                    "--N", "3", "--base", str(base), "--mode", "solutions"]
+            assert cli.main(argv) == 0
+            lines = list(oracle_record_lines(
+                parse(text), ColoringSpec.parse(spec), bound, 3, base))
+            assert len(lines) >= least
+            assert chunks[0] > 5 or bound == 1
+            assert capsys.readouterr().out == "".join(
+                line + "\n" for line in lines), (text, spec)
 
 
 class TestRecords:
