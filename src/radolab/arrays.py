@@ -1,13 +1,13 @@
 """The numpy engine of the coloring searches, loaded on first use.
 
-It is imported only once the pure-Python plan (`coloring._array_walk`) has
-taken an equation: by `coloring.profile_census_many` for the closed-form
-census of a plan with constant steps (`_census_linear`), by
-`coloring.head_census` for the head census (`_array_heads`), and by
-`cli.cmd_search` for the solutions stream (`_stream_chunks`).  Loading it,
-and numpy with it, costs tens of milliseconds that `import radolab`,
-`analyze`, `certify`, the witness search, the walked census and the
-searches of unplanned shapes never pay.
+It is imported only once an equation's pure-Python plan (`coloring._plan`)
+passes the int64 gate (`coloring._fits`): by `coloring.profile_census_many`
+for the closed-form census of a plan with constant steps
+(`_census_linear`), by `coloring.head_census` for the head census
+(`_array_heads`), and by `cli.cmd_search` for the solutions stream
+(`_stream_chunks`).  Loading it, and numpy with it, costs tens of
+milliseconds that `import radolab`, `analyze`, `certify`, the witness
+search, the walked census and the searches of unplanned shapes never pay.
 
 The closed-form census splits each inner progression of a block of prefix
 points (`_progressions`) into valid-profile pieces (`_piece_sweep`) and
@@ -171,7 +171,7 @@ def _progressions(alpha, beta, den, g, step, inv, bound: int):
     (alpha*t + beta)/den is an integer in [1, bound] are first + step*i for
     i in [0, count).  The caller gives den > 0, g = gcd(alpha, den),
     step = den/g and inv, the inverse of alpha/g mod step; each argument
-    is a scalar or an int64 array, and `coloring._array_walk` checks that
+    is a scalar or an int64 array, and `coloring._fits` checks that
     |den|*bound + |beta| and den^2 fit in int64."""
     residue = (-(beta // g)) % step * inv % step
     # den*1 <= alpha*t + beta <= den*bound
@@ -549,7 +549,7 @@ def _slice_counter(table: np.ndarray, vstep: int, wstep: int):
 
 
 def _array_terms(plan, bound: int, colors):
-    """The terms of a planned array walk (`coloring._array_walk`), a block
+    """The terms of the array walk of a plan `coloring._fits` takes, a block
     of `_BLOCK` prefix points at a time: per row, an affine num walks its
     progression (`_progressions`, with a per-row gcd and `_inverse`) and a
     quadratic one its exact windows (`_quadratic_runs`), each term then
@@ -561,7 +561,8 @@ def _array_terms(plan, bound: int, colors):
     row whose prefix values do not share a color is dropped before any term
     is built, and a term whose inner value does not share it before num is
     evaluated there."""
-    prefix, _, _, terms, den_coeff, den_factors, quadratic = plan
+    prefix, _, _, terms, den_coeff, den_factors, _ = plan
+    quadratic = any(k == 2 for _, k, _ in terms)
     blocks = (_prefix_blocks(len(prefix), bound, _BLOCK) if prefix
               else [np.ones((0, 1), dtype=np.int64)])
     for u in blocks:
@@ -772,7 +773,7 @@ def _stream_chunks(plan, colors, bound: int, record):
 def _array_heads(plan, colors, bound: int, base: int,
                  bin_count: int) -> tuple[list[int], int]:
     """`head_census`'s bins and total over the terms of the array walk
-    that `coloring._array_walk` planned (`_array_terms`).  Each coordinate
+    that `coloring._fits` takes (`_array_terms`).  Each coordinate
     x finds its level scale = base^L <= x < base^(L+1) by a search over the
     base's powers and goes to bin (x - scale)*bin_count // ((base - 1)*scale);
     a prefix value is binned once per row, weighted by the row's

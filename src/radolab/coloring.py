@@ -10,26 +10,28 @@ The classes are runs of the descending order, so one pass over it groups the
 values and decides validity at the class cuts alone (`_profile`).
 Only valid profiles of monochromatic solutions enter a census.
 
-Every search walks the solutions with one walker, `_walk`: one loop over
-the grid of prefix values for every shape of equation, with an inner step
-chosen once per walk (an isolated variable solved for exactly, or the
-integer roots of the innermost variable).  The step's restriction to the
-innermost variable is split by monomial once per walk (`_restrictor`), so a
-prefix point costs only its monomials' products.  Given a coloring's table it
-skips each prefix whose values do not share a color and builds a tuple only
-for a monochromatic solution.  Witness searches, the profile census of an
+One plan per search (`_plan`) chooses an equation's roles: the variable
+solved for exactly (an isolated one), the inner variable it is solved over
+and the prefix variables, or else an inner variable that walks the integer
+roots of its restriction.  It splits the restriction by monomial, so a
+prefix point costs only its monomials' products, and every engine reads it,
+so all of them find solutions in one order.  The pure-Python walker,
+`_walk`, builds its inner step from the plan once per search and walks the
+grid of prefix values for every shape.  Given a coloring's table it skips
+each prefix whose values do not share a color and builds a tuple only for a
+monochromatic solution.  Witness searches, the profile census of an
 equation without a closed form, and the stream of an unplanned equation
 (`iter_monochromatic`) run it once per coloring; `enumerate_solutions` runs
 it without a table.
 
 Three paths run on numpy arrays instead, in the module `arrays`, imported
-only where each starts, fed by one pure-Python plan (`_array_walk`): the
-array walk of a head census and of the solutions stream (the latter from
-`cli`) and, for a plan whose inner and solved values step by constants (a
-linear equation in three or more variables, say), the closed-form census
-(in `profile_census_many`).  So `import radolab` and every other search
-load neither numpy nor `arrays`.  Searches take bounds up to `BOUND_CAP`,
-past which a color table no longer fits in memory.
+only where each starts, for a plan that passes the int64 gate (`_fits`):
+the array walk of a head census and of the solutions stream (the latter
+from `cli`, by `_array_walk`) and, for a plan whose inner and solved values
+step by constants (a linear equation in three or more variables, say), the
+closed-form census (in `profile_census_many`).  So `import radolab` and
+every other search load neither numpy nor `arrays`.  Searches take bounds
+up to `BOUND_CAP`, past which a color table no longer fits in memory.
 """
 
 from __future__ import annotations
@@ -353,22 +355,39 @@ def _partition(ranks: Sequence[int]) -> OrderedPartition:
 # solution enumeration
 
 
-def _pick_isolated(poly: Polynomial) -> Optional[tuple[int, int, int]]:
-    """Variable occurring in exactly one monomial: (var index, exponent,
-    monomial index).  Prefers exponent 1; ties go to the highest index."""
+_Plan = namedtuple("_Plan", "prefix inner solved terms den_coeff den_factors "
+                            "exponent")
+
+
+def _plan(poly: Polynomial) -> _Plan:
+    """The roles every engine walks the equation by, chosen once per search.
+
+    A variable occurring in exactly one monomial of an equation in two or
+    more variables is solved for (exponent 1 first, ties to the highest
+    index) over the last other variable, the inner one; the others are the
+    prefix.  Its exponent and the rest of its monomial, den (`den_coeff`
+    and `den_factors`, the inner variable's too), are kept, and `terms`
+    (`_split`) is the other monomials' restriction to the inner variable,
+    negated, so the solved power is num(t)/den.  Otherwise the last
+    variable is both inner and solved, of exponent 0, with `terms` the
+    whole restriction."""
     n = len(poly.variables)
     occurrences = [[] for _ in range(n)]
     for mi, m in enumerate(poly.monomials):
         for v, e in m.exponents:
             occurrences[v].append((mi, e))
-    best = None
-    for v in range(n):
-        if len(occurrences[v]) == 1:
-            mi, e = occurrences[v][0]
-            key = (e == 1, v)
-            if best is None or key > (best[1] == 1, best[0]):
-                best = (v, e, mi)
-    return best
+    isolated = [(e == 1, v, e, mi) for v, occ in enumerate(occurrences)
+                if len(occ) == 1 for mi, e in occ]
+    if n < 2 or not isolated:
+        return _Plan(list(range(n - 1)), n - 1, n - 1,
+                     _split(poly.monomials, n - 1, 1), 1, [], 0)
+    _, sv, se, smono = max(isolated)
+    *prefix, inner = [v for v in range(n) if v != sv]
+    mono = poly.monomials[smono]
+    terms = _split([m for i, m in enumerate(poly.monomials) if i != smono],
+                   inner, -1)
+    return _Plan(prefix, inner, sv, terms, mono.coeff,
+                 [(v, e) for v, e in mono.exponents if v != sv], se)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -406,84 +425,92 @@ def enumerate_solutions(eq: Equation, bound: int) -> Iterator[tuple[int, ...]]:
 
     A variable occurring in exactly one monomial is solved for exactly
     (divisibility, range and integer-root checks, by table up to `_POWERS`
-    values and by exact roots past it).  The grid runs over
-    the other variables but the innermost, which walks the exact arithmetic
-    progression of `_progression` (whose terms `arrays._progressions`
-    computes as int64 arrays on both paths `_array_walk` plans) when
-    the solved value is affine in it, and otherwise only the exact integer
-    windows on which the solved value lies in its range.
-    Without such a variable, and in a one-variable equation, the innermost
-    variable walks the exact integer roots of its restriction.  Solutions
-    come out in lexicographic order of the grid point, then of the innermost
-    variable.  This is `_walk` without a color table; the coloring searches
-    run the same walk with one, in the same order.
+    values and by exact roots past it).  The grid runs over the other
+    variables but the innermost, which walks the exact arithmetic
+    progression of `_progression` when the solved value is affine in it,
+    and otherwise only the exact integer windows on which the solved value
+    lies in its range.  Without such a variable, and in a one-variable
+    equation, the innermost variable walks the exact integer roots of its
+    restriction.  Solutions come out in lexicographic order of the grid
+    point, then of the innermost variable.  This is `_walk` without a color
+    table; the coloring searches run the same walk with one.
     """
-    yield from _walk(eq.poly, bound)
+    yield from _walk(_plan(eq.poly), bound)()
 
 
-def _walk(poly: Polynomial, bound: int, table=None,
-          tally: Optional[list[int]] = None) -> Iterator[tuple[int, ...]]:
-    """The solution walker: every solution with coordinates in [1, bound],
-    or with a color table from `_color_lookup` only the monochromatic ones.
-    `tally`, a one-item list, gains the number of all solutions.
+def _walk(plan: _Plan, bound: int):
+    """The solution walker of a search, whose step (`_inner_step`) is built
+    here once: a generator function of (table=None, tally=None) yielding
+    every solution with coordinates in [1, bound], or with a color table
+    from `_color_lookup` only the monochromatic ones.  `tally`, a one-item
+    list, gains the number of all solutions.
 
     One loop serves every shape: the prefix variables run over the grid, and
-    the step `_inner_step` chose gives each point's (inner, solved) pairs.
-    With a table a prefix whose values do not share a color is skipped, as
-    no completion of it is monochromatic; a counting walk still takes its
-    step for the tally, which the affine step gives in closed form.  An
-    inner value's color is tested before the equation is evaluated there,
-    the solved value's next, and only then is a tuple built.
+    the step gives each point's (inner, solved) pairs.  With a table a
+    prefix whose values do not share a color is skipped, as no completion
+    of it is monochromatic; a counting walk still takes its step for the
+    tally, which the affine step gives in closed form.  An inner value's
+    color is tested before the equation is evaluated there, the solved
+    value's next, and only then is a tuple built.
     """
-    if poly.is_zero():
-        raise ZeroPolynomialError("the zero polynomial is satisfied everywhere")
-    if bound < 1 or not poly.variables:
-        return
-    prefix, inner, solved, step = _inner_step(poly, bound)
-    values = [0] * len(poly.variables)
-    for point in _grid(bound, len(prefix)):
-        c, mixed = None, False
-        if table is not None and point:
-            c = table[point[0]]
-            for x in point[1:]:
-                if table[x] != c:
-                    mixed = True
-                    break
-            if mixed and tally is None:
+    prefix, inner, solved = plan.prefix, plan.inner, plan.solved
+    # the last variable is inner or solved; n is 0 without variables
+    n = max(inner, solved) + 1
+    step = _inner_step(plan, bound)
+
+    def walk(table=None, tally: Optional[list[int]] = None
+             ) -> Iterator[tuple[int, ...]]:
+        if not n and not plan.terms:
+            raise ZeroPolynomialError(
+                "the zero polynomial is satisfied everywhere")
+        if bound < 1 or not n:
+            return
+        values = [0] * n
+        for point in _grid(bound, len(prefix)):
+            c, mixed = None, False
+            if table is not None and point:
+                c = table[point[0]]
+                for x in point[1:]:
+                    if table[x] != c:
+                        mixed = True
+                        break
+                if mixed and tally is None:
+                    continue
+            for v, x in zip(prefix, point):
+                values[v] = x
+            pairs, solve, count = step(values)
+            if solve is not None:
+                if c is not None and tally is None:
+                    # the inner value's color first, before evaluating there
+                    pairs = (t for t in pairs if table[t] == c)
+                pairs = solve(pairs)
+            if tally is not None:
+                if count is None:
+                    pairs = list(pairs)
+                    count = len(pairs)
+                tally[0] += count
+            if mixed:
                 continue
-        for v, x in zip(prefix, point):
-            values[v] = x
-        pairs, solve, count = step(values)
-        if solve is not None:
-            if c is not None and tally is None:
-                # the inner value's color first, before evaluating there
-                pairs = (t for t in pairs if table[t] == c)
-            pairs = solve(pairs)
-        if tally is not None:
-            if count is None:
-                pairs = list(pairs)
-                count = len(pairs)
-            tally[0] += count
-        if mixed:
-            continue
-        if table is None:
-            for t, s in pairs:
-                values[inner] = t
-                values[solved] = s
-                yield tuple(values)
-        elif c is None:
-            # no prefix: the inner value sets the color
-            for t, s in pairs:
-                if table[t] == table[s]:
+            if table is None:
+                for t, s in pairs:
                     values[inner] = t
                     values[solved] = s
                     yield tuple(values)
-        else:
-            for t, s in pairs:
-                if table[t] == c and table[s] == c:
-                    values[inner] = t
-                    values[solved] = s
-                    yield tuple(values)
+            elif c is None:
+                # no prefix: the inner value sets the color
+                for t, s in pairs:
+                    if table[t] == table[s]:
+                        values[inner] = t
+                        values[solved] = s
+                        yield tuple(values)
+            else:
+                for t, s in pairs:
+                    if table[t] == c and table[s] == c:
+                        values[inner] = t
+                        values[solved] = s
+                        yield tuple(values)
+
+    return walk
 
 
 def _grid(bound: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -511,28 +538,24 @@ def _grid(bound: int, k: int) -> Iterator[tuple[int, ...]]:
         head[i] += 1
 
 
-def _inner_step(poly: Polynomial, bound: int):
-    """The walk's prefix variables, inner and solved variable, and the step
-    for the shape of the equation, chosen once per walk.
+def _inner_step(plan: _Plan, bound: int):
+    """The walk's step for the plan's shape of equation.
 
     The step maps a prefix point's values to (pairs, solve, count): without
     `solve`, the (inner, solved) pairs and their number if known in closed
     form, else None; with it, the inner values to try, ascending, which
-    `solve` turns into pairs by evaluating the equation at each.  An
-    isolated variable (`_pick_isolated`) of an equation in two or more
-    variables is solved for over the last other variable.  Otherwise the
-    last variable is both inner and solved: it walks the integer roots of
-    its restriction p, where p >= 0 and -p >= 0, below
-    `positive_root_bound`, with pairs (t, t).  The restriction and the
-    solved monomial's other factors are split out here, once per walk.
+    `solve` turns into pairs by evaluating the equation at each.  A plan of
+    exponent 0 walks the integer roots of its restriction p, where p >= 0
+    and -p >= 0, below `positive_root_bound`, with pairs (t, t); any other
+    solves for the power num(t)/den.
     """
-    n = len(poly.variables)
-    iso = _pick_isolated(poly) if n > 1 else None
-    if iso is None:
-        inner = n - 1
-        budget = _window_budget(poly.monomials, inner, bound)
-        restrict = _restrictor(poly.monomials, inner, 1)
-
+    inner, se = plan.inner, plan.exponent
+    # the inner variable's exponent in den, 0 if absent
+    inner_exp = next((e for v, e in plan.den_factors if v == inner), 0)
+    budget = _window_budget(max([inner_exp] + [k for _, k, _ in plan.terms]),
+                            bound)
+    restrict = _restrictor(plan.terms)
+    if not se:
         def roots(values):
             p = restrict(values)
             walk = range(1, bound + 1)
@@ -544,28 +567,19 @@ def _inner_step(poly: Polynomial, bound: int):
             return walk, lambda walk: (
                 (t, t) for t in walk if univariate.evaluate(p, t) == 0), None
 
-        return list(range(n - 1)), inner, inner, roots
+        return roots
 
-    sv, se, smono = iso
-    others = [v for v in range(n) if v != sv]
-    inner = others[-1]
-    rest = [m for i, m in enumerate(poly.monomials) if i != smono]
-    mono = poly.monomials[smono]
-    mono_others = [(v, e) for v, e in mono.exponents if v != sv]
-    den_factors = [(v, e) for v, e in mono_others if v != inner]
+    den_coeff = plan.den_coeff
+    den_factors = [(v, e) for v, e in plan.den_factors if v != inner]
     # the solved variable takes the value v where its power q = v^se lies in
     # `powers`: v = q when se == 1, else v = powers[q]
     powers = (range(1, bound + 1) if se == 1
               else {t ** se: t for t in range(1, bound + 1)}
               if bound <= _POWERS else _Powers(se, bound))
-    # the inner variable's exponent in the solved monomial, 0 if absent
-    inner_exp = next((e for w, e in mono_others if w == inner), 0)
     hi_q = bound if se == 1 else bound ** se
-    budget = _window_budget(poly.monomials, inner, bound)
-    restrict = _restrictor(rest, inner, -1)
 
     def isolated(values):
-        den_const = mono.coeff
+        den_const = den_coeff
         for v, e in den_factors:
             den_const *= values[v] ** e
         num = restrict(values)
@@ -605,7 +619,7 @@ def _inner_step(poly: Polynomial, bound: int):
 
         return walk, solve, None
 
-    return others[:-1], inner, sv, isolated
+    return isolated
 
 
 # entries of the largest table of solved powers {v^se: v} a walk builds;
@@ -640,10 +654,10 @@ class _Powers:
         return v
 
 
-def _window_budget(monomials, inner: int, bound: int) -> int:
+def _window_budget(degree: int, bound: int) -> int:
     """Span length below which scanning beats exact windows.
 
-    2*(d + 1)^2*log2(bound) for a degree-d restriction to `inner`: above
+    2*(d + 1)^2*log2(bound) for d the degree of the inner variable: above
     degree 2 its windows cost fewer evaluations than (d + 1)^2*log2(bound),
     and the factor 2 keeps an equation whose windows prune nothing (such as
     x^2 + y^2 = z^4, whose solved range [1, bound^4] is loose) from paying
@@ -655,9 +669,7 @@ def _window_budget(monomials, inner: int, bound: int) -> int:
     which has no budget: its quadratic windows are closed form for every
     row (`arrays._quadratic_runs`).
     """
-    d = max((e for m in monomials for v, e in m.exponents if v == inner),
-            default=0)
-    return 2 * (d + 1) ** 2 * bound.bit_length()
+    return 2 * (degree + 1) ** 2 * bound.bit_length()
 
 
 def _windows_walk(polys: list[list[int]], hi: int,
@@ -673,13 +685,11 @@ def _windows_walk(polys: list[list[int]], hi: int,
     return itertools.chain.from_iterable(range(a, b + 1) for a, b in spans)
 
 
-def _restrictor(monomials, inner: int, sign: int):
-    """The sum of the monomials times sign as a univariate polynomial in
-    variable `inner`: a function of values (indexed by variable) that fixes
-    every other variable v to values[v] and returns the coefficients,
-    trailing zeros trimmed.  The monomials are split (`_split`) once,
-    here."""
-    terms = _split(monomials, inner, sign)
+def _restrictor(terms):
+    """Split monomials (`_split`) as a univariate polynomial in their inner
+    variable: a function of values (indexed by variable) that fixes every
+    other variable v to values[v] and returns the coefficients, trailing
+    zeros trimmed."""
     size = max((k for _, k, _ in terms), default=-1) + 1
 
     def restrict(values) -> list[int]:
@@ -720,7 +730,7 @@ def iter_monochromatic(eq: Equation, spec: ColoringSpec,
     """The monochromatic solutions in `enumerate_solutions` order, each with
     its color; the stream of a planned shape takes `arrays` instead."""
     table = _color_lookup(spec, bound)
-    for assignment in _walk(eq.poly, bound, table):
+    for assignment in _walk(_plan(eq.poly), bound)(table):
         yield assignment, table[assignment[0]]
 
 
@@ -752,13 +762,13 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
     """Censuses for several colorings.
 
     An equation of n <= 512 variables (a row fits `_CELLS`) whose plan
-    (`_array_walk`) has a prefix and a constant den, and holds the inner
+    passes `_fits`, has a prefix and a constant den, and holds the inner
     variable only in factorless terms of degree 1, splits each inner
     progression into valid pieces in closed form, once for the whole
     family, and counts each coloring's monochromatic terms with its own
     kernel (see `arrays._census_linear`, which loads numpy).  Every other
-    equation takes one walk per coloring that builds only its monochromatic
-    solutions (see `_walk`); the first walk also counts every solution.
+    equation walks each coloring's monochromatic solutions with one walker
+    (see `_walk`); the first walk also counts every solution.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
@@ -768,22 +778,22 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
     poly = eq.poly
     params = [{"bound": bound, "N": N, "coloring": s.spec_string()}
               for s in specs]
-    plan = _array_walk(poly, bound)
-    if (plan is not None and plan.prefix and not plan.den_factors
-            and not plan.quadratic and 4 * len(poly.variables) ** 2 <= _CELLS
-            and not any(f for _, k, f in plan.terms if k == 1)):
+    plan = _plan(poly)
+    if (_fits(plan, bound) and plan.prefix and not plan.den_factors
+            and 4 * len(poly.variables) ** 2 <= _CELLS
+            and not any(k > 1 or k and f for _, k, f in plan.terms)):
         from . import arrays
 
         per_spec, total = arrays._census_linear(plan, specs, bound, N)
         return [ProfileCensus(counts, total, p)
                 for counts, p in zip(per_spec, params)]
+    walk = _walk(plan, bound)
     per_spec = []
     tally = [0]
     for spec in specs:
         counts: dict[tuple[int, ...], int] = {}
-        table = _color_lookup(spec, bound)
-        for assignment in _walk(poly, bound, table,
-                                None if per_spec else tally):
+        for assignment in walk(_color_lookup(spec, bound),
+                               None if per_spec else tally):
             ranks, valid = _profile(assignment, N, valid_only=True)
             if valid:
                 counts[ranks] = counts.get(ranks, 0) + 1
@@ -802,54 +812,40 @@ def profile_census_many(eq: Equation, specs: Sequence[ColoringSpec],
 _INT64 = 2 ** 62
 
 
-_Plan = namedtuple("_Plan", "prefix inner solved terms den_coeff den_factors "
-                              "quadratic")
+def _fits(plan: _Plan, bound: int) -> bool:
+    """Whether the numpy paths take the plan at this bound: the array walk
+    (`arrays._array_terms`) of a head census and of the solutions stream,
+    and the closed-form census (`arrays._linear_pieces`).
 
-
-def _array_walk(poly: Polynomial, bound: int) -> Optional[_Plan]:
-    """The plan of the array walk (`arrays._array_terms`) of a head census
-    and of the solutions stream, and of the closed-form census
-    (`arrays._linear_pieces`), or None for a shape it does not take; pure
-    Python, so a refused shape loads no numpy.  The stream writes its
-    records in the order the walk finds them, so the plan must choose the
-    prefix, inner and solved variables as `_inner_step` does.
-
-    It takes an isolated variable (`_pick_isolated`) of exponent 1 whose
-    monomial holds no inner variable, so the solved value is num(t)/den with
-    num (`terms`, by `_split`) the restriction of the other monomials to the
-    inner variable, of degree <= 2, and den a monomial in the prefix values
-    (all but the solved and inner ones, as in `_inner_step`).  Every int64
+    They take a solved variable of exponent 1 whose monomial holds no inner
+    variable, so the solved value is num(t)/den with num (`terms`) of degree
+    <= 2 and den a monomial in the prefix values.  Every int64
     intermediate of both paths stays below 2^62 at this bound, as checked
     once from the coefficients: num and the windows' polynomials at t in
     [-1, bound + 2] (so den*bound - beta), den^2 and the discriminant.  Of
     these, d*top + size[1]*top bounds (bound + 1)*(den + |alpha|), alpha
     num's coefficient of t, and so the piece sweep's N*slope terms; the
     census kernels see only values up to the bound, or steps within it."""
-    n = len(poly.variables)
-    iso = _pick_isolated(poly) if n > 1 else None
-    if iso is None or iso[1] != 1 or not 1 <= bound <= BOUND_CAP:
-        return None
-    sv, _, smono = iso
-    *prefix, inner = [v for v in range(n) if v != sv]
-    mono = poly.monomials[smono]
-    den_factors = [(v, e) for v, e in mono.exponents if v != sv]
-    if any(v == inner for v, _ in den_factors):
-        return None
-    terms = _split([m for i, m in enumerate(poly.monomials) if i != smono],
-                   inner, -1)
-    quadratic = max(k for _, k, _ in terms) == 2
+    if (plan.exponent != 1 or not 1 <= bound <= BOUND_CAP
+            or any(v == plan.inner for v, _ in plan.den_factors)):
+        return False
     size = [0, 0, 0]
-    for c, k, factors in terms:
+    for c, k, factors in plan.terms:
         if k > 2:
-            return None
+            return False
         size[k] += abs(c) * bound ** sum(e for _, e in factors)
-    d = abs(mono.coeff) * bound ** sum(e for _, e in den_factors)
+    d = abs(plan.den_coeff) * bound ** sum(e for _, e in plan.den_factors)
     top = bound + 2
-    disc = size[1] ** 2 + 4 * size[2] * (size[0] + d * top) if quadratic else 0
-    if max(size[2] * top ** 2 + size[1] * top + size[0] + d * top, d * d,
-           disc) >= _INT64:
-        return None
-    return _Plan(prefix, inner, sv, terms, mono.coeff, den_factors, quadratic)
+    disc = size[1] ** 2 + 4 * size[2] * (size[0] + d * top) if size[2] else 0
+    return max(size[2] * top ** 2 + size[1] * top + size[0] + d * top, d * d,
+               disc) < _INT64
+
+
+def _array_walk(poly: Polynomial, bound: int) -> Optional[_Plan]:
+    """The plan (`_plan`) if `_fits` takes it at this bound, else None; pure
+    Python, so a refused shape loads no numpy."""
+    plan = _plan(poly)
+    return plan if _fits(plan, bound) else None
 
 
 # ---------------------------------------------------------------------------
@@ -878,7 +874,7 @@ def head_census(eq: Equation, spec: ColoringSpec, bound: int, base: int,
     every monochromatic solution; the edge bins flag mass near 1 and near
     the base.
 
-    A shape that `_array_walk` takes is counted from its int64 terms and
+    A plan that passes `_fits` is counted from its int64 terms and
     the coloring's color array, its coordinates binned by array
     (`arrays._array_heads`), which loads numpy; every other shape walks its
     monochromatic solutions one at a time (`_walk`) in pure Python."""
@@ -889,12 +885,12 @@ def head_census(eq: Equation, spec: ColoringSpec, bound: int, base: int,
     if bin_count > BIN_CAP:
         raise CapExceededError(
             BIN_CAP, f"bin count {bin_count} exceeds the cap ({BIN_CAP})")
-    plan = _array_walk(eq.poly, bound)
-    if plan is None:
+    plan = _plan(eq.poly)
+    if not _fits(plan, bound):
         bins = [0] * bin_count
         bin_of: dict[int, int] = {}  # per value, filled on first sight
         total = 0
-        for assignment, _ in iter_monochromatic(eq, spec, bound):
+        for assignment in _walk(plan, bound)(_color_lookup(spec, bound)):
             for x in assignment:
                 b = bin_of.get(x)
                 if b is None:
@@ -923,8 +919,9 @@ def witness_search(eq: Equation, family: Sequence[ColoringSpec],
     bound.  A witness is empirical evidence against partition regularity,
     never a proof.
 
-    Each coloring walks only its monochromatic solutions and stops at the
-    first.  Witnesses come back in family order."""
+    One walker serves every coloring, which walks only its monochromatic
+    solutions and stops at the first.  Witnesses come back in family
+    order."""
+    walk = _walk(_plan(eq.poly), bound)
     return [spec for spec in family
-            if next(_walk(eq.poly, bound, _color_lookup(spec, bound)),
-                    None) is None]
+            if next(walk(_color_lookup(spec, bound)), None) is None]

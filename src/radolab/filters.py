@@ -15,7 +15,7 @@ reported in the verdict notes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import univariate
@@ -332,15 +332,17 @@ def _fermat_catalan(eq: Equation, constant: Optional[int]) -> list[FilterResult]
         x, y = names[xi], names[yj]
         shape_base = dict(a=a, b=b, n=n, x=x, y=y)
 
+        # the rest as univariate polynomials, for R1 and R3
+        groups = (_rest_as_univariate_groups(poly, rest, {xi, yj})
+                  if n >= 2 and rest else None)
+
         # R1: a*x^n + b*y^n = P(z), single z (P may be constant: no z at all)
-        if n >= 2 and rest:
-            groups = _rest_as_univariate_groups(poly, rest, {xi, yj})
-            if groups is not None and len(groups) <= 1:
-                zname, k = next(((names[v], d) for v, d in groups.items()),
-                                (None, 0))
-                record("fc-degree", k not in (n, n - 1) and constant is None,
-                       **shape_base, z=zname, rhs_degree=k,
-                       constant_solution=constant)
+        if groups is not None and len(groups) <= 1:
+            zname, k = next(((names[v], d) for v, d in groups.items()),
+                            (None, 0))
+            record("fc-degree", k not in (n, n - 1) and constant is None,
+                   **shape_base, z=zname, rhs_degree=k,
+                   constant_solution=constant)
 
         # R2: a*x^n - a*y^n = c*z^n, n > 3
         if len(rest) == 1:
@@ -350,13 +352,11 @@ def _fermat_catalan(eq: Equation, constant: Optional[int]) -> list[FilterResult]
                        c=-poly.monomials[rest[0]].coeff, z=names[pp[0]])
 
         # R3: a*x^n - a*y^n = sum of P_i(z_i) over >= 2 variables
-        if n >= 2 and a + b == 0 and rest:
-            groups = _rest_as_univariate_groups(poly, rest, {xi, yj})
-            if groups is not None and len(groups) >= 2:
-                record("fc-poly-sum",
-                       all(d not in (n, n - 1) for d in groups.values()),
-                       a=a, n=n, x=x, y=y,
-                       rhs_degrees={names[v]: d for v, d in sorted(groups.items())})
+        if a + b == 0 and groups is not None and len(groups) >= 2:
+            record("fc-poly-sum",
+                   all(d not in (n, n - 1) for d in groups.values()),
+                   a=a, n=n, x=x, y=y,
+                   rhs_degrees={names[v]: d for v, d in sorted(groups.items())})
 
         # R4: a*x^n - a*y^n = c * product of z_i^k_i (one monomial, >= 2 vars)
         if n >= 2 and a + b == 0 and len(rest) == 1:
@@ -408,7 +408,12 @@ def match_power_difference(poly: Polynomial) -> Optional[FermatCatalanShape]:
 def normalize_fermat_catalan(eq: Equation) -> Optional[Equation]:
     """Reduce a*x^n - a*y^n = c*z^(n-1) (a, c > 0) to the coefficient-free
     x^n - y^n = z^(n-1); the two are PR-equivalent."""
-    shape = match_power_difference(eq.poly)
+    return _reduce(eq, match_power_difference(eq.poly))
+
+
+def _reduce(eq: Equation, shape: Optional[FermatCatalanShape]
+            ) -> Optional[Equation]:
+    """`normalize_fermat_catalan` of eq, whose match is `shape`."""
     if shape is None or shape.k != shape.n - 1 or shape.n < 2:
         return None
     zname = next(v for v in eq.poly.variables if v not in (shape.x, shape.y))
@@ -424,9 +429,10 @@ def normalize_fermat_catalan(eq: Equation) -> Optional[Equation]:
 # pipeline
 
 
-def _known_pr_annotation(eq: Equation) -> Optional[str]:
-    """Classical positive results used to annotate UNKNOWN verdicts."""
-    poly = eq.poly
+def _known_pr_annotation(poly: Polynomial,
+                         shape: Optional[FermatCatalanShape]) -> Optional[str]:
+    """Classical positive results used to annotate UNKNOWN verdicts, given
+    the polynomial's `match_power_difference`."""
     monos = poly.monomials
     if len(monos) == 2 and len(poly.variables) == 3:
         prod = next((m for m in monos if len(m.exponents) == 2), None)
@@ -440,7 +446,6 @@ def _known_pr_annotation(eq: Equation) -> Optional[str]:
                 return "known partition regular (multiplicative Schur: x*y = z)"
             if single.coeff == -2:
                 return "known partition regular (x*y = 2z)"
-    shape = match_power_difference(poly)
     if shape is not None and shape.a == 1 and shape.c == 1:
         if shape.n == 1:
             return ("known partition regular (polynomial van der Waerden: "
@@ -449,16 +454,6 @@ def _known_pr_annotation(eq: Equation) -> Optional[str]:
             return "known partition regular (x^2 - y^2 = z, Moreira)"
         if shape.n == 2 and shape.k == 2:
             return "partition regularity of the Pythagorean equation is open"
-    return None
-
-
-def _open_family_note(eq: Equation, reduced: Optional[Equation]) -> Optional[str]:
-    """The open-family note for eq, whose `normalize_fermat_catalan` is
-    `reduced`."""
-    shape = match_power_difference((reduced or eq).poly)
-    if (shape is not None and shape.a == 1 and shape.c == 1
-            and shape.n >= 3 and shape.k == shape.n - 1):
-        return OPEN_POWER_FAMILY_NOTE
     return None
 
 
@@ -534,7 +529,9 @@ def decide(eq: Equation) -> tuple[Verdict, list[FilterResult]]:
             f"admits the constant solution k={constant}; nonlinear verdicts "
             "address nonconstant solutions"
         )
-    reduced = normalize_fermat_catalan(eq)
+    # one match serves the reduction, the annotations and the open family
+    shape = match_power_difference(poly)
+    reduced = _reduce(eq, shape)
     if reduced is not None and reduced.poly != poly:
         notes.append(f"coefficient-equivalent to {pretty(reduced)}")
 
@@ -542,14 +539,17 @@ def decide(eq: Equation) -> tuple[Verdict, list[FilterResult]]:
     if fired:
         return Verdict(Status.NOT_PR, reasons=fired, notes=notes), results
 
-    annotation = _known_pr_annotation(eq)
-    if annotation is None and reduced is not None:
-        annotation = _known_pr_annotation(reduced)
+    annotation = _known_pr_annotation(poly, shape)
+    if reduced is not None:
+        # the reduced equation's match: the same powers, coefficients 1
+        shape = replace(shape, a=1, b=-1, c=1)
+        if annotation is None:
+            annotation = _known_pr_annotation(reduced.poly, shape)
     if annotation:
         notes.append(annotation)
-    open_note = _open_family_note(eq, reduced)
-    if open_note:
-        notes.append(open_note)
+    if (shape is not None and shape.a == 1 and shape.c == 1
+            and shape.n >= 3 and shape.k == shape.n - 1):
+        notes.append(OPEN_POWER_FAMILY_NOTE)
     return Verdict(Status.UNKNOWN, notes=notes), results
 
 

@@ -79,15 +79,6 @@ class Polynomial:
         monos.sort(key=_grlex_key, reverse=True)
         return Polynomial(tuple(names), tuple(monos))
 
-    # -- term access -------------------------------------------------------
-
-    def terms_by_name(self) -> dict[tuple[tuple[str, int], ...], int]:
-        out = {}
-        for m in self.monomials:
-            key = tuple(sorted((self.variables[i], e) for i, e in m.exponents))
-            out[key] = m.coeff
-        return out
-
     def is_zero(self) -> bool:
         return not self.monomials
 

@@ -26,7 +26,7 @@ loop that the color-testing walk replaced: every solution is built as a
 tuple, then the scalar colors of its coordinates are compared, and a
 witness search serves the whole family from one shared pass over the
 solutions.  The walk's restriction of an equation to its innermost
-variable, split per monomial once per walk, is checked against the
+variable, split per monomial once per search, is checked against the
 dict-keyed sum by exponent that it replaced.  The
 solutions stream is checked against records built as objects, with heads as
 `Fraction`s found by repeated multiplication, and written by `json.dumps`.
@@ -655,6 +655,13 @@ def oracle_grlex_key(mono, nvars: int):
     return (mono.degree(), tuple(dense))
 
 
+def terms_by_name(poly: Polynomial) -> dict[tuple[tuple[str, int], ...], int]:
+    """The polynomial's terms as `Polynomial.from_terms` takes them: each
+    monomial's sorted (name, exponent) pairs mapped to its coefficient."""
+    return {tuple(sorted((poly.variables[i], e) for i, e in m.exponents)):
+            m.coeff for m in poly.monomials}
+
+
 # ---------------------------------------------------------------------------
 # coloring searches by enumerate-then-filter
 
@@ -745,7 +752,8 @@ def census_plan(eq: Equation, bound: int):
     by constants."""
     plan = _array_walk(eq.poly, bound)
     assert plan is not None and plan.prefix, eq
-    assert not plan.den_factors and not plan.quadratic, eq
+    assert not plan.den_factors, eq
+    assert all(k < 2 for _, k, _ in plan.terms), eq
     assert not any(f for _, k, f in plan.terms if k == 1), eq
     return plan
 

@@ -500,7 +500,8 @@ def test_restrictor_matches_oracle():
             monos += [Monomial(c, tuple(sorted(((x, e),) + tail))),
                       Monomial(-c * a ** e, tail)]
         for sign in (1, -1):
-            restrict = coloring._restrictor(monos, inner, sign)
+            restrict = coloring._restrictor(
+                coloring._split(monos, inner, sign))
             for _ in range(4):
                 values = [rng.randint(1, 6) for _ in range(n)]
                 if x is not None and rng.random() < 0.5:
@@ -658,7 +659,8 @@ def test_walk_past_the_powers_table(monkeypatch):
     # with roots
     tracemalloc.start()
     try:
-        first = next(coloring._walk(parse("x^2*y + y = z^2").poly, 2 ** 22))
+        first = next(coloring._walk(
+            coloring._plan(parse("x^2*y + y = z^2").poly), 2 ** 22)())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -666,11 +668,11 @@ def test_walk_past_the_powers_table(monkeypatch):
     # x^2*y^2 = z^2 at 40 scans every t, whose powers reach 40^4
     for text, bound in [("x^2 + y^2 = z^3", 300), ("x^2*y + y = z^2", 200),
                         ("x + y = z^4", 150), ("x^2*y^2 = z^2", 40)]:
-        poly = parse(text).poly
-        table = list(coloring._walk(poly, bound))
+        plan = coloring._plan(parse(text).poly)
+        table = list(coloring._walk(plan, bound)())
         with monkeypatch.context() as patch:
             patch.setattr(coloring, "_POWERS", 0)
-            roots = list(coloring._walk(poly, bound))
+            roots = list(coloring._walk(plan, bound)())
         assert roots == table and len(table) > 10, text
 
 
@@ -1709,7 +1711,8 @@ class TestFilteredWalk:
             tracemalloc.stop()
         assert peak < 32_000_000, peak
         bins, total = oracle_head_bins(
-            coloring._walk(eq.poly, 10 ** 6, _color_lookup(spec, 10 ** 6)),
+            coloring._walk(coloring._plan(eq.poly), 10 ** 6)(
+                _color_lookup(spec, 10 ** 6)),
             2, 16)
         assert census.bins == bins and census.total_coordinates == total
 
@@ -1746,7 +1749,7 @@ class TestFilteredWalk:
     def test_skipped_prefixes_take_no_step(self, monkeypatch):
         # a search drops a mixed prefix before its inner step restricts the
         # equation, in every shape: under the 2^64 + 1 modulus only the 30
-        # prefixes of two equal values are stepped.  Each walk builds its
+        # prefixes of two equal values are stepped.  Each search builds its
         # restriction once, and each step calls it once
         calls = [0]
         build = coloring._restrictor
@@ -1767,6 +1770,30 @@ class TestFilteredWalk:
             calls[0] = 0
             list(iter_monochromatic(parse(text), spec, 30))
             assert calls[0] == 30, text
+
+    def test_one_plan_and_step_per_search(self, monkeypatch):
+        # a witness search over four colorings and a walked census over
+        # three choose the roles and build the inner step once, not once
+        # per coloring; x^2 + y^2 = z^2 walks a table of squares, and
+        # x*y = z passes the int64 gate but takes the walk
+        calls = []
+        for name in ("_plan", "_inner_step"):
+            def counted(*args, build=getattr(coloring, name), name=name):
+                calls.append(name)
+                return build(*args)
+
+            monkeypatch.setattr(coloring, name, counted)
+        family = [ColoringSpec.parse(s) for s in
+                  ["mod:2", "logband:2:3", "random:7:3", "mod:3"]]
+        eq = parse("x^2 + y^2 = z^2")
+        witnesses = witness_search(eq, family, 60)
+        assert calls == ["_plan", "_inner_step"]
+        assert witnesses == oracle_witness_search(eq, family, 60)
+        calls.clear()
+        eq = parse("x*y = z")
+        many = profile_census_many(eq, family[:3], 60, 3)
+        assert calls == ["_plan", "_inner_step"]
+        assert many == [profile_census(eq, s, 60, 3) for s in family[:3]]
 
     def test_witnesses(self):
         for eq, _, bound, rng in self.corpus(63, 4):

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from _oracles import oracle_maximal_root, oracle_positive_root
+from _oracles import oracle_maximal_root, oracle_positive_root, terms_by_name
 from radolab.cli import main
 from radolab.errors import CapExceededError
 from radolab.filters import (
@@ -540,7 +540,7 @@ class TestPipeline:
             mapping = dict(zip(names, fresh))
             renamed = Polynomial.from_terms({
                 tuple(sorted((mapping[v], e) for v, e in key)): c
-                for key, c in eq.poly.terms_by_name().items()
+                for key, c in terms_by_name(eq.poly).items()
             })
             from radolab.model import Equation
             v2 = run_all_filters(Equation.from_polynomial(renamed))
