@@ -1,11 +1,11 @@
 """The numpy engine of the coloring searches, loaded on first use.
 
 It is imported only once an equation's pure-Python plan (`coloring._plan`)
-passes the int64 gate (`coloring._fits`): by `coloring.profile_census_many`
-for the closed-form census of a plan with constant steps
-(`_census_linear`), by `coloring.head_census` for the head census
-(`_array_heads`), and by `cli.cmd_search` for the solutions stream
-(`_stream_chunks`).  Loading it, and numpy with it, costs tens of
+passes the int64 gate (`coloring._fits`), only by `coloring`, which picks
+every search's engine: by `profile_census_many` for the closed-form census
+of a plan with constant steps (`_census_linear`), by `head_census` for the
+head census (`_array_heads`), and by `_stream_columns` for the solutions
+stream (`_stream_chunks`).  Loading it, and numpy with it, costs tens of
 milliseconds that `import radolab`, `analyze`, `certify`, the witness
 search, the walked census and the searches of unplanned shapes never pay.
 
@@ -224,7 +224,8 @@ def _linear_pieces(plan, bound: int, N: int):
     with none are dropped before the piece table; with one prefix
     variable, keep is None, as a single value always shares its color.
     """
-    prefix, inner, solved, terms = plan[:4]
+    prefix, terms = plan.prefix, plan.terms
+    inner, solved = plan.inner, plan.solved
     n = len(prefix) + 2
     # every coordinate lies in [1, bound], so each profile comparison
     # (N*(a - b) < b, N*b >= a) answers the same for every N >= bound
@@ -561,7 +562,7 @@ def _array_terms(plan, bound: int, colors):
     row whose prefix values do not share a color is dropped before any term
     is built, and a term whose inner value does not share it before num is
     evaluated there."""
-    prefix, _, _, terms, den_coeff, den_factors, _ = plan
+    prefix, terms, den_factors = plan.prefix, plan.terms, plan.den_factors
     quadratic = any(k == 2 for _, k, _ in terms)
     blocks = (_prefix_blocks(len(prefix), bound, _BLOCK) if prefix
               else [np.ones((0, 1), dtype=np.int64)])
@@ -577,7 +578,7 @@ def _array_terms(plan, bound: int, colors):
             continue
         values = dict(zip(prefix, u))
         coef = _row_coefficients(terms, values, rows)
-        den = np.full(rows, den_coeff, dtype=np.int64)
+        den = np.full(rows, plan.den_coeff, dtype=np.int64)
         for v, e in den_factors:
             den *= values[v] ** e
         coef *= np.where(den < 0, -1, 1)

@@ -21,12 +21,11 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import __version__
 from .coloring import (
     ColoringSpec,
-    _array_walk,
     _classes,
     _profile,
+    _stream_columns,
     head_census,
     integer,
-    iter_monochromatic,
     profile_census,
     standard_head,
     witness_search,
@@ -161,7 +160,8 @@ class _Record:
     {assignment, color, heads: {base: [head, ...]} (with `base`), profile:
     {N, classes, valid}}: `LEAD`, then pieces that each end with the
     separator after them, the %-formats `values[j]`, `color` and `heads[j]`
-    (of `head(x)`), and `tail(key)` of the profile, ending in a lead."""
+    (of `head(x)`), and `tail(key)` of the profile, ending in a lead.
+    Both stream engines render through it (`coloring._stream_columns`)."""
     LEAD = '{"assignment": ['
 
     def __init__(self, n: int, N: int, base):
@@ -173,6 +173,29 @@ class _Record:
         self.tail = functools.cache(lambda key: (
             f'"profile": {{"N": {N}, "classes": {_classes(key[0])}, '
             f'"valid": {"true" if key[1] else "false"}}}}}\n{self.LEAD}'))
+
+    def walked(self, records):
+        """The text columns of walked records (assignment, color), per batch
+        of `_CHUNK`, each piece through a per-value cache of its text."""
+        values = [functools.cache(f.__mod__) for f in self.values]
+        color = functools.cache(self.color.__mod__)
+        heads = [functools.cache(lambda x, f=f: f % self.head(x))
+                 for f in self.heads]
+        while True:
+            batch = []
+            try:
+                # a walk that raises leaves the records it gave in the batch
+                batch.extend(islice(records, _CHUNK))
+            finally:
+                # records found before an error still go out, then it is raised
+                if batch:
+                    tuples, colors = zip(*batch)
+                    at = list(zip(*tuples))
+                    yield [list(map(text, x)) for text, x in [
+                        *zip(values, at), (color, colors), *zip(heads, at),
+                        (self.tail, map(_profile, tuples, repeat(self.N)))]]
+            if len(batch) < _CHUNK:
+                return
 
 
 def _write_columns(columns) -> int:
@@ -186,30 +209,6 @@ def _write_columns(columns) -> int:
         flat[-1] = flat[-1][:-len(lead)]
         sys.stdout.write("".join(flat))
     return m
-
-
-def _walked_columns(records, record: _Record):
-    """The text columns of walked records (assignment, color), per batch
-    of `_CHUNK`, each piece through a per-value cache of its text."""
-    values = [functools.cache(f.__mod__) for f in record.values]
-    color = functools.cache(record.color.__mod__)
-    heads = [functools.cache(lambda x, f=f: f % record.head(x))
-             for f in record.heads]
-    while True:
-        batch = []
-        try:
-            # a walk that raises leaves the records it gave in the batch
-            batch.extend(islice(records, _CHUNK))
-        finally:
-            # records found before an error still go out, then it is raised
-            if batch:
-                tuples, colors = zip(*batch)
-                at = list(zip(*tuples))
-                yield [list(map(text, x)) for text, x in [
-                    *zip(values, at), (color, colors), *zip(heads, at),
-                    (record.tail, map(_profile, tuples, repeat(record.N)))]]
-        if len(batch) < _CHUNK:
-            return
 
 
 def _filter_json(result) -> dict:
@@ -342,16 +341,8 @@ def cmd_search(args) -> int:
         if args.base is not None and args.base < 2:
             raise ValueError("base must be at least 2")
         record = _Record(len(eq.poly.variables), args.N, args.base)
-        plan = _array_walk(eq.poly, args.bound)
-        if plan is None:
-            chunks = _walked_columns(
-                iter_monochromatic(eq, specs[0], args.bound), record)
-        else:
-            from . import arrays
-
-            chunks = arrays._stream_chunks(
-                plan, specs[0].color_array(args.bound), args.bound, record)
-        count = sum(map(_write_columns, chunks))
+        count = sum(map(_write_columns, _stream_columns(
+            eq, specs[0], args.bound, record)))
         print(f"{pretty(eq)}: {count} monochromatic solution(s) streamed",
               file=sys.stderr)
         return EXIT_OK

@@ -19,19 +19,18 @@ so all of them find solutions in one order.  The pure-Python walker,
 `_walk`, builds its inner step from the plan once per search and walks the
 grid of prefix values for every shape.  Given a coloring's table it skips
 each prefix whose values do not share a color and builds a tuple only for a
-monochromatic solution.  Witness searches, the profile census of an
-equation without a closed form, and the stream of an unplanned equation
-(`iter_monochromatic`) run it once per coloring; `enumerate_solutions` runs
-it without a table.
+monochromatic solution.  A search the numpy paths below do not take runs
+it once per coloring; `enumerate_solutions` runs it without a table.
 
-Three paths run on numpy arrays instead, in the module `arrays`, imported
-only where each starts, for a plan that passes the int64 gate (`_fits`):
-the array walk of a head census and of the solutions stream (the latter
-from `cli`, by `_array_walk`) and, for a plan whose inner and solved values
-step by constants (a linear equation in three or more variables, say), the
-closed-form census (in `profile_census_many`).  So `import radolab` and
-every other search load neither numpy nor `arrays`.  Searches take bounds
-up to `BOUND_CAP`, past which a color table no longer fits in memory.
+Every search mode's engine is picked here, from the one plan.  Three paths
+run on numpy arrays, in the module `arrays`, imported only where each
+starts, for a plan that passes the int64 gate (`_fits`): the array walk of
+a head census and of the solutions stream (`_stream_columns`, which `cli`
+only writes) and, for a plan whose inner and solved values step by
+constants (a linear equation in three or more variables, say), the
+closed-form census (in `profile_census_many`).  So `import radolab`, `cli`
+and every other search load neither numpy nor `arrays`.  Searches take
+bounds up to `BOUND_CAP`, past which a color table no longer fits in memory.
 """
 
 from __future__ import annotations
@@ -725,13 +724,20 @@ def _plus_term(p: list[int], k: int, c: int) -> list[int]:
 # monochromatic solutions and censuses
 
 
-def iter_monochromatic(eq: Equation, spec: ColoringSpec,
-                       bound: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The monochromatic solutions in `enumerate_solutions` order, each with
-    its color; the stream of a planned shape takes `arrays` instead."""
+def _stream_columns(eq: Equation, spec: ColoringSpec, bound: int, record):
+    """The monochromatic solutions in `enumerate_solutions` order as text
+    columns of `record` (a `cli._Record`): by the array walk for a plan
+    `_fits` takes (`arrays._stream_chunks`), else by `_walk`, each with its
+    color, through `record.walked`; the color table comes first."""
+    plan = _plan(eq.poly)
+    if _fits(plan, bound):
+        from . import arrays
+
+        return arrays._stream_chunks(plan, spec.color_array(bound), bound,
+                                     record)
     table = _color_lookup(spec, bound)
-    for assignment in _walk(_plan(eq.poly), bound)(table):
-        yield assignment, table[assignment[0]]
+    return record.walked((assignment, table[assignment[0]])
+                         for assignment in _walk(plan, bound)(table))
 
 
 @dataclass
@@ -813,9 +819,9 @@ _INT64 = 2 ** 62
 
 
 def _fits(plan: _Plan, bound: int) -> bool:
-    """Whether the numpy paths take the plan at this bound: the array walk
-    (`arrays._array_terms`) of a head census and of the solutions stream,
-    and the closed-form census (`arrays._linear_pieces`).
+    """Whether the numpy paths take the plan at this bound, asked only here:
+    the array walk (`arrays._array_terms`) of `head_census` and of
+    `_stream_columns`, and the closed-form census (`arrays._linear_pieces`).
 
     They take a solved variable of exponent 1 whose monomial holds no inner
     variable, so the solved value is num(t)/den with num (`terms`) of degree
@@ -839,13 +845,6 @@ def _fits(plan: _Plan, bound: int) -> bool:
     disc = size[1] ** 2 + 4 * size[2] * (size[0] + d * top) if size[2] else 0
     return max(size[2] * top ** 2 + size[1] * top + size[0] + d * top, d * d,
                disc) < _INT64
-
-
-def _array_walk(poly: Polynomial, bound: int) -> Optional[_Plan]:
-    """The plan (`_plan`) if `_fits` takes it at this bound, else None; pure
-    Python, so a refused shape loads no numpy."""
-    plan = _plan(poly)
-    return plan if _fits(plan, bound) else None
 
 
 # ---------------------------------------------------------------------------

@@ -312,14 +312,17 @@ _FC_RULES = ("fc-degree", "fc-same-power", "fc-poly-sum", "fc-power-product",
 def filter_fermat_catalan(eq: Equation) -> list[FilterResult]:
     """The rule battery for two-pure-powers shapes; each rule reports
     independently (inapplicable when its shape is absent)."""
-    return _fermat_catalan(eq, trivial_constant_solution(eq.poly))
+    return _fermat_catalan(eq, trivial_constant_solution(eq.poly))[0]
 
 
-def _fermat_catalan(eq: Equation, constant: Optional[int]) -> list[FilterResult]:
-    """`filter_fermat_catalan`, given the equation's constant solution."""
+def _fermat_catalan(eq: Equation, constant: Optional[int]) -> tuple[
+        list[FilterResult], Optional[FermatCatalanShape]]:
+    """`filter_fermat_catalan`, given the equation's constant solution, and
+    `match_power_difference` of its polynomial, from one scan of the pairs."""
     poly = eq.poly
     names = poly.variables
     results = {name: _inapplicable(name) for name in _FC_RULES}
+    shape = None
 
     def record(name: str, fired: bool, **evidence):
         # a fired rule wins over quiet, quiet over inapplicable
@@ -344,12 +347,21 @@ def _fermat_catalan(eq: Equation, constant: Optional[int]) -> list[FilterResult]
                    **shape_base, z=zname, rhs_degree=k,
                    constant_solution=constant)
 
-        # R2: a*x^n - a*y^n = c*z^n, n > 3
+        # R2: a*x^n - a*y^n = c*z^n, n > 3; the first a*x^n - a*y^n = c*z^k
+        # is the power difference
         if len(rest) == 1:
             pp = _pure_power(poly.monomials[rest[0]])
-            if pp is not None and pp[0] not in (xi, yj) and pp[1] == n:
-                record("fc-same-power", a + b == 0 and n > 3, **shape_base,
-                       c=-poly.monomials[rest[0]].coeff, z=names[pp[0]])
+            if pp is not None and pp[0] not in (xi, yj):
+                c = -poly.monomials[rest[0]].coeff
+                if pp[1] == n:
+                    record("fc-same-power", a + b == 0 and n > 3,
+                           **shape_base, c=c, z=names[pp[0]])
+                if shape is None and a + b == 0:
+                    pos, neg = (x, y) if a > 0 else (y, x)
+                    if c < 0:
+                        pos, neg, c = neg, pos, -c
+                    shape = FermatCatalanShape(a=abs(a), b=-abs(a), n=n,
+                                               x=pos, y=neg, c=c, k=pp[1])
 
         # R3: a*x^n - a*y^n = sum of P_i(z_i) over >= 2 variables
         if a + b == 0 and groups is not None and len(groups) >= 2:
@@ -380,29 +392,12 @@ def _fermat_catalan(eq: Equation, constant: Optional[int]) -> list[FilterResult]
                 record("fc-mixed-linear", a + b != 0, a=a, b=b, x=x, y=y,
                        c=-m.coeff, w=names[wv], m=me, z=names[zv], n=ne)
 
-    return [results[name] for name in _FC_RULES]
+    return [results[name] for name in _FC_RULES], shape
 
 
 def match_power_difference(poly: Polynomial) -> Optional[FermatCatalanShape]:
     """Bind a*x^n - a*y^n = c*z^k (all three monomials pure powers)."""
-    if len(poly.monomials) != 3:
-        return None
-    for (i, (xi, n), j, (yj, _), ), rest in _power_pair_splits(poly):
-        a, b = poly.monomials[i].coeff, poly.monomials[j].coeff
-        if a != -b:
-            continue
-        m = poly.monomials[rest[0]]
-        pp = _pure_power(m)
-        if pp is None or pp[0] in (xi, yj):
-            continue
-        c = -m.coeff
-        x, y = (xi, yj) if a > 0 else (yj, xi)
-        if c < 0:
-            x, y, c = y, x, -c
-        return FermatCatalanShape(
-            a=abs(a), b=-abs(a), n=n,
-            x=poly.variables[x], y=poly.variables[y], c=c, k=pp[1])
-    return None
+    return _fermat_catalan(Equation(poly), None)[1]
 
 
 def normalize_fermat_catalan(eq: Equation) -> Optional[Equation]:
@@ -459,18 +454,21 @@ def _known_pr_annotation(poly: Polynomial,
 
 def filter_battery(eq: Equation) -> list[FilterResult]:
     """Every nonlinear filter's outcome, fired or not."""
-    return _battery(eq, trivial_constant_solution(eq.poly))
+    return _battery(eq, trivial_constant_solution(eq.poly))[0]
 
 
-def _battery(eq: Equation, constant: Optional[int]) -> list[FilterResult]:
-    """`filter_battery`, given the equation's constant solution."""
+def _battery(eq: Equation, constant: Optional[int]
+             ) -> tuple[list[FilterResult], Optional[FermatCatalanShape]]:
+    """`filter_battery`, given the equation's constant solution, and the
+    polynomial's `match_power_difference` (`_fermat_catalan`)."""
+    fermat_catalan, shape = _fermat_catalan(eq, constant)
     return [
         filter_homogeneous_rado(eq),
         filter_single_variable_leading(eq),
         filter_exponent_rado(eq),
         filter_maximal_root(eq),
-        *_fermat_catalan(eq, constant),
-    ]
+        *fermat_catalan,
+    ], shape
 
 
 def run_all_filters(eq: Equation) -> Verdict:
@@ -522,15 +520,14 @@ def decide(eq: Equation) -> tuple[Verdict, list[FilterResult]]:
 
     check_degree_cap(poly)
     constant = trivial_constant_solution(poly)
-    results = _battery(eq, constant)
+    # one match serves the reduction, the annotations and the open family
+    results, shape = _battery(eq, constant)
     notes = []
     if constant is not None:
         notes.append(
             f"admits the constant solution k={constant}; nonlinear verdicts "
             "address nonconstant solutions"
         )
-    # one match serves the reduction, the annotations and the open family
-    shape = match_power_difference(poly)
     reduced = _reduce(eq, shape)
     if reduced is not None and reduced.poly != poly:
         notes.append(f"coefficient-equivalent to {pretty(reduced)}")
@@ -539,12 +536,12 @@ def decide(eq: Equation) -> tuple[Verdict, list[FilterResult]]:
     if fired:
         return Verdict(Status.NOT_PR, reasons=fired, notes=notes), results
 
-    annotation = _known_pr_annotation(poly, shape)
     if reduced is not None:
-        # the reduced equation's match: the same powers, coefficients 1
+        # the reduced equation's match: the same powers, coefficients 1.  A
+        # power difference has three monomials, so the product rule of
+        # `_known_pr_annotation` matches neither it nor its reduction
         shape = replace(shape, a=1, b=-1, c=1)
-        if annotation is None:
-            annotation = _known_pr_annotation(reduced.poly, shape)
+    annotation = _known_pr_annotation(poly, shape)
     if annotation:
         notes.append(annotation)
     if (shape is not None and shape.a == 1 and shape.c == 1

@@ -45,9 +45,10 @@ from math import comb
 
 import numpy as np
 
+from radolab import coloring
 from radolab.arrays import _linear_pieces
 from radolab.arrays import _lt_zero as _rows_lt_zero
-from radolab.coloring import _array_walk, enumerate_solutions
+from radolab.coloring import _fits, _plan, enumerate_solutions
 from radolab.linalg import (
     ColumnsCertificate,
     QMatrix,
@@ -748,10 +749,10 @@ def oracle_piece_table3(slopes, slots, starts, count, N):
 
 def census_plan(eq: Equation, bound: int):
     """The plan the closed-form census takes for an equation at a bound
-    (`coloring._array_walk`), checked to step its inner and solved values
-    by constants."""
-    plan = _array_walk(eq.poly, bound)
-    assert plan is not None and plan.prefix, eq
+    (`coloring._plan`, passing `coloring._fits`), checked to step its inner
+    and solved values by constants."""
+    plan = _plan(eq.poly)
+    assert _fits(plan, bound) and plan.prefix, eq
     assert not plan.den_factors, eq
     assert all(k < 2 for _, k, _ in plan.terms), eq
     assert not any(f for _, k, f in plan.terms if k == 1), eq
@@ -812,6 +813,17 @@ def oracle_monochromatic(eq: Equation, spec, bound: int):
         c = colors[assignment[0]]
         if all(colors[x] == c for x in assignment):
             yield assignment, c
+
+
+def walk_monochromatic(eq: Equation, spec, bound: int):
+    """The library's walk of the monochromatic solutions (`coloring._walk`
+    over `coloring._plan`, with `coloring._color_lookup`'s table), each
+    with its color, as the solutions stream of an unplanned shape walks
+    them.  Not an oracle: the walk itself, for the tests that count its
+    work, read through the module so that a patched helper takes effect."""
+    table = coloring._color_lookup(spec, bound)
+    for assignment in coloring._walk(coloring._plan(eq.poly), bound)(table):
+        yield assignment, table[assignment[0]]
 
 
 def oracle_head_bins(solutions, base: int, bin_count: int):

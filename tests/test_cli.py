@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -473,7 +474,7 @@ class TestSearch:
         def unreachable(*args):
             raise AssertionError("solutions walked with a bad base")
 
-        monkeypatch.setattr(cli, "iter_monochromatic", unreachable)
+        monkeypatch.setattr(cli, "_stream_columns", unreachable)
         for bound in ["1", "5"]:
             for base in ["1", "0", "-2"]:
                 code, out, err = run_cli(
@@ -578,7 +579,7 @@ class TestSearch:
         assert f"exceeds the cap ({filters.DEGREE_CAP})" in err
 
     def test_bins_past_cap_exit_3(self, capsys, monkeypatch):
-        # the bin cap is checked before the solution walk starts
+        # the bin cap is checked before the equation is planned
         monkeypatch.setattr(coloring, "BIN_CAP", 8)
         argv = ["search", "x*y = z", "--coloring", "logband:2:3", "--bound",
                 "300", "--mode", "heads", "--base", "2", "--bins"]
@@ -586,9 +587,9 @@ class TestSearch:
         assert code == 0 and report["heads"]["bin_count"] == 8
 
         def unreachable(*args):
-            raise AssertionError("solutions walked past the bin cap")
+            raise AssertionError("planned past the bin cap")
 
-        monkeypatch.setattr(coloring, "iter_monochromatic", unreachable)
+        monkeypatch.setattr(coloring, "_plan", unreachable)
         code, out, err = run_cli(capsys, *argv, "9")
         assert code == 3 and out == ""
         assert err == "cap exceeded: bin count 9 exceeds the cap (8)\n"
@@ -635,18 +636,23 @@ class TestSearch:
         # x + y^3 = z + w (cubic in its inner variable) takes the walk
         argv = ["search", "x + y^3 = z + w", "--coloring", "mod:3",
                 "--bound", "80", "--mode", "solutions", "--base", "10"]
-        assert coloring._array_walk(parse(argv[1]).poly, 80) is None
+        assert not coloring._fits(coloring._plan(parse(argv[1]).poly), 80)
         full = run_cli(capsys, *argv)[1].splitlines(keepends=True)
         assert len(full) > 1500
-        walk = cli.iter_monochromatic
+        build = coloring._walk
 
         def interrupted(*args):
-            for k, record in enumerate(walk(*args)):
-                if k == 1500:
-                    raise KeyboardInterrupt
-                yield record
+            walk = build(*args)
 
-        monkeypatch.setattr(cli, "iter_monochromatic", interrupted)
+            def cut(*args):
+                for k, solution in enumerate(walk(*args)):
+                    if k == 1500:
+                        raise KeyboardInterrupt
+                    yield solution
+
+            return cut
+
+        monkeypatch.setattr(coloring, "_walk", interrupted)
         with pytest.raises(KeyboardInterrupt):
             main(argv)
         assert capsys.readouterr().out.splitlines(keepends=True) == full[:1500]
@@ -678,6 +684,25 @@ class TestSearch:
         assert cli._CHUNK < first[0] < len(full)
         out = capsys.readouterr().out.splitlines(keepends=True)
         assert out == full[:first[0]]
+
+    def test_stream_plans_once(self, capsys, monkeypatch):
+        # the stream's engine is picked from the one plan: x^2 + y^2 = z^2
+        # walks and x + y = z takes the array walk, each planned once
+        build = coloring._plan
+        calls = []
+
+        def counted(poly):
+            calls.append(poly)
+            return build(poly)
+
+        monkeypatch.setattr(coloring, "_plan", counted)
+        for text, array in [("x^2 + y^2 = z^2", False), ("x + y = z", True)]:
+            assert coloring._fits(build(parse(text).poly), 50) is array
+            calls.clear()
+            code, out, _ = run_cli(capsys, "search", text, "--bound", "50",
+                                   "--mode", "solutions")
+            assert code == 0 and out, text
+            assert calls == [parse(text).poly], text
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "x + y = z"],
@@ -726,6 +751,31 @@ def test_parser_built_once_dispatches_rebound_commands(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args) or 7)
     assert main(["analyze", "x = y"]) == 7
     assert seen[0].equation == "x = y"
+
+
+def test_cli_leaves_every_engine_to_coloring():
+    # `coloring` picks each search's engine: cli imports neither numpy nor
+    # `radolab.arrays`, and names neither the plan nor the int64 gate
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    modules, names = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"radolab.{module}" if module else "radolab"
+            modules += [module] + [f"{module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.alias):
+            names |= {node.name, node.asname}
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert "radolab.coloring._stream_columns" in modules
+    assert not [m for m in modules if m.split(".")[0] == "numpy"
+                or m.startswith("radolab.arrays")]
+    assert not names & {"_plan", "_fits", "arrays"}
 
 
 def test_parameters_carry_no_thread_count(capsys):

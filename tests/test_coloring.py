@@ -29,6 +29,7 @@ from _oracles import (
     oracle_restrict,
     oracle_solution_grid,
     oracle_witness_search,
+    walk_monochromatic,
 )
 from radolab import arrays, cli, coloring, univariate
 from radolab.coloring import (
@@ -38,7 +39,6 @@ from radolab.coloring import (
     asymptotic_profile,
     enumerate_solutions,
     head_census,
-    iter_monochromatic,
     profile_census,
     profile_census_many,
     standard_head,
@@ -86,7 +86,8 @@ def test_coloring_imports_numpy_only_in_color_array():
 
     visit(ast.parse(Path(coloring.__file__).read_text(encoding="utf-8")), [])
     assert numpy_at == ["ColoringSpec.color_array"]
-    assert arrays_at == ["profile_census_many", "head_census"]
+    assert arrays_at == ["_stream_columns", "profile_census_many",
+                         "head_census"]
 
 
 def test_star_import_exports_each_name_once():
@@ -1327,7 +1328,7 @@ def test_closed_form_census_matches_walk_on_constant_slope_shapes(
                         counts[partition] = counts.get(partition, 0) + 1
                 assert census.counts == counts, (text, spec, bound, N)
                 assert census.total_solutions == total, (text, bound)
-    assert coloring._array_walk(parse(walked[0][0]).poly, 40) is None
+    assert not coloring._fits(coloring._plan(parse(walked[0][0]).poly), 40)
     assert Ns == {2, 3, 10, "past the bound"}
     assert signs == {-1, 0, 1} and solved == {False, True}
 
@@ -1606,7 +1607,7 @@ class TestFilteredWalk:
 
     def test_solutions_in_order(self):
         for eq, spec, bound, _ in self.corpus(61, 4):
-            assert (list(iter_monochromatic(eq, spec, bound))
+            assert (list(walk_monochromatic(eq, spec, bound))
                     == list(oracle_monochromatic(eq, spec, bound))), \
                 (eq.poly, spec, bound)
 
@@ -1647,8 +1648,8 @@ class TestFilteredWalk:
                       [1, 2, rng.choice([7, 24] if small else [3, 40, 150])]]
         for text, edge in self.GATE.items():
             eq = parse(text)
-            assert coloring._array_walk(eq.poly, edge) is not None
-            assert coloring._array_walk(eq.poly, edge + 1) is None
+            assert coloring._fits(coloring._plan(eq.poly), edge)
+            assert not coloring._fits(coloring._plan(eq.poly), edge + 1)
             cases += [(eq, edge), (eq, edge + 1)]
         on_array = 0
         for k, (eq, bound) in enumerate(cases):
@@ -1662,7 +1663,7 @@ class TestFilteredWalk:
             census = head_census(eq, spec, bound, max(base, 2), bin_count)
             assert census.bins == bins, (eq.poly, spec, bound, base)
             assert census.total_coordinates == total
-            on_array += coloring._array_walk(eq.poly, bound) is not None
+            on_array += coloring._fits(coloring._plan(eq.poly), bound)
         assert on_array > 50
 
     # shapes the array walk plans but the closed form refuses, so their
@@ -1736,7 +1737,7 @@ class TestFilteredWalk:
                             lambda spec, bound: Counted(build(spec, bound)))
         eq = parse("x + y + z = w")
         spec = ColoringSpec.parse("mod:18446744073709551617")
-        assert list(iter_monochromatic(eq, spec, 30)) == []
+        assert list(walk_monochromatic(eq, spec, 30)) == []
         assert lookups[0] == 2 * 30 ** 2
         lookups[0] = 0
         census = profile_census(eq, spec, 30, 10)
@@ -1768,7 +1769,7 @@ class TestFilteredWalk:
         for text in ["x + y + z = w", "x^2 + y^2 - z^2 = w",
                      "x^2*y + y^2 = x*y*z + z^2"]:
             calls[0] = 0
-            list(iter_monochromatic(parse(text), spec, 30))
+            list(walk_monochromatic(parse(text), spec, 30))
             assert calls[0] == 30, text
 
     def test_one_plan_and_step_per_search(self, monkeypatch):

@@ -491,6 +491,27 @@ class TestPipeline:
         assert any("coefficient-equivalent" in n for n in v.notes)
         assert OPEN_POWER_FAMILY_NOTE in v.notes
 
+    def test_one_pair_scan_per_decide(self, monkeypatch):
+        # the battery's Fermat-Catalan scan also binds the power difference
+        # that the reduction and the notes read
+        from radolab import filters
+
+        scans = [0]
+        splits = filters._power_pair_splits
+
+        def counted(poly):
+            scans[0] += 1
+            return splits(poly)
+
+        monkeypatch.setattr(filters, "_power_pair_splits", counted)
+        for text, note in [("x^3 - y^3 = z^2", OPEN_POWER_FAMILY_NOTE),
+                           ("2x^3 - 2y^3 = 2z^2", OPEN_POWER_FAMILY_NOTE),
+                           ("3x^2 - 3y^2 = 2z", "Moreira")]:
+            scans[0] = 0
+            v = run_all_filters(parse(text))
+            assert scans[0] == 1, text
+            assert any(note in n for n in v.notes), text
+
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomialError):
             run_all_filters(parse("x = x"))
