@@ -397,6 +397,8 @@ def _fermat_catalan(eq: Equation, constant: Optional[int]) -> tuple[
 
 def match_power_difference(poly: Polynomial) -> Optional[FermatCatalanShape]:
     """Bind a*x^n - a*y^n = c*z^k (all three monomials pure powers)."""
+    if len(poly.monomials) != 3:
+        return None
     return _fermat_catalan(Equation(poly), None)[1]
 
 
@@ -460,15 +462,16 @@ def filter_battery(eq: Equation) -> list[FilterResult]:
 def _battery(eq: Equation, constant: Optional[int]
              ) -> tuple[list[FilterResult], Optional[FermatCatalanShape]]:
     """`filter_battery`, given the equation's constant solution, and the
-    polynomial's `match_power_difference` (`_fermat_catalan`)."""
-    fermat_catalan, shape = _fermat_catalan(eq, constant)
-    return [
+    polynomial's `match_power_difference` (`_fermat_catalan`).  The capped
+    filters run first, so an over-cap equation fails before the pair scan."""
+    results = [
         filter_homogeneous_rado(eq),
         filter_single_variable_leading(eq),
         filter_exponent_rado(eq),
         filter_maximal_root(eq),
-        *fermat_catalan,
-    ], shape
+    ]
+    fermat_catalan, shape = _fermat_catalan(eq, constant)
+    return results + fermat_catalan, shape
 
 
 def run_all_filters(eq: Equation) -> Verdict:

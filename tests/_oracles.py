@@ -42,6 +42,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import numpy as np
 
@@ -815,15 +816,20 @@ def oracle_monochromatic(eq: Equation, spec, bound: int):
             yield assignment, c
 
 
+class _Listed:
+    """A stand-in for `cli._Record` whose walked records come back as they
+    are given, (assignment, color) each, instead of as text columns."""
+    walked = staticmethod(list)
+
+
 def walk_monochromatic(eq: Equation, spec, bound: int):
-    """The library's walk of the monochromatic solutions (`coloring._walk`
-    over `coloring._plan`, with `coloring._color_lookup`'s table), each
-    with its color, as the solutions stream of an unplanned shape walks
-    them.  Not an oracle: the walk itself, for the tests that count its
-    work, read through the module so that a patched helper takes effect."""
-    table = coloring._color_lookup(spec, bound)
-    for assignment in coloring._walk(coloring._plan(eq.poly), bound)(table):
-        yield assignment, table[assignment[0]]
+    """The monochromatic solutions, each with its color, from the solutions
+    stream's walked branch (`coloring._stream_columns`), taken for every
+    plan: `coloring._fits` is held false, so that a plan the array walk
+    would take is walked too.  Not an oracle: the stream itself, for the
+    tests that check it and count its work."""
+    with mock.patch.object(coloring, "_fits", lambda plan, bound: False):
+        return coloring._stream_columns(eq, spec, bound, _Listed())
 
 
 def oracle_head_bins(solutions, base: int, bin_count: int):

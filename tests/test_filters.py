@@ -512,6 +512,22 @@ class TestPipeline:
             assert scans[0] == 1, text
             assert any(note in n for n in v.notes), text
 
+    def test_over_cap_fails_before_the_pair_scan(self, monkeypatch):
+        # the capped filters run before the Fermat-Catalan scan, so an
+        # equation of too many monomials fails at once; a polynomial of other
+        # than three monomials is no power difference, and is not scanned
+        from radolab import filters
+
+        def scanned(poly):
+            raise AssertionError("pair scan")
+
+        monkeypatch.setattr(filters, "_power_pair_splits", scanned)
+        squares = " + ".join(f"x{i}^2" for i in range(1, 30))
+        with pytest.raises(CapExceededError):
+            decide(parse(f"{squares} = x30^2"))
+        assert match_power_difference(parse(squares + " = x30^2").poly) is None
+        assert match_power_difference(parse("x^2 + y^2 = z^2 + w^2").poly) is None
+
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomialError):
             run_all_filters(parse("x = x"))
